@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-TruthValue = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -10,7 +10,6 @@ order type, realized on the evenly spaced rational grid.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -20,22 +19,14 @@ from .algebra import ONE, ZERO, TruthSet, round_down, round_up
 from .semantics import (
     PiGFModel,
     PiGModel,
-    _values_on_worlds,
+    UnknownWorldError,
+    compile_formulas,
     eval_pigf,
+    evaluate_compiled,
     is_normalized,
+    model_values,
 )
-from .syntax import (
-    And,
-    Bot,
-    Box,
-    Dia,
-    Formula,
-    Implies,
-    LogicId,
-    Var,
-    complexity_ell,
-    variables,
-)
+from .syntax import Formula, LogicId, complexity_ell
 
 MODES = ("exhaustive", "random", "hybrid")
 
@@ -114,10 +105,6 @@ def _decode(code: int, top_code: int, k_grid: int) -> Fraction:
     return Fraction(code, k_grid)
 
 
-def _world_names(n: int) -> tuple[str, ...]:
-    return tuple(f"w{i + 1}" for i in range(n))
-
-
 def _materialize(
     names: Sequence[str],
     rows: Sequence[Sequence[int]],
@@ -125,7 +112,7 @@ def _materialize(
     top_code: int,
     k_grid: int,
 ) -> PiGFModel:
-    worlds = _world_names(len(rows))
+    worlds = tuple(f"w{i + 1}" for i in range(len(rows)))
     pi = {w: _decode(row[0], top_code, k_grid) for w, row in zip(worlds, rows)}
     valuation = {
         w: {p: _decode(row[1 + i], top_code, k_grid) for i, p in enumerate(names)}
@@ -137,50 +124,10 @@ def _materialize(
     return PiGFModel(PiGModel(worlds, pi, valuation), truth)
 
 
-def enumerate_canonical(
-    n_worlds: int,
-    n_truth: int,
-    vars: frozenset[str] | set[str] | Sequence[str],
-    logic: LogicId,
-) -> Iterator[PiGFModel]:
-    """Yield one model per order type of the given dimensions.
-
-    All values are drawn from the grid {0, 1/K, ..., 1} with
-    K = n_worlds * (len(vars) + 1) + n_truth; two assignments that induce the
-    same relative order of slot values, with 0 and 1 pinned and the same
-    pattern of membership in the truth set, are produced once.
-    """
-    if n_worlds < 1:
-        raise ValueError("need at least one world")
-    if n_truth < 2:
-        raise ValueError("truth set needs at least 0 and 1")
-    names = tuple(sorted(vars))
-    width = 1 + len(names)
-    n_slots = n_worlds * width
-    k_grid = n_slots + n_truth
-    for j in range(n_slots + n_truth - 2 + 1):
-        top_code = j + 1
-        for t_ranks in combinations(range(1, j + 1), n_truth - 2):
-            required = frozenset(range(1, j + 1)) - frozenset(t_ranks)
-            for codes in product(range(top_code + 1), repeat=n_slots):
-                if required and not required.issubset(codes):
-                    continue
-                pi_codes = codes[:n_worlds]
-                if logic is LogicId.KD45 and top_code not in pi_codes:
-                    continue
-                if logic is LogicId.S5 and any(c != top_code for c in pi_codes):
-                    continue
-                rows = [
-                    (codes[i],) + codes[n_worlds + i * len(names): n_worlds + (i + 1) * len(names)]
-                    for i in range(n_worlds)
-                ]
-                yield _materialize(names, rows, t_ranks, top_code, k_grid)
-
-
-# The exhaustive sweep additionally identifies models that only differ by a
-# renaming of worlds: rows are generated in nondecreasing order.  Renaming is
-# a model isomorphism, so coverage of order types up to the bound is kept; it
-# cuts the sweep by a factor of up to n! per size.
+# The sweep also identifies models that only differ by a renaming of worlds:
+# rows are generated in nondecreasing order.  Renaming is a model isomorphism,
+# so coverage of order types up to the bound is kept; it cuts the sweep by a
+# factor of up to n! per size.
 
 
 def _sorted_row_models(
@@ -246,81 +193,21 @@ def _sweep_size(
                 yield rows, t_ranks, t_codes, top_code, k_grid
 
 
-def _compile(f: Formula, names: tuple[str, ...]) -> list[tuple]:
-    """Postorder op list; identical subformulas share one entry."""
-    index: dict[Formula, int] = {}
-    ops: list[tuple] = []
-
-    def visit(g: Formula) -> int:
-        got = index.get(g)
-        if got is not None:
-            return got
-        if isinstance(g, Bot):
-            op = ("bot",)
-        elif isinstance(g, Var):
-            op = ("var", names.index(g.name))
-        elif isinstance(g, And):
-            op = ("and", visit(g.left), visit(g.right))
-        elif isinstance(g, Implies):
-            op = ("imp", visit(g.left), visit(g.right))
-        elif isinstance(g, Box):
-            op = ("box", visit(g.body))
-        elif isinstance(g, Dia):
-            op = ("dia", visit(g.body))
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        ops.append(op)
-        index[g] = len(ops) - 1
-        return index[g]
-
-    visit(f)
-    return ops
-
-
-def _eval_codes(
+def _first_refutation(
     ops: list[tuple],
+    root: int,
     rows: Sequence[tuple[int, ...]],
-    t_codes: list[int],
+    t_codes: Sequence[int],
     top: int,
-) -> list[int]:
-    """Evaluate the compiled formula over integer codes; returns the root
-    value at each world."""
-    n = len(rows)
-    pis = [row[0] for row in rows]
-    vals: list[list[int]] = []
-    for op in ops:
-        tag = op[0]
-        if tag == "bot":
-            out = [0] * n
-        elif tag == "var":
-            col = 1 + op[1]
-            out = [row[col] for row in rows]
-        elif tag == "and":
-            a, b = vals[op[1]], vals[op[2]]
-            out = [x if x < y else y for x, y in zip(a, b)]
-        elif tag == "imp":
-            a, b = vals[op[1]], vals[op[2]]
-            out = [top if x <= y else y for x, y in zip(a, b)]
-        elif tag == "box":
-            body = vals[op[1]]
-            c = top
-            for p, x in zip(pis, body):
-                v = top if p <= x else x
-                if v < c:
-                    c = v
-            c = t_codes[bisect_right(t_codes, c) - 1]
-            out = [c] * n
-        else:
-            body = vals[op[1]]
-            c = 0
-            for p, x in zip(pis, body):
-                v = p if p < x else x
-                if v > c:
-                    c = v
-            c = t_codes[bisect_left(t_codes, c)]
-            out = [c] * n
-        vals.append(out)
-    return vals[-1]
+) -> tuple[int, int] | None:
+    """The first world whose root code is below top, with that code, in a
+    model given as integer code rows (pi, then one code per variable)."""
+    columns = list(zip(*rows))
+    values = evaluate_compiled(ops, columns[1:], columns[:1], 0, top, t_codes)[root]
+    for idx, code in enumerate(values):
+        if code != top:
+            return idx, code
+    return None
 
 
 def _size_order(bound: int, cfg: SearchConfig) -> list[tuple[int, int]]:
@@ -338,23 +225,25 @@ def _size_order(bound: int, cfg: SearchConfig) -> list[tuple[int, int]]:
 
 def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
     bound = bound_for(f)
-    names = tuple(sorted(variables(f)))
-    ops = _compile(f, names)
+    ops, (root,), names = compile_formulas([f])
     checked = 0
     for n_worlds, n_truth in _size_order(bound, cfg):
         for rows, t_ranks, t_codes, top_code, k_grid in _sweep_size(
             n_worlds, n_truth, names, logic
         ):
             checked += 1
-            root = _eval_codes(ops, rows, t_codes, top_code)
-            for idx, code in enumerate(root):
-                if code != top_code:
-                    model = _materialize(names, rows, t_ranks, top_code, k_grid)
-                    world = model.worlds[idx]
-                    value = eval_pigf(model, world, f)
-                    # the integer evaluation mirrors the exact one
-                    assert value == _decode(code, top_code, k_grid) and value < ONE
-                    return Refuted(model, world, value)
+            hit = _first_refutation(ops, root, rows, t_codes, top_code)
+            if hit is not None:
+                idx, code = hit
+                model = _materialize(names, rows, t_ranks, top_code, k_grid)
+                world = model.worlds[idx]
+                value = eval_pigf(model, world, f)
+                # the integer evaluation must mirror the exact one
+                if value != _decode(code, top_code, k_grid) or value >= ONE:
+                    raise RuntimeError(
+                        f"integer sweep and exact evaluation disagree on {model!r}"
+                    )
+                return Refuted(model, world, value)
     return Valid(bound, checked)
 
 
@@ -362,38 +251,42 @@ def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
 # randomized search
 
 _DENOMS = (2, 3, 4, 5, 6, 8, 12)
+# Sampled values lie on the grid {0, 1/120, ..., 1}: 120 is the lcm of
+# _DENOMS.  Code c stands for c/120, so code order is value order.
+_GRID = 120
 
 
-def _random_value(rng: random.Random, anchors: Sequence[Fraction]) -> Fraction:
+def _random_code(rng: random.Random, anchors: Sequence[int]) -> int:
     roll = rng.random()
     if roll < 0.22:
-        return ZERO
+        return 0
     if roll < 0.44:
-        return ONE
+        return _GRID
     if anchors and roll < 0.60:
         return rng.choice(anchors)
     d = rng.choice(_DENOMS)
-    return Fraction(rng.randint(0, d), d)
+    return rng.randint(0, d) * (_GRID // d)
 
 
-def random_pig_model(
-    rng: random.Random,
-    n_worlds: int,
-    var_names: Sequence[str],
-    logic: LogicId,
-) -> PiGModel:
-    """A random possibilistic model obeying the logic's frame constraint."""
-    worlds = _world_names(n_worlds)
+def _sample(
+    rng: random.Random, n_worlds: int, n_truth: int, n_vars: int, logic: LogicId
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """A random rounded model obeying the logic's frame constraint, as code
+    rows (pi, then one code per variable) and the sorted interior truth set
+    codes; values sometimes coincide with truth set members."""
+    interior: set[int] = set()
+    while len(interior) < n_truth - 2:
+        d = rng.choice(_DENOMS)
+        interior.add(rng.randint(1, d - 1) * (_GRID // d))
+    anchors = sorted(interior)
     if logic is LogicId.S5:
-        pi = {w: ONE for w in worlds}
+        pis = [_GRID] * n_worlds
     else:
-        pi = {w: _random_value(rng, ()) for w in worlds}
+        pis = [_random_code(rng, anchors) for _ in range(n_worlds)]
         if logic is LogicId.KD45:
-            pi[rng.choice(worlds)] = ONE
-    valuation = {
-        w: {p: _random_value(rng, ()) for p in var_names} for w in worlds
-    }
-    return PiGModel(worlds, pi, valuation)
+            pis[rng.choice(range(n_worlds))] = _GRID
+    rows = [(p, *(_random_code(rng, anchors) for _ in range(n_vars))) for p in pis]
+    return rows, anchors
 
 
 def random_pigf_model(
@@ -404,22 +297,8 @@ def random_pigf_model(
     logic: LogicId,
 ) -> PiGFModel:
     """A random rounded model; values sometimes coincide with truth set members."""
-    interior: set[Fraction] = set()
-    while len(interior) < n_truth - 2:
-        d = rng.choice(_DENOMS)
-        interior.add(Fraction(rng.randint(1, d - 1), d))
-    anchors = sorted(interior)
-    worlds = _world_names(n_worlds)
-    if logic is LogicId.S5:
-        pi = {w: ONE for w in worlds}
-    else:
-        pi = {w: _random_value(rng, anchors) for w in worlds}
-        if logic is LogicId.KD45:
-            pi[rng.choice(worlds)] = ONE
-    valuation = {
-        w: {p: _random_value(rng, anchors) for p in var_names} for w in worlds
-    }
-    return PiGFModel(PiGModel(worlds, pi, valuation), TruthSet([ZERO, ONE, *anchors]))
+    rows, anchors = _sample(rng, n_worlds, n_truth, len(var_names), logic)
+    return _materialize(var_names, rows, anchors, _GRID, _GRID)
 
 
 def random_search(
@@ -430,17 +309,18 @@ def random_search(
     _check_config(cfg)
     rng = random.Random(cfg.seed)
     bound = bound_for(f)
-    names = tuple(sorted(variables(f)))
+    ops, (root,), names = compile_formulas([f])
     worlds_cap = max(1, min(cfg.max_worlds or 5, bound - 2))
     for _ in range(cfg.budget):
         n = rng.randint(1, worlds_cap)
         truth_cap = max(2, min(cfg.max_truth or 6, bound - n))
         m = rng.randint(2, truth_cap)
-        model = random_pigf_model(rng, n, m, names, logic)
-        values = _values_on_worlds(model.base, f, model.truth_set, {})
-        for idx, value in enumerate(values):
-            if value < ONE:
-                return model, model.worlds[idx], value
+        rows, anchors = _sample(rng, n, m, len(names), logic)
+        hit = _first_refutation(ops, root, rows, [0, *anchors, _GRID], _GRID)
+        if hit is not None:
+            idx, code = hit
+            model = _materialize(names, rows, anchors, _GRID, _GRID)
+            return model, model.worlds[idx], _decode(code, _GRID, _GRID)
     return None
 
 
@@ -467,14 +347,6 @@ def decide(f: Formula, logic: LogicId, cfg: SearchConfig = SearchConfig()) -> Ve
 
 # ---------------------------------------------------------------------------
 # countermodel minimization
-
-
-def _refuting_world(model: PiGFModel, f: Formula) -> str | None:
-    values = _values_on_worlds(model.base, f, model.truth_set, {})
-    for idx, value in enumerate(values):
-        if value < ONE:
-            return model.worlds[idx]
-    return None
 
 
 def _drop_world(model: PiGFModel, gone: str) -> PiGFModel:
@@ -515,8 +387,17 @@ def shrink(
     """Greedily minimize a countermodel: drop worlds, coarsen the truth set,
     snap values toward endpoints and truth set members.  The result still
     refutes f, satisfies the logic's constraint, and is never larger."""
-    value = eval_pigf(model, world, f)
-    if value >= ONE:
+    ops, (root,), names = compile_formulas([f])
+
+    def values(m: PiGFModel) -> dict[str, Fraction]:
+        return dict(zip(m.worlds, model_values(m, ops, names, m.truth_set.values)[root]))
+
+    def refuting_world(m: PiGFModel) -> str | None:
+        return next((w for w, v in values(m).items() if v < ONE), None)
+
+    if world not in model.worlds:
+        raise UnknownWorldError(f"unknown world {world!r}")
+    if values(model)[world] >= ONE:
         raise ValueError("shrink needs a countermodel")
     if not _satisfies_logic(model.base, logic):
         raise ValueError("model violates the logic's frame constraint")
@@ -532,7 +413,7 @@ def shrink(
             candidate = _drop_world(current, w)
             if not _satisfies_logic(candidate.base, logic):
                 continue
-            hit = _refuting_world(candidate, f)
+            hit = refuting_world(candidate)
             if hit is not None:
                 current, anchor = candidate, hit
                 changed = True
@@ -540,7 +421,7 @@ def shrink(
             candidate = PiGFModel(
                 current.base, TruthSet(v for v in current.truth_set if v != t)
             )
-            hit = _refuting_world(candidate, f)
+            hit = refuting_world(candidate)
             if hit is not None:
                 current, anchor = candidate, hit
                 changed = True
@@ -559,7 +440,7 @@ def shrink(
                         candidate = _with_value(current, w, p, new)
                     if not _satisfies_logic(candidate.base, logic):
                         continue
-                    hit = _refuting_world(candidate, f)
+                    hit = refuting_world(candidate)
                     if hit is not None:
                         current, anchor = candidate, hit
                         changed = True

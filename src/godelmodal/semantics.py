@@ -1,6 +1,6 @@
 """Possibilistic and relational Kripke models over the Godel algebra.
 
-Three model classes share one evaluation style:
+Three model classes:
 
   PiGModel         worlds with a possibility degree pi; modal values are exact
                    infima/suprema (minima/maxima, worlds are finite).
@@ -9,13 +9,21 @@ Three model classes share one evaluation style:
                    are never rounded.
   RelationalModel  a many-valued accessibility relation R; evaluation at w uses
                    R(w, .) where the possibilistic classes use pi.
+
+All three are evaluated by one function, evaluate_compiled, over a formula
+compiled once into a postorder op list.  In the possibilistic semantics box
+and diamond values do not depend on the world, so a possibilistic model is
+one shared accessibility row (pi) plus per-world variable columns; a
+relational model has one row per world.  The same evaluator runs on integer
+codes of the values in the decider's searches.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .algebra import (
     ONE,
@@ -24,8 +32,6 @@ from .algebra import (
     format_rational,
     godel_implies,
     parse_rational,
-    round_down,
-    round_up,
     OrderEmbedding,
     apply_embedding,
 )
@@ -43,6 +49,24 @@ def _coerce_values(mapping: Mapping[str, object], what: str) -> dict[str, Fracti
         if not ZERO <= value <= ONE:
             raise ValueError(f"{what} value {value} outside [0, 1]")
         out[str(key)] = value
+    return out
+
+
+def _checked_worlds(worlds) -> tuple[str, ...]:
+    ws = tuple(str(w) for w in worlds)
+    if not ws:
+        raise ValueError("a model needs at least one world")
+    if len(set(ws)) != len(ws):
+        raise ValueError("world names must be unique")
+    return ws
+
+
+def _checked_rows(rows, ws: tuple[str, ...], what: str) -> dict[str, dict[str, Fraction]]:
+    out = {}
+    for w, row in (rows or {}).items():
+        if str(w) not in ws:
+            raise ValueError(f"{what} mentions unknown world {w!r}")
+        out[str(w)] = _coerce_values(row, what)
     return out
 
 
@@ -64,23 +88,14 @@ class PiGModel:
         pi: Mapping[str, object],
         valuation: Mapping[str, Mapping[str, object]] | None = None,
     ) -> None:
-        ws = tuple(str(w) for w in worlds)
-        if not ws:
-            raise ValueError("a model needs at least one world")
-        if len(set(ws)) != len(ws):
-            raise ValueError("world names must be unique")
+        ws = _checked_worlds(worlds)
         pi_map = _coerce_values(pi, "pi")
         missing = [w for w in ws if w not in pi_map]
         if missing:
             raise ValueError(f"pi not defined at {missing[0]!r}")
-        val = {}
-        for w, row in (valuation or {}).items():
-            if str(w) not in ws:
-                raise ValueError(f"valuation mentions unknown world {w!r}")
-            val[str(w)] = _coerce_values(row, "valuation")
         object.__setattr__(self, "worlds", ws)
         object.__setattr__(self, "pi", {w: pi_map[w] for w in ws})
-        object.__setattr__(self, "valuation", val)
+        object.__setattr__(self, "valuation", _checked_rows(valuation, ws, "valuation"))
 
     def value(self, world: str, variable: str) -> Fraction:
         return self.valuation.get(world, {}).get(variable, ZERO)
@@ -114,28 +129,15 @@ class RelationalModel:
     valuation: Mapping[str, Mapping[str, Fraction]]
 
     def __init__(self, worlds, R, valuation=None) -> None:
-        ws = tuple(str(w) for w in worlds)
-        if not ws:
-            raise ValueError("a model needs at least one world")
-        if len(set(ws)) != len(ws):
-            raise ValueError("world names must be unique")
-        rel = {}
-        for w, row in (R or {}).items():
-            if str(w) not in ws:
-                raise ValueError(f"R mentions unknown world {w!r}")
-            row = _coerce_values(row, "R")
+        ws = _checked_worlds(worlds)
+        rel = _checked_rows(R, ws, "R")
+        for row in rel.values():
             for w2 in row:
                 if w2 not in ws:
                     raise ValueError(f"R mentions unknown world {w2!r}")
-            rel[str(w)] = row
-        val = {}
-        for w, row in (valuation or {}).items():
-            if str(w) not in ws:
-                raise ValueError(f"valuation mentions unknown world {w!r}")
-            val[str(w)] = _coerce_values(row, "valuation")
         object.__setattr__(self, "worlds", ws)
         object.__setattr__(self, "R", rel)
-        object.__setattr__(self, "valuation", val)
+        object.__setattr__(self, "valuation", _checked_rows(valuation, ws, "valuation"))
 
     def rel(self, w: str, w2: str) -> Fraction:
         return self.R.get(w, {}).get(w2, ZERO)
@@ -149,105 +151,145 @@ def _check_world(worlds: tuple[str, ...], world: str) -> None:
         raise UnknownWorldError(f"unknown world {world!r}")
 
 
-def _values_on_worlds(
-    model: PiGModel,
-    formula: Formula,
-    truth_set: TruthSet | None,
-    memo: dict[Formula, tuple[Fraction, ...]],
-) -> tuple[Fraction, ...]:
-    # One value per world, in world order.  Box and diamond values never
-    # depend on the evaluation world, so they are computed once and broadcast.
-    cached = memo.get(formula)
-    if cached is not None:
-        return cached
-    worlds = model.worlds
-    if isinstance(formula, Bot):
-        out = (ZERO,) * len(worlds)
-    elif isinstance(formula, Var):
-        out = tuple(model.value(w, formula.name) for w in worlds)
-    elif isinstance(formula, And):
-        ls = _values_on_worlds(model, formula.left, truth_set, memo)
-        rs = _values_on_worlds(model, formula.right, truth_set, memo)
-        out = tuple(min(a, b) for a, b in zip(ls, rs))
-    elif isinstance(formula, Implies):
-        ls = _values_on_worlds(model, formula.left, truth_set, memo)
-        rs = _values_on_worlds(model, formula.right, truth_set, memo)
-        out = tuple(godel_implies(a, b) for a, b in zip(ls, rs))
-    elif isinstance(formula, Box):
-        body = _values_on_worlds(model, formula.body, truth_set, memo)
-        v = min(godel_implies(model.pi[w], b) for w, b in zip(worlds, body))
-        if truth_set is not None:
-            v = round_down(truth_set, v)
-        out = (v,) * len(worlds)
-    elif isinstance(formula, Dia):
-        body = _values_on_worlds(model, formula.body, truth_set, memo)
-        v = max(min(model.pi[w], b) for w, b in zip(worlds, body))
-        if truth_set is not None:
-            v = round_up(truth_set, v)
-        out = (v,) * len(worlds)
+_TAGS = {Bot: "bot", Var: "var", And: "and", Implies: "imp", Box: "box", Dia: "dia"}
+
+
+def compile_formulas(
+    roots: Sequence[Formula],
+) -> tuple[list[tuple], list[int], tuple[str, ...]]:
+    """Postorder op list for several formulas, the index of each root, and
+    the sorted variable names.
+
+    An op is ("bot",), ("var", i) with i the variable's position in the
+    names, ("and", a, b), ("imp", a, b), ("box", a) or ("dia", a), where a
+    and b are indices of earlier ops.  Equal subformulas, also across roots,
+    share one entry: an op is looked up by its tuple, so no formula is ever
+    hashed as a whole.
+    """
+    ops: list[tuple] = []
+    op_index: dict[tuple, int] = {}
+    node_index: dict[int, int] = {}  # id(node) -> op index
+    for root in roots:
+        stack = [root]
+        while stack:
+            g = stack[-1]
+            if id(g) in node_index:
+                stack.pop()
+                continue
+            tag = _TAGS.get(type(g))
+            if tag is None:
+                raise TypeError(f"not a formula: {g!r}")
+            if tag == "var":
+                op = ("var", g.name)
+            elif tag == "bot":
+                op = ("bot",)
+            else:
+                children = (g.left, g.right) if tag in ("and", "imp") else (g.body,)
+                pending = [c for c in children if id(c) not in node_index]
+                if pending:
+                    stack.extend(reversed(pending))
+                    continue
+                op = (tag, *[node_index[id(c)] for c in children])
+            stack.pop()
+            i = op_index.setdefault(op, len(ops))
+            if i == len(ops):
+                ops.append(op)
+            node_index[id(g)] = i
+    names = tuple(sorted(op[1] for op in ops if op[0] == "var"))
+    ops = [("var", names.index(op[1])) if op[0] == "var" else op for op in ops]
+    return ops, [node_index[id(r)] for r in roots], names
+
+
+def evaluate_compiled(
+    ops: list[tuple],
+    columns: Sequence[Sequence],
+    rows: Sequence[Sequence],
+    zero,
+    top,
+    truth: Sequence | None = None,
+) -> list[list]:
+    """Values of every compiled op at every world, in world order.
+
+    The domain is any totally ordered set with bottom zero and top top:
+    exact rationals, or integer codes of them.  columns[i] holds the values
+    of variable names[i] at each world.  rows holds accessibility rows: one
+    row (pi) shared by every world for a possibilistic model, or one row
+    R(w, .) per world for a relational one.  With a sorted truth set, box
+    values are rounded down into it and diamond values up.  A modal value
+    is computed once per row; a shared row's value is broadcast.
+    """
+    n = len(rows[0])
+    vals: list[list] = []
+    for op in ops:
+        tag = op[0]
+        if tag == "imp":
+            out = [top if x <= y else y for x, y in zip(vals[op[1]], vals[op[2]])]
+        elif tag == "and":
+            out = [x if x < y else y for x, y in zip(vals[op[1]], vals[op[2]])]
+        elif tag == "var":
+            out = columns[op[1]]
+        elif tag == "bot":
+            out = [zero] * n
+        else:
+            body = vals[op[1]]
+            out = []
+            if tag == "box":
+                for row in rows:
+                    c = top
+                    for p, x in zip(row, body):
+                        if p > x and x < c:
+                            c = x
+                    out.append(c if truth is None else truth[bisect_right(truth, c) - 1])
+            else:
+                for row in rows:
+                    c = zero
+                    for p, x in zip(row, body):
+                        v = p if p < x else x
+                        if v > c:
+                            c = v
+                    out.append(c if truth is None else truth[bisect_left(truth, c)])
+            if len(out) < n:
+                out *= n
+        vals.append(out)
+    return vals
+
+
+def model_values(
+    model: PiGModel | PiGFModel | RelationalModel,
+    ops: list[tuple],
+    names: Sequence[str],
+    truth: Sequence[Fraction] | None = None,
+) -> list[list[Fraction]]:
+    """evaluate_compiled on a model's exact values: pi is the one shared row
+    of a possibilistic model, R(w, .) the row of w in a relational one."""
+    ws = model.worlds
+    if isinstance(model, RelationalModel):
+        rows = [[model.rel(w, w2) for w2 in ws] for w in ws]
     else:
-        raise TypeError(f"not a formula: {formula!r}")
-    memo[formula] = out
-    return out
+        rows = [[model.pi[w] for w in ws]]
+    columns = [[model.value(w, p) for w in ws] for p in names]
+    return evaluate_compiled(ops, columns, rows, ZERO, ONE, truth)
+
+
+def _value_at(model, world: str, formula: Formula, truth=None) -> Fraction:
+    _check_world(model.worlds, world)
+    ops, (root,), names = compile_formulas([formula])
+    return model_values(model, ops, names, truth)[root][model.worlds.index(world)]
 
 
 def eval_pig(model: PiGModel, world: str, formula: Formula) -> Fraction:
     """Exact evaluation in a possibilistic model."""
-    _check_world(model.worlds, world)
-    values = _values_on_worlds(model, formula, None, {})
-    return values[model.worlds.index(world)]
+    return _value_at(model, world, formula)
 
 
 def eval_pigf(model: PiGFModel, world: str, formula: Formula) -> Fraction:
     """Evaluation with box rounded down and diamond rounded up into the truth set."""
-    _check_world(model.worlds, world)
-    values = _values_on_worlds(model.base, formula, model.truth_set, {})
-    return values[model.worlds.index(world)]
+    return _value_at(model, world, formula, model.truth_set.values)
 
 
 def eval_rel(model: RelationalModel, world: str, formula: Formula) -> Fraction:
     """Evaluation over an accessibility relation; modal values vary per world."""
-    _check_world(model.worlds, world)
-    return _rel_values(model, formula, {})[model.worlds.index(world)]
-
-
-def _rel_values(
-    model: RelationalModel,
-    formula: Formula,
-    memo: dict[Formula, tuple[Fraction, ...]],
-) -> tuple[Fraction, ...]:
-    cached = memo.get(formula)
-    if cached is not None:
-        return cached
-    worlds = model.worlds
-    if isinstance(formula, Bot):
-        out = (ZERO,) * len(worlds)
-    elif isinstance(formula, Var):
-        out = tuple(model.value(w, formula.name) for w in worlds)
-    elif isinstance(formula, And):
-        ls = _rel_values(model, formula.left, memo)
-        rs = _rel_values(model, formula.right, memo)
-        out = tuple(min(a, b) for a, b in zip(ls, rs))
-    elif isinstance(formula, Implies):
-        ls = _rel_values(model, formula.left, memo)
-        rs = _rel_values(model, formula.right, memo)
-        out = tuple(godel_implies(a, b) for a, b in zip(ls, rs))
-    elif isinstance(formula, Box):
-        body = _rel_values(model, formula.body, memo)
-        out = tuple(
-            min(godel_implies(model.rel(w, w2), b) for w2, b in zip(worlds, body))
-            for w in worlds
-        )
-    elif isinstance(formula, Dia):
-        body = _rel_values(model, formula.body, memo)
-        out = tuple(
-            max(min(model.rel(w, w2), b) for w2, b in zip(worlds, body))
-            for w in worlds
-        )
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    memo[formula] = out
-    return out
+    return _value_at(model, world, formula)
 
 
 def embed_pig(model: PiGModel) -> RelationalModel:
@@ -330,20 +372,19 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
     """
     _check_world(model.worlds, x)
     _closure_check(sigma)
-    memo: dict[Formula, tuple[Fraction, ...]] = {}
     modal = [f for f in sigma if isinstance(f, (Box, Dia))]
     modal.sort(key=lambda f: (len(repr(f)), repr(f)))
+    ops, roots, names = compile_formulas(modal + [f.body for f in modal])
+    vals = model_values(model, ops, names)
     x_index = model.worlds.index(x)
-    values = {
-        f: _values_on_worlds(model, f, None, memo)[x_index] for f in modal
-    }
+    values = {f: vals[i][x_index] for f, i in zip(modal, roots)}
     truth_set = TruthSet(set(values.values()) | {ZERO, ONE})
     alphas = truth_set.values
     kept = {x}
-    for f in modal:
+    for f, b in zip(modal, roots[len(modal):]):
         v = values[f]
         i = alphas.index(v)
-        body = _values_on_worlds(model, f.body, None, memo)
+        body = vals[b]
         if isinstance(f, Box) and v < ONE:
             ceiling = alphas[i + 1]
             witness = next(
@@ -384,58 +425,57 @@ def transport(model: PiGFModel, h: OrderEmbedding) -> PiGFModel:
     return PiGFModel(PiGModel(base.worlds, pi, valuation), model.truth_set)
 
 
+def _rows_to_json(rows: Mapping[str, Mapping[str, Fraction]], worlds: tuple[str, ...]) -> dict:
+    return {w: {k: format_rational(v) for k, v in rows.get(w, {}).items()} for w in worlds}
+
+
 def model_to_json(model: PiGModel | PiGFModel | RelationalModel) -> dict:
     """Render a model as the JSON file structure with rational strings."""
     if isinstance(model, PiGFModel):
         doc = model_to_json(model.base)
         doc["truth_set"] = [format_rational(t) for t in model.truth_set]
         return doc
+    doc: dict = {"worlds": list(model.worlds)}
     if isinstance(model, RelationalModel):
-        return {
-            "worlds": list(model.worlds),
-            "R": {
-                w: {w2: format_rational(v) for w2, v in model.R.get(w, {}).items()}
-                for w in model.worlds
-            },
-            "valuation": {
-                w: {p: format_rational(v) for p, v in model.valuation.get(w, {}).items()}
-                for w in model.worlds
-            },
-        }
+        doc["R"] = _rows_to_json(model.R, model.worlds)
+    else:
+        doc["pi"] = {w: format_rational(model.pi[w]) for w in model.worlds}
+    doc["valuation"] = _rows_to_json(model.valuation, model.worlds)
+    return doc
+
+
+def _object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _rational_rows(value: object, what: str) -> dict:
     return {
-        "worlds": list(model.worlds),
-        "pi": {w: format_rational(model.pi[w]) for w in model.worlds},
-        "valuation": {
-            w: {p: format_rational(v) for p, v in model.valuation.get(w, {}).items()}
-            for w in model.worlds
-        },
+        w: {str(k): parse_rational(str(v)) for k, v in _object(row, f"{what} row").items()}
+        for w, row in _object(value, f"'{what}'").items()
     }
 
 
 def model_from_json(doc: object) -> PiGModel | PiGFModel | RelationalModel:
     """Parse the JSON file structure; the keys present select the model class."""
-    if not isinstance(doc, dict):
-        raise ValueError("model document must be a JSON object")
-    try:
-        worlds = list(doc["worlds"])
-    except KeyError:
-        raise ValueError("model document lacks 'worlds'") from None
-    valuation = {
-        w: {str(p): parse_rational(str(v)) for p, v in row.items()}
-        for w, row in doc.get("valuation", {}).items()
-    }
+    doc = _object(doc, "model document")
+    if "worlds" not in doc:
+        raise ValueError("model document lacks 'worlds'")
+    worlds = doc["worlds"]
+    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+        raise ValueError("'worlds' must be a list of strings")
+    valuation = _rational_rows(doc.get("valuation", {}), "valuation")
     if "R" in doc:
         if "pi" in doc or "truth_set" in doc:
             raise ValueError("relational model must not carry 'pi' or 'truth_set'")
-        rel = {
-            w: {w2: parse_rational(str(v)) for w2, v in row.items()}
-            for w, row in doc["R"].items()
-        }
-        return RelationalModel(worlds, rel, valuation)
+        return RelationalModel(worlds, _rational_rows(doc["R"], "R"), valuation)
     if "pi" not in doc:
         raise ValueError("model document lacks 'pi' or 'R'")
-    pi = {w: parse_rational(str(v)) for w, v in doc["pi"].items()}
+    pi = {w: parse_rational(str(v)) for w, v in _object(doc["pi"], "'pi'").items()}
     base = PiGModel(worlds, pi, valuation)
     if "truth_set" in doc:
+        if not isinstance(doc["truth_set"], list):
+            raise ValueError("'truth_set' must be a list")
         return PiGFModel(base, TruthSet(parse_rational(str(t)) for t in doc["truth_set"]))
     return base

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class LogicId(Enum):
@@ -258,9 +258,6 @@ def _wrap(f: Formula, minimum: int) -> str:
     return text if _prec(f) >= minimum else "(" + text + ")"
 
 
-Fragment = frozenset  # frozenset[Formula], subformula closed, contains BOT
-
-
 def subformulas(f: Formula) -> frozenset[Formula]:
     """All subformulas of f, plus bottom."""
     acc: set[Formula] = {BOT}
@@ -284,10 +281,6 @@ def complexity_ell(f: Formula) -> int:
 
 def variables(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in subformulas(f) if isinstance(g, Var))
-
-
-def is_metavariable(f: Formula) -> bool:
-    return isinstance(f, Var) and f.name[0].isupper()
 
 
 class MissingMetavariableError(KeyError):

@@ -23,6 +23,7 @@ from godelmodal import (
     OrderEmbedding,
     PiGFModel,
     PiGModel,
+    RelationalModel,
     TruthSet,
     Var,
     complexity_ell,
@@ -181,3 +182,52 @@ def classical_eval(worlds, accessible, valuation, world, formula) -> bool:
     if isinstance(formula, Dia):
         return any(classical_eval(worlds, accessible, valuation, w, formula.body) for w in accessible)
     raise TypeError(f"unexpected node {formula!r}")
+
+
+# --------------------------------------------------------------------------
+# Independent many-valued oracle (plain recursion over exact rationals)
+# --------------------------------------------------------------------------
+
+
+def oracle_eval(worlds, access, valuation, world, formula, truth=None) -> Fraction:
+    """Godel modal value of ``formula`` at ``world``, straight from the
+    definitions.
+
+    ``access(w, v)`` is the accessibility degree of v from w: pi(v) for a
+    possibilistic model, R(w, v) for a relational one.  ``valuation`` maps
+    world -> variable -> value, missing entries 0.  With a ``truth`` list
+    (sorted, containing 0 and 1), box values are rounded down into it and
+    diamond values up.
+    """
+
+    def ev(w, f):
+        if isinstance(f, Bot):
+            return ZERO
+        if isinstance(f, Var):
+            return valuation.get(w, {}).get(f.name, ZERO)
+        if isinstance(f, And):
+            return min(ev(w, f.left), ev(w, f.right))
+        if isinstance(f, Implies):
+            a, b = ev(w, f.left), ev(w, f.right)
+            return ONE if a <= b else b
+        if isinstance(f, Box):
+            pairs = [(access(w, u), ev(u, f.body)) for u in worlds]
+            v = min(ONE if a <= b else b for a, b in pairs)
+            return v if truth is None else max(t for t in truth if t <= v)
+        if isinstance(f, Dia):
+            v = max(min(access(w, u), ev(u, f.body)) for u in worlds)
+            return v if truth is None else min(t for t in truth if t >= v)
+        raise TypeError(f"unexpected node {formula!r}")
+
+    return ev(world, formula)
+
+
+def random_relational(rng: random.Random, n_worlds: int, names=("p", "q")) -> RelationalModel:
+    """Random relational model whose rows are not all equal (n_worlds >= 2)."""
+    worlds = tuple(f"w{i + 1}" for i in range(n_worlds))
+    while True:
+        rel = {w: {v: random_value(rng) for v in worlds} for w in worlds}
+        if len({tuple(row.values()) for row in rel.values()}) > 1:
+            break
+    valuation = {w: {v: random_value(rng) for v in names} for w in worlds}
+    return RelationalModel(worlds, rel, valuation)

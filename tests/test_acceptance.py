@@ -38,7 +38,7 @@ from godelmodal import (
     frame_report,
     is_normalized,
     parse,
-    random_pig_model,
+    random_pigf_model,
     random_search,
     shrink,
     subformulas,
@@ -113,7 +113,7 @@ def test_criterion_03_no_unrounded_countermodel_in_random_sweep():
     with criterion(3, 60.0, "10^4 random unrounded models never refute the same formula"):
         rng = random.Random(0)
         for _ in range(10_000):
-            m = random_pig_model(rng, rng.randint(1, 5), ("p",), LogicId.K45)
+            m = random_pigf_model(rng, rng.randint(1, 5), 2, ("p",), LogicId.K45).base
             for w in m.worlds:
                 assert eval_pig(m, w, DNEG) == ONE
 

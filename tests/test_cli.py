@@ -88,6 +88,21 @@ def test_check_unknown_on_random_budget(capsys):
     assert out == '{"budget":50,"verdict":"unknown"}\n'
 
 
+def test_check_random_countermodel_exact_output(capsys):
+    # pins the sampler: interior truth set anchors and the KD45 normal world
+    code, out, err = invoke(
+        capsys, "check", "--logic", "kd45", "--mode", "random", "--seed", "3",
+        "--budget", "400", "[]p -> p",
+    )
+    assert code == 1
+    assert out == (
+        '{"model":{"pi":{"w1":"2/5","w2":"1"},'
+        '"truth_set":["0","1/6","1/5","1/3","3/4","1"],'
+        '"valuation":{"w1":{"p":"3/4"},"w2":{"p":"1"}},"worlds":["w1","w2"]},'
+        '"value":"3/4","verdict":"refuted","world":"w1"}\n'
+    )
+
+
 def test_check_repeat_runs_byte_identical(capsys):
     args = ("check", "--logic", "k45", "--seed", "5", "[]~~p -> ~~[]p")
     first = invoke(capsys, *args)
@@ -199,6 +214,25 @@ def test_bad_json_model_is_usage_error(capsys, tmp_path):
     path.write_text("{nope")
     code, out, err = invoke(capsys, "eval", "--model", str(path), "p")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"worlds": "ab", "pi": {"a": "1", "b": "1"}},
+        {"worlds": ["a"], "pi": ["1"]},
+        {"worlds": ["a"], "pi": {"a": "1"}, "valuation": {"a": ["1/2"]}},
+        {"worlds": ["a"], "pi": {"a": "1"}, "truth_set": "01"},
+        {"worlds": ["a"], "R": {"a": ["1"]}},
+    ],
+)
+def test_malformed_model_schema_is_usage_error(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "eval", "--model", str(path), "p")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_unknown_flag_is_usage_error(capsys):

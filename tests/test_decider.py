@@ -16,7 +16,6 @@ from godelmodal import (
     bound_for,
     canonical_grid,
     decide,
-    enumerate_canonical,
     eval_pigf,
     is_normalized,
     model_to_json,
@@ -26,6 +25,8 @@ from godelmodal import (
     variables,
     verdict_to_json,
 )
+from godelmodal import decider
+from godelmodal.decider import _materialize, _size_order, _sweep_size
 from helpers import random_formula_bounded, random_pigf
 
 DNEG = parse("[]~~p -> ~~[]p")
@@ -51,31 +52,47 @@ def test_bound_examples():
 # -- canonical enumeration ------------------------------------------------------
 
 
+def sweep_models(n_worlds, n_truth, names, logic):
+    """The exhaustive sweep's models of exactly these dimensions."""
+    return [
+        _materialize(names, rows, t_ranks, top_code, k_grid)
+        for rows, t_ranks, _, top_code, k_grid in _sweep_size(n_worlds, n_truth, names, logic)
+    ]
+
+
 def test_enumerate_smallest_space():
-    k45 = list(enumerate_canonical(1, 2, frozenset(), LogicId.K45))
+    k45 = sweep_models(1, 2, (), LogicId.K45)
     assert len(k45) == 3
     pis = sorted(m.pi["w1"] for m in k45)
     assert pis[0] == ZERO and pis[-1] == ONE and ZERO < pis[1] < ONE
     assert all(list(m.truth_set) == [ZERO, ONE] for m in k45)
 
-    kd45 = list(enumerate_canonical(1, 2, frozenset(), LogicId.KD45))
+    kd45 = sweep_models(1, 2, (), LogicId.KD45)
     assert len(kd45) == 1 and kd45[0].pi["w1"] == ONE
 
-    s5 = list(enumerate_canonical(1, 2, frozenset(), LogicId.S5))
+    s5 = sweep_models(1, 2, (), LogicId.S5)
     assert len(s5) == 1 and s5[0].pi["w1"] == ONE
 
 
 def test_enumerate_two_world_regression():
-    models = list(enumerate_canonical(2, 2, frozenset(), LogicId.K45))
-    assert len(models) == 11
-    assert len({repr(model_to_json(m)) for m in models}) == 11  # pairwise distinct
+    # The sweep lists one model per order type up to renaming of worlds:
+    # 7 world-sorted models, which expand to the 11 order types of two
+    # worlds, two values each, no variables.
+    models = sweep_models(2, 2, (), LogicId.K45)
+    assert len(models) == 7
+    assert len({repr(model_to_json(m)) for m in models}) == 7  # pairwise distinct
+    order_types = set()
+    for m in models:
+        a, b = (m.pi[w] for w in m.worlds)
+        order_types |= {(a, b), (b, a)}
+    assert len(order_types) == 11
 
 
 def test_enumerate_respects_dimensions_grid_and_logic():
     grid = canonical_grid(2 * 2 + 3)  # n_worlds*(vars+1) + n_truth
     for logic in LogicId:
         count = 0
-        for m in enumerate_canonical(2, 3, {"p"}, logic):
+        for m in sweep_models(2, 3, ("p",), logic):
             count += 1
             assert len(m.worlds) == 2
             assert len(m.truth_set) == 3
@@ -91,10 +108,15 @@ def test_enumerate_respects_dimensions_grid_and_logic():
 
 
 def test_enumerate_rejects_bad_dimensions():
+    # Caps below one world or two truth values are refused up front, and the
+    # sweep is only ever asked for sizes of at least (1, 2).
     with pytest.raises(ValueError):
-        next(enumerate_canonical(0, 2, frozenset(), LogicId.K45))
+        decide(DNEG, LogicId.K45, SearchConfig(mode="exhaustive", max_worlds=0))
     with pytest.raises(ValueError):
-        next(enumerate_canonical(1, 1, frozenset(), LogicId.K45))
+        decide(DNEG, LogicId.K45, SearchConfig(mode="exhaustive", max_truth=1))
+    for cfg in (SearchConfig(), SearchConfig(max_worlds=1, max_truth=2)):
+        sizes = _size_order(bound_for(DNEG), cfg)
+        assert sizes and all(n >= 1 and m >= 2 for n, m in sizes)
 
 
 # -- exhaustive decisions -----------------------------------------------------------
@@ -137,6 +159,14 @@ def test_decide_valid_small_formula_with_caps():
     assert isinstance(verdict, Valid)
     assert verdict.bound_used == 10
     assert verdict.models_checked > 0
+
+
+def test_exhaustive_cross_check_raises_on_disagreement(monkeypatch):
+    # The integer sweep's answer is re-checked on the exact model; a wrong
+    # decoding must raise (also under python -O), not return a bogus Refuted.
+    monkeypatch.setattr(decider, "_decode", lambda code, top_code, k_grid: Fraction(1, 7))
+    with pytest.raises(RuntimeError):
+        decide(DNEG, LogicId.K45, SearchConfig(mode="exhaustive"))
 
 
 def test_decide_exhaustive_is_deterministic():

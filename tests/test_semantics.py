@@ -32,7 +32,14 @@ from godelmodal import (
     transport,
     variables,
 )
-from helpers import random_fixing_embedding, random_formula_bounded, random_pig, random_pigf
+from helpers import (
+    oracle_eval,
+    random_fixing_embedding,
+    random_formula_bounded,
+    random_pig,
+    random_pigf,
+    random_relational,
+)
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -187,6 +194,25 @@ def test_embed_pig_definition_and_equivalence():
         f = random_formula_bounded(rng)
         for w in pig.worlds:
             assert eval_rel(rel, w, f) == eval_pig(pig, w, f)
+
+
+def test_evaluators_agree_with_independent_oracle():
+    rng = random.Random(909)
+    for _ in range(300):
+        f = random_formula_bounded(rng, max_ell=10)
+        pigf = random_pigf(rng, rng.randint(1, 4))
+        pig = pigf.base
+        pi_access = lambda w, v: pig.pi[v]
+        truth = list(pigf.truth_set)
+        rel = random_relational(rng, rng.randint(2, 4))
+        rel_access = lambda w, v: rel.rel(w, v)
+        for w in pig.worlds:
+            assert eval_pig(pig, w, f) == oracle_eval(pig.worlds, pi_access, pig.valuation, w, f)
+            assert eval_pigf(pigf, w, f) == oracle_eval(
+                pig.worlds, pi_access, pig.valuation, w, f, truth
+            )
+        for w in rel.worlds:
+            assert eval_rel(rel, w, f) == oracle_eval(rel.worlds, rel_access, rel.valuation, w, f)
 
 
 # -- frame properties -------------------------------------------------------------
@@ -363,3 +389,18 @@ def test_model_json_class_selection_and_errors():
         model_from_json({"worlds": ["a"], "pi": {"a": "7/2"}})  # out of range
     with pytest.raises(ValueError):
         model_from_json([1, 2, 3])
+    # schema violations: each is a ValueError, never a silent misreading
+    bad_docs = [
+        {**doc, "worlds": "ab"},  # a string is not a list of worlds
+        {**doc, "worlds": ["a", 1]},
+        {**doc, "pi": ["1"]},
+        {**doc, "valuation": ["1/2"]},
+        {**doc, "valuation": {"a": ["1/2"]}},
+        {**doc, "truth_set": "01"},
+        {**doc, "truth_set": {"0": "1"}},
+        {**rel_doc, "R": ["a"]},
+        {**rel_doc, "R": {"a": ["1"]}},
+    ]
+    for bad in bad_docs:
+        with pytest.raises(ValueError):
+            model_from_json(bad)
