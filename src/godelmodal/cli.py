@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 valid / no countermodel / evaluation done, 1 countermodel
-found, 2 search exhausted without an answer, 3 bad usage or input.
+found, 2 search exhausted without an answer, 3 bad usage or input (also a
+formula nested too deeply), 4 internal error, with a traceback on stderr.
 Machine-readable results go to stdout, diagnostics to stderr.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .algebra import format_rational
 from .decider import (
@@ -25,20 +27,20 @@ from .decider import (
 from .semantics import (
     PiGFModel,
     PiGModel,
-    RelationalModel,
+    UnknownWorldError,
     embed_pig,
-    eval_pig,
     eval_pigf,
-    eval_rel,
+    evaluate,
     frame_report,
     model_from_json,
 )
-from .syntax import LogicId, ParseError, corpus, parse
+from .syntax import LogicId, corpus, parse
 
 EXIT_OK = 0
 EXIT_FOUND = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -99,7 +101,11 @@ def _print_json(doc: dict) -> None:
 
 def _load_model(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return model_from_json(doc)
 
 
 def _run_check(args: argparse.Namespace, minimize: bool) -> int:
@@ -124,22 +130,16 @@ def _run_check(args: argparse.Namespace, minimize: bool) -> int:
     return EXIT_UNKNOWN
 
 
-def _evaluate(model, world: str, formula) -> str:
-    if isinstance(model, PiGFModel):
-        return format_rational(eval_pigf(model, world, formula))
-    if isinstance(model, RelationalModel):
-        return format_rational(eval_rel(model, world, formula))
-    return format_rational(eval_pig(model, world, formula))
-
-
 def _run_eval(args: argparse.Namespace) -> int:
     formula = parse(args.formula)
     model = _load_model(args.model)
-    if args.world is not None:
-        print(_evaluate(model, args.world, formula))
-    else:
-        for world in model.worlds:
-            print(f"{world}\t{_evaluate(model, world, formula)}")
+    if args.world is not None and args.world not in model.worlds:
+        raise UnknownWorldError(f"unknown world {args.world!r}")
+    for world, value in zip(model.worlds, evaluate(model, formula)):
+        if args.world is None:
+            print(f"{world}\t{format_rational(value)}")
+        elif world == args.world:
+            print(format_rational(value))
     return EXIT_OK
 
 
@@ -193,13 +193,17 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # ParseError is a ValueError
         detail = exc.args[0] if exc.args else exc
         print(f"error: {detail}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

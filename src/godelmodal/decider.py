@@ -10,12 +10,13 @@ order type, realized on the evenly spaced rational grid.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from .algebra import ONE, ZERO, TruthSet, round_down, round_up
+from .algebra import ONE, ZERO, TruthSet, format_rational
 from .semantics import (
     PiGFModel,
     PiGModel,
@@ -23,8 +24,7 @@ from .semantics import (
     compile_formulas,
     eval_pigf,
     evaluate_compiled,
-    is_normalized,
-    model_values,
+    model_to_json,
 )
 from .syntax import Formula, LogicId, complexity_ell
 
@@ -76,14 +76,6 @@ def _check_config(cfg: SearchConfig) -> None:
         raise ValueError("max_worlds must be at least 1")
     if cfg.max_truth is not None and cfg.max_truth < 2:
         raise ValueError("max_truth must be at least 2")
-
-
-def _satisfies_logic(model: PiGModel, logic: LogicId) -> bool:
-    if logic is LogicId.KD45:
-        return is_normalized(model)
-    if logic is LogicId.S5:
-        return all(model.pi[w] == ONE for w in model.worlds)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +188,7 @@ def _sweep_size(
 def _first_refutation(
     ops: list[tuple],
     root: int,
-    rows: Sequence[tuple[int, ...]],
+    rows: Sequence[Sequence[int]],
     t_codes: Sequence[int],
     top: int,
 ) -> tuple[int, int] | None:
@@ -347,38 +339,24 @@ def decide(f: Formula, logic: LogicId, cfg: SearchConfig = SearchConfig()) -> Ve
 
 # ---------------------------------------------------------------------------
 # countermodel minimization
+#
+# shrink works on rank codes: code i is the i-th smallest value of the input
+# (0, 1, the truth set, pi and the valuation).  It only ever writes 0, 1 or a
+# member of the current truth set, all of them in that table, and evaluation
+# with truth set rounding depends only on the order of values, so checking a
+# candidate on codes accepts exactly the models the exact check would.
 
 
-def _drop_world(model: PiGFModel, gone: str) -> PiGFModel:
-    worlds = tuple(w for w in model.worlds if w != gone)
-    pi = {w: model.pi[w] for w in worlds}
-    valuation = {w: dict(model.base.valuation.get(w, {})) for w in worlds}
-    return PiGFModel(PiGModel(worlds, pi, valuation), model.truth_set)
-
-
-def _with_pi(model: PiGFModel, world: str, value: Fraction) -> PiGFModel:
-    pi = dict(model.base.pi)
-    pi[world] = value
-    valuation = {w: dict(r) for w, r in model.base.valuation.items()}
-    return PiGFModel(PiGModel(model.worlds, pi, valuation), model.truth_set)
-
-
-def _with_value(model: PiGFModel, world: str, var: str, value: Fraction) -> PiGFModel:
-    valuation = {w: dict(r) for w, r in model.base.valuation.items()}
-    valuation.setdefault(world, {})[var] = value
-    return PiGFModel(PiGModel(model.worlds, dict(model.base.pi), valuation), model.truth_set)
-
-
-def _snap_key(value: Fraction, ts: TruthSet) -> tuple[int, Fraction]:
+def _snap_key(code: int, truth: Sequence[int], top: int) -> tuple[int, int]:
     # prefer endpoints, then truth set members, then anything else; ties go
     # to the smaller value, which makes snapping terminate
-    if value == ZERO or value == ONE:
+    if code == 0 or code == top:
         rank = 0
-    elif value in ts:
+    elif code in truth:
         rank = 1
     else:
         rank = 2
-    return (rank, value)
+    return (rank, code)
 
 
 def shrink(
@@ -386,73 +364,86 @@ def shrink(
 ) -> tuple[PiGFModel, str]:
     """Greedily minimize a countermodel: drop worlds, coarsen the truth set,
     snap values toward endpoints and truth set members.  The result still
-    refutes f, satisfies the logic's constraint, and is never larger."""
+    refutes f, satisfies the logic's constraint, and is never larger.  Kept
+    worlds keep their names and the variables of their valuation rows."""
     ops, (root,), names = compile_formulas([f])
-
-    def values(m: PiGFModel) -> dict[str, Fraction]:
-        return dict(zip(m.worlds, model_values(m, ops, names, m.truth_set.values)[root]))
-
-    def refuting_world(m: PiGFModel) -> str | None:
-        return next((w for w, v in values(m).items() if v < ONE), None)
-
     if world not in model.worlds:
         raise UnknownWorldError(f"unknown world {world!r}")
-    if values(model)[world] >= ONE:
+    valuation = model.base.valuation
+    # one column per variable: the formula's first, in compiled order
+    columns = [*names, *sorted({p for row in valuation.values() for p in row} - set(names))]
+    column = {p: 1 + i for i, p in enumerate(columns)}
+    table = sorted(
+        {ZERO, ONE, *model.truth_set, *model.pi.values()}
+        | {v for row in valuation.values() for v in row.values()}
+    )
+    code = {v: i for i, v in enumerate(table)}
+    top = len(table) - 1
+    rows = {
+        w: [code[model.pi[w]], *(code[model.value(w, p)] for p in columns)]
+        for w in model.worlds
+    }
+    truth = [code[t] for t in model.truth_set]
+
+    def refuting(worlds: list[str], t_codes: list[int]) -> str | None:
+        hit = _first_refutation(ops, root, [rows[w] for w in worlds], t_codes, top)
+        return None if hit is None else worlds[hit[0]]
+
+    def lawful(worlds: list[str]) -> bool:
+        if logic is LogicId.KD45:
+            return any(rows[w][0] == top for w in worlds)
+        if logic is LogicId.S5:
+            return all(rows[w][0] == top for w in worlds)
+        return True
+
+    live = list(model.worlds)
+    codes = list(zip(*rows.values()))
+    at_world = evaluate_compiled(ops, codes[1:], codes[:1], 0, top, truth)[root]
+    if at_world[live.index(world)] == top:
         raise ValueError("shrink needs a countermodel")
-    if not _satisfies_logic(model.base, logic):
+    if not lawful(live):
         raise ValueError("model violates the logic's frame constraint")
-    current, anchor = model, world
+    anchor = world
     changed = True
     while changed:
         changed = False
-        for w in list(current.worlds):
-            if len(current.worlds) == 1:
+        for w in list(live):
+            if len(live) == 1:
                 break
-            if w not in current.worlds:
-                continue
-            candidate = _drop_world(current, w)
-            if not _satisfies_logic(candidate.base, logic):
-                continue
-            hit = refuting_world(candidate)
+            kept = [v for v in live if v != w]
+            hit = refuting(kept, truth) if lawful(kept) else None
             if hit is not None:
-                current, anchor = candidate, hit
-                changed = True
-        for t in [t for t in current.truth_set if ZERO < t < ONE]:
-            candidate = PiGFModel(
-                current.base, TruthSet(v for v in current.truth_set if v != t)
-            )
-            hit = refuting_world(candidate)
+                live, anchor, changed = kept, hit, True
+        for t in truth[1:-1]:
+            coarser = [c for c in truth if c != t]
+            hit = refuting(live, coarser)
             if hit is not None:
-                current, anchor = candidate, hit
-                changed = True
-        for w in current.worlds:
-            slots: list[str | None] = [None]
-            slots.extend(sorted(current.base.valuation.get(w, {})))
-            for p in slots:
-                old = current.pi[w] if p is None else current.value(w, p)
-                ts = current.truth_set
-                for new in (ZERO, ONE, round_down(ts, old), round_up(ts, old)):
-                    if _snap_key(new, ts) >= _snap_key(old, ts):
+                truth, anchor, changed = coarser, hit, True
+        for w in live:
+            row = rows[w]
+            for i in [0, *(column[p] for p in sorted(valuation.get(w, {})))]:
+                old = row[i]
+                down = truth[bisect_right(truth, old) - 1]
+                up = truth[bisect_left(truth, old)]
+                for new in (0, top, down, up):
+                    if _snap_key(new, truth, top) >= _snap_key(old, truth, top):
                         continue
-                    if p is None:
-                        candidate = _with_pi(current, w, new)
-                    else:
-                        candidate = _with_value(current, w, p, new)
-                    if not _satisfies_logic(candidate.base, logic):
-                        continue
-                    hit = refuting_world(candidate)
+                    row[i] = new
+                    hit = refuting(live, truth) if lawful(live) else None
                     if hit is not None:
-                        current, anchor = candidate, hit
-                        changed = True
+                        anchor, changed = hit, True
                         break
-    return current, anchor
+                    row[i] = old
+    small = PiGModel(
+        live,
+        {w: table[rows[w][0]] for w in live},
+        {w: {p: table[rows[w][column[p]]] for p in valuation[w]} for w in live if w in valuation},
+    )
+    return PiGFModel(small, TruthSet(table[c] for c in truth)), anchor
 
 
 def verdict_to_json(verdict: Verdict) -> dict:
     """The stable JSON rendering of a verdict."""
-    from .semantics import model_to_json
-    from .algebra import format_rational
-
     if isinstance(verdict, Valid):
         return {
             "verdict": "valid",

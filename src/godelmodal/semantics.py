@@ -271,10 +271,18 @@ def model_values(
     return evaluate_compiled(ops, columns, rows, ZERO, ONE, truth)
 
 
-def _value_at(model, world: str, formula: Formula, truth=None) -> Fraction:
-    _check_world(model.worlds, world)
+def evaluate(model, formula: Formula) -> list[Fraction]:
+    """The value of formula at every world, in world order.  A PiGFModel
+    rounds box values down and diamond values up into its truth set; the
+    other classes evaluate exactly."""
     ops, (root,), names = compile_formulas([formula])
-    return model_values(model, ops, names, truth)[root][model.worlds.index(world)]
+    truth = model.truth_set.values if isinstance(model, PiGFModel) else None
+    return model_values(model, ops, names, truth)[root]
+
+
+def _value_at(model, world: str, formula: Formula) -> Fraction:
+    _check_world(model.worlds, world)
+    return evaluate(model, formula)[model.worlds.index(world)]
 
 
 def eval_pig(model: PiGModel, world: str, formula: Formula) -> Fraction:
@@ -284,7 +292,7 @@ def eval_pig(model: PiGModel, world: str, formula: Formula) -> Fraction:
 
 def eval_pigf(model: PiGFModel, world: str, formula: Formula) -> Fraction:
     """Evaluation with box rounded down and diamond rounded up into the truth set."""
-    return _value_at(model, world, formula, model.truth_set.values)
+    return _value_at(model, world, formula)
 
 
 def eval_rel(model: RelationalModel, world: str, formula: Formula) -> Fraction:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -57,6 +58,35 @@ def test_eval_relational_model(capsys, tmp_path):
     assert (code, out) == (0, "1/3\n")
     code, out, err = invoke(capsys, "eval", "--model", str(path), "--world", "b", "[]p")
     assert (code, out) == (0, "1\n")
+
+
+def test_eval_world_table_matches_per_world_output(capsys, tmp_path):
+    rel = {
+        "worlds": ["a", "b", "c"],
+        "R": {"a": {"b": "1", "c": "1/3"}, "b": {"a": "1/2"}, "c": {"c": "1", "a": "2/3"}},
+        "valuation": {"a": {"p": "1/4", "q": "1"}, "b": {"p": "3/4"}, "c": {"q": "1/2"}},
+    }
+    rounded = {
+        "worlds": ["u", "v", "x"],
+        "pi": {"u": "1", "v": "1/2", "x": "1/5"},
+        "valuation": {"u": {"p": "1/3"}, "v": {"p": "2/3", "q": "1/6"}, "x": {"q": "1"}},
+        "truth_set": ["0", "1/4", "3/4", "1"],
+    }
+    for name, doc in (("rel", rel), ("rounded", rounded)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        for text in ("[](p -> <>q) & (<>p | ~[]q)", "<>p -> []q", "p"):
+            code, table, err = invoke(capsys, "eval", "--model", str(path), text)
+            assert code == 0
+            rows = []
+            for world in doc["worlds"]:
+                code, out, err = invoke(capsys, "eval", "--model", str(path), "--world", world, text)
+                assert code == 0
+                rows.append(f"{world}\t{out}")
+            assert table == "".join(rows), (name, text)
+        code, out, err = invoke(capsys, "eval", "--model", str(path), "--world", "zz", "p")
+        assert (code, out) == (3, "")
+        assert err == "error: unknown world 'zz'\n"
 
 
 # -- check ----------------------------------------------------------------------
@@ -141,6 +171,39 @@ def test_countermodel_minimizes(capsys):
     assert doc["verdict"] == "refuted"
     assert len(doc["model"]["worlds"]) == 1
     assert doc["model"]["truth_set"] == ["0", "1"]
+
+
+@pytest.mark.parametrize(
+    "logic, formula, expected",
+    [
+        (
+            "k45",
+            "q -> [](q & p)",
+            '{"model":{"pi":{"w3":"1","w4":"0"},"truth_set":["0","1"],'
+            '"valuation":{"w3":{"p":"0","q":"0"},"w4":{"p":"0","q":"1"}},'
+            '"worlds":["w3","w4"]},"value":"0","verdict":"refuted","world":"w4"}\n',
+        ),
+        (
+            "kd45",
+            "q -> q & []q",
+            '{"model":{"pi":{"w2":"0","w4":"1"},"truth_set":["0","1"],'
+            '"valuation":{"w2":{"q":"1"},"w4":{"q":"0"}},'
+            '"worlds":["w2","w4"]},"value":"0","verdict":"refuted","world":"w2"}\n',
+        ),
+        (
+            "s5",
+            "p -> [](q -> p)",
+            '{"model":{"pi":{"w1":"1","w5":"1"},"truth_set":["0","1"],'
+            '"valuation":{"w1":{"p":"0","q":"1"},"w5":{"p":"1","q":"0"}},'
+            '"worlds":["w1","w5"]},"value":"0","verdict":"refuted","world":"w5"}\n',
+        ),
+    ],
+)
+def test_countermodel_golden_shrunk_output(capsys, logic, formula, expected):
+    # Each search finds a 4- or 5-world countermodel; shrinking drops worlds,
+    # snaps values to 0 and 1 and empties the truth set's interior.
+    code, out, err = invoke(capsys, "countermodel", "--logic", logic, "--seed", "0", formula)
+    assert (code, out) == (1, expected)
 
 
 # -- corpus ---------------------------------------------------------------------------
@@ -233,6 +296,34 @@ def test_malformed_model_schema_is_usage_error(capsys, tmp_path, doc):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "formula", ["(" * 300 + "p" + ")" * 300, "~" * 2000 + "p"], ids=["parentheses", "negations"]
+)
+def test_deeply_nested_formula_is_usage_error(capsys, formula):
+    code, out, err = invoke(capsys, "check", "--mode", "random", "--budget", "10", formula)
+    assert (code, out) == (3, "")
+    assert err == "error: formula nested too deeply\n"
+
+
+def test_deeply_nested_model_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = invoke(capsys, "eval", "--model", str(path), "p")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "nested too deeply" in err and "Traceback" not in err
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    # A failing cross-check in the sweep is a bug, never a verdict.
+    from godelmodal import decider
+
+    monkeypatch.setattr(decider, "_decode", lambda code, top_code, k_grid: Fraction(1, 7))
+    code, out, err = invoke(capsys, "check", "--mode", "exhaustive", "[]~~p -> ~~[]p")
+    assert (code, out) == (4, "")
+    assert "Traceback" in err
+    assert err.splitlines()[-1].startswith("internal error: RuntimeError:")
 
 
 def test_unknown_flag_is_usage_error(capsys):

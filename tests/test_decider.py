@@ -8,6 +8,7 @@ from godelmodal import (
     ZERO,
     LogicId,
     PiGFModel,
+    PiGModel,
     Refuted,
     SearchConfig,
     TruthSet,
@@ -271,19 +272,36 @@ def test_shrink_reaches_single_world_for_known_formula():
 
 
 def test_shrink_requires_a_countermodel():
-    from godelmodal import PiGModel
-
     model = PiGFModel(PiGModel(["a"], {"a": ONE}, {"a": {"p": ONE}}), TruthSet([ZERO, ONE]))
     with pytest.raises(ValueError):
         shrink(model, "a", parse("p"), LogicId.K45)
 
 
+def sparse_or_wider(rng, model: PiGFModel) -> PiGFModel:
+    """The model with some valuation entries and rows dropped, or with a
+    variable r that random formulas over p, q never mention."""
+    base = model.base
+    valuation = {w: dict(row) for w, row in base.valuation.items()}
+    if rng.random() < 0.5:
+        for w in list(valuation):
+            for p in [p for p in valuation[w] if rng.random() < 0.4]:
+                del valuation[w][p]
+            if rng.random() < 0.2:
+                del valuation[w]
+    else:
+        for row in valuation.values():
+            row["r"] = rng.choice([ZERO, ONE, Fraction(1, 3), Fraction(5, 8)])
+    return PiGFModel(PiGModel(base.worlds, base.pi, valuation), model.truth_set)
+
+
 def test_shrink_never_grows_and_preserves_everything():
     rng = random.Random(777)
     done = 0
-    while done < 80:
+    while done < 160:
         f = random_formula_bounded(rng, max_ell=8)
         model = random_pigf(rng, rng.randint(1, 4))
+        if done >= 80:
+            model = sparse_or_wider(rng, model)
         hit = first_refutation(model, f)
         if hit is None:
             continue
@@ -294,23 +312,38 @@ def test_shrink_never_grows_and_preserves_everything():
         assert len(small.worlds) <= len(model.worlds)
         assert len(small.truth_set) <= len(model.truth_set)
         assert set(small.worlds) <= set(model.worlds)
+        allowed = {ZERO, ONE, *model.truth_set, *model.pi.values()}
+        for w in model.worlds:
+            allowed.update(model.base.valuation.get(w, {}).values())
+        assert set(small.truth_set) <= set(model.truth_set)
+        for w in small.worlds:
+            row = small.base.valuation.get(w, {})
+            assert set(row) <= set(model.base.valuation.get(w, {}))
+            assert small.pi[w] in allowed
+            assert set(row.values()) <= allowed
 
 
 def test_shrink_keeps_logic_constraint():
     rng = random.Random(888)
-    done = 0
-    while done < 30:
-        f = random_formula_bounded(rng, max_ell=8)
-        model = random_pigf(rng, rng.randint(1, 3))
-        if not is_normalized(model.base):
-            continue
-        hit = first_refutation(model, f)
-        if hit is None:
-            continue
-        done += 1
-        small, anchor = shrink(model, hit[0], f, LogicId.KD45)
-        assert is_normalized(small.base)
-        assert eval_pigf(small, anchor, f) < ONE
+    for logic in (LogicId.KD45, LogicId.S5):
+        done = 0
+        while done < 30:
+            f = random_formula_bounded(rng, max_ell=8)
+            model = random_pigf(rng, rng.randint(1, 3))
+            if logic is LogicId.S5:
+                pi = {w: ONE for w in model.worlds}
+                model = PiGFModel(PiGModel(model.worlds, pi, model.base.valuation), model.truth_set)
+            if not is_normalized(model.base):
+                continue
+            hit = first_refutation(model, f)
+            if hit is None:
+                continue
+            done += 1
+            small, anchor = shrink(model, hit[0], f, logic)
+            assert is_normalized(small.base)
+            if logic is LogicId.S5:
+                assert all(small.pi[w] == ONE for w in small.worlds)
+            assert eval_pigf(small, anchor, f) < ONE
 
 
 # -- verdict serialization ---------------------------------------------------------------

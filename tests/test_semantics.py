@@ -21,6 +21,7 @@ from godelmodal import (
     eval_pig,
     eval_pigf,
     eval_rel,
+    evaluate,
     filtrate,
     frame_report,
     inconsistency_degree,
@@ -213,6 +214,9 @@ def test_evaluators_agree_with_independent_oracle():
             )
         for w in rel.worlds:
             assert eval_rel(rel, w, f) == oracle_eval(rel.worlds, rel_access, rel.valuation, w, f)
+        # the one-pass table holds every world's value, rounded for a PiGFModel
+        for model, one in ((pig, eval_pig), (pigf, eval_pigf), (rel, eval_rel)):
+            assert evaluate(model, f) == [one(model, w, f) for w in model.worlds]
 
 
 # -- frame properties -------------------------------------------------------------
