@@ -47,10 +47,10 @@ class TruthSet:
 
     def __init__(self, values: Iterable[Fraction | int | str]) -> None:
         vals = sorted({Fraction(v) for v in values})
+        if vals and (vals[0] < ZERO or vals[-1] > ONE):
+            raise ValueError("truth set values must lie in [0, 1]")
         if not vals or vals[0] != ZERO or vals[-1] != ONE:
             raise ValueError("truth set must contain 0 and 1")
-        if vals[0] < ZERO or vals[-1] > ONE:
-            raise ValueError("truth set values must lie in [0, 1]")
         object.__setattr__(self, "values", tuple(vals))
 
     def __iter__(self):

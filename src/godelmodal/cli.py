@@ -146,8 +146,9 @@ def _run_eval(args: argparse.Namespace) -> int:
 def _run_corpus(args: argparse.Namespace) -> int:
     logic = LogicId(args.logic)
     cfg = SearchConfig(mode="random", budget=args.budget, seed=args.seed)
+    schemes = corpus(logic)
     refuted = 0
-    for name, formula in corpus(logic):
+    for name, formula in schemes:
         found = random_search(formula, logic, cfg)
         if found is None:
             print(f"{name}\tok")
@@ -156,7 +157,7 @@ def _run_corpus(args: argparse.Namespace) -> int:
             model, world, value = found
             print(f"{name}\trefuted\t{world}\t{format_rational(value)}")
     print(
-        f"checked {len(corpus(logic))} schemes, {refuted} refuted",
+        f"checked {len(schemes)} schemes, {refuted} refuted",
         file=sys.stderr,
     )
     return EXIT_FOUND if refuted else EXIT_OK
@@ -184,10 +185,12 @@ def _run_frame(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,12 +21,11 @@ from .semantics import (
     PiGFModel,
     PiGModel,
     UnknownWorldError,
-    compile_formulas,
     eval_pigf,
     evaluate_compiled,
     model_to_json,
 )
-from .syntax import Formula, LogicId, complexity_ell
+from .syntax import Formula, LogicId, compile_formulas, complexity_ell
 
 MODES = ("exhaustive", "random", "hybrid")
 

@@ -11,11 +11,11 @@ Three model classes:
                    R(w, .) where the possibilistic classes use pi.
 
 All three are evaluated by one function, evaluate_compiled, over a formula
-compiled once into a postorder op list.  In the possibilistic semantics box
-and diamond values do not depend on the world, so a possibilistic model is
-one shared accessibility row (pi) plus per-world variable columns; a
-relational model has one row per world.  The same evaluator runs on integer
-codes of the values in the decider's searches.
+compiled once by syntax.compile_formulas into a postorder op list.  In the
+possibilistic semantics box and diamond values do not depend on the world,
+so a possibilistic model is one shared accessibility row (pi) plus
+per-world variable columns; a relational model has one row per world.  The
+same evaluator runs on integer codes of the values in the decider's searches.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .algebra import (
     OrderEmbedding,
     apply_embedding,
 )
-from .syntax import And, Bot, Box, Dia, Formula, Implies, Var
+from .syntax import BOT, Formula, compile_formulas
 
 
 class UnknownWorldError(KeyError):
@@ -149,55 +149,6 @@ class RelationalModel:
 def _check_world(worlds: tuple[str, ...], world: str) -> None:
     if world not in worlds:
         raise UnknownWorldError(f"unknown world {world!r}")
-
-
-_TAGS = {Bot: "bot", Var: "var", And: "and", Implies: "imp", Box: "box", Dia: "dia"}
-
-
-def compile_formulas(
-    roots: Sequence[Formula],
-) -> tuple[list[tuple], list[int], tuple[str, ...]]:
-    """Postorder op list for several formulas, the index of each root, and
-    the sorted variable names.
-
-    An op is ("bot",), ("var", i) with i the variable's position in the
-    names, ("and", a, b), ("imp", a, b), ("box", a) or ("dia", a), where a
-    and b are indices of earlier ops.  Equal subformulas, also across roots,
-    share one entry: an op is looked up by its tuple, so no formula is ever
-    hashed as a whole.
-    """
-    ops: list[tuple] = []
-    op_index: dict[tuple, int] = {}
-    node_index: dict[int, int] = {}  # id(node) -> op index
-    for root in roots:
-        stack = [root]
-        while stack:
-            g = stack[-1]
-            if id(g) in node_index:
-                stack.pop()
-                continue
-            tag = _TAGS.get(type(g))
-            if tag is None:
-                raise TypeError(f"not a formula: {g!r}")
-            if tag == "var":
-                op = ("var", g.name)
-            elif tag == "bot":
-                op = ("bot",)
-            else:
-                children = (g.left, g.right) if tag in ("and", "imp") else (g.body,)
-                pending = [c for c in children if id(c) not in node_index]
-                if pending:
-                    stack.extend(reversed(pending))
-                    continue
-                op = (tag, *[node_index[id(c)] for c in children])
-            stack.pop()
-            i = op_index.setdefault(op, len(ops))
-            if i == len(ops):
-                ops.append(op)
-            node_index[id(g)] = i
-    names = tuple(sorted(op[1] for op in ops if op[0] == "var"))
-    ops = [("var", names.index(op[1])) if op[0] == "var" else op for op in ops]
-    return ops, [node_index[id(r)] for r in roots], names
 
 
 def evaluate_compiled(
@@ -352,21 +303,6 @@ def is_normalized(model: PiGModel) -> bool:
     return any(model.pi[w] == ONE for w in model.worlds)
 
 
-def _closure_check(sigma: frozenset[Formula]) -> None:
-    if Bot() not in sigma:
-        raise ValueError("fragment must contain bottom")
-    for f in sigma:
-        if isinstance(f, (And, Implies)):
-            children = (f.left, f.right)
-        elif isinstance(f, (Box, Dia)):
-            children = (f.body,)
-        else:
-            children = ()
-        for child in children:
-            if child not in sigma:
-                raise ValueError("fragment is not closed under subformulas")
-
-
 def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
     """Collapse a possibilistic model to a small rounded model that agrees
     with it on every formula of the fragment sigma at the world x.
@@ -379,28 +315,32 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
     worlds in the model's stored order.
     """
     _check_world(model.worlds, x)
-    _closure_check(sigma)
-    modal = [f for f in sigma if isinstance(f, (Box, Dia))]
-    modal.sort(key=lambda f: (len(repr(f)), repr(f)))
-    ops, roots, names = compile_formulas(modal + [f.body for f in modal])
+    if BOT not in sigma:
+        raise ValueError("fragment must contain bottom")
+    # sigma holds its own subformulas exactly when compiling it adds no op
+    ops, _, names = compile_formulas(list(sigma))
+    if len(ops) != len(sigma):
+        raise ValueError("fragment is not closed under subformulas")
     vals = model_values(model, ops, names)
     x_index = model.worlds.index(x)
-    values = {f: vals[i][x_index] for f, i in zip(modal, roots)}
-    truth_set = TruthSet(set(values.values()) | {ZERO, ONE})
+    modal = [
+        (op[0], vals[i][x_index], vals[op[1]])
+        for i, op in enumerate(ops)
+        if op[0] in ("box", "dia")
+    ]
+    truth_set = TruthSet({v for _, v, _ in modal} | {ZERO, ONE})
     alphas = truth_set.values
     kept = {x}
-    for f, b in zip(modal, roots[len(modal):]):
-        v = values[f]
+    for tag, v, body in modal:
         i = alphas.index(v)
-        body = vals[b]
-        if isinstance(f, Box) and v < ONE:
+        if tag == "box" and v < ONE:
             ceiling = alphas[i + 1]
             witness = next(
                 w
                 for w, b in zip(model.worlds, body)
                 if godel_implies(model.pi[w], b) < ceiling
             )
-        elif isinstance(f, Dia) and v > ZERO:
+        elif tag == "dia" and v > ZERO:
             floor = alphas[i - 1]
             witness = next(
                 w

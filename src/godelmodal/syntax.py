@@ -8,6 +8,10 @@ expanded at parse time:
     f | g     ((f -> g) -> g) & ((g -> f) -> f)
     f <-> g   (f -> g) & (g -> f)
     top, 1    0 -> 0
+
+| and <-> share subtrees, so a formula's tree can be exponentially larger
+than its DAG; every walk over a formula but the parser's runs on one
+iterative postorder that visits each node object once.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Sequence
 
 
 class LogicId(Enum):
@@ -219,6 +223,65 @@ def _parse_template(text: str) -> Formula:
     return _Parser(text, allow_meta=True).formula()
 
 
+_TAGS = {Bot: "bot", Var: "var", And: "and", Implies: "imp", Box: "box", Dia: "dia"}
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (And, Implies)):
+        return (f.left, f.right)
+    if isinstance(f, (Box, Dia)):
+        return (f.body,)
+    if isinstance(f, (Bot, Var)):
+        return ()
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _postorder(roots: Sequence[Formula]) -> list[Formula]:
+    """Every distinct node object under the roots once, children before
+    parents and left before right.  Nodes are told apart by identity, so a
+    subtree the parser shares is visited once and nothing is hashed."""
+    order: list[Formula] = []
+    seen: set[int] = set()
+    stack = [(r, False) for r in reversed(roots)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded:
+            order.append(g)
+        elif id(g) not in seen:
+            seen.add(id(g))
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(_children(g)))
+    return order
+
+
+def compile_formulas(
+    roots: Sequence[Formula],
+) -> tuple[list[tuple], list[int], tuple[str, ...]]:
+    """Postorder op list for several formulas, the index of each root, and
+    the sorted variable names.
+
+    An op is ("bot",), ("var", i) with i the variable's position in the
+    names, ("and", a, b), ("imp", a, b), ("box", a) or ("dia", a), where a
+    and b are indices of earlier ops.  Equal subformulas, also across roots,
+    share one entry: an op is looked up by its tuple, so no formula is ever
+    hashed as a whole.
+    """
+    ops: list[tuple] = []
+    op_index: dict[tuple, int] = {}
+    node_index: dict[int, int] = {}  # id(node) -> op index
+    for g in _postorder(roots):
+        if isinstance(g, Var):
+            op = ("var", g.name)
+        else:
+            op = (_TAGS[type(g)], *[node_index[id(c)] for c in _children(g)])
+        i = node_index[id(g)] = op_index.setdefault(op, len(ops))
+        if i == len(ops):
+            ops.append(op)
+    names = tuple(sorted(op[1] for op in ops if op[0] == "var"))
+    ops = [("var", names.index(op[1])) if op[0] == "var" else op for op in ops]
+    return ops, [node_index[id(r)] for r in roots], names
+
+
 _PREC_IMP = 1
 _PREC_AND = 2
 _PREC_UNARY = 3
@@ -236,51 +299,44 @@ def _prec(f: Formula) -> int:
 
 def render(f: Formula) -> str:
     """Print a formula using only primitive connectives; parse(render(f)) == f."""
-    if isinstance(f, Bot):
-        return "0"
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Box):
-        return "[]" + _wrap(f.body, _PREC_UNARY)
-    if isinstance(f, Dia):
-        return "<>" + _wrap(f.body, _PREC_UNARY)
-    if isinstance(f, And):
-        # left associative: the right child needs parentheses when it is an And
-        return _wrap(f.left, _PREC_AND) + " & " + _wrap(f.right, _PREC_AND + 1)
-    if isinstance(f, Implies):
-        # right associative: the left child needs parentheses when it is an Implies
-        return _wrap(f.left, _PREC_IMP + 1) + " -> " + _wrap(f.right, _PREC_IMP)
-    raise TypeError(f"not a formula: {f!r}")
+    texts: dict[int, str] = {}
 
+    def wrap(g: Formula, minimum: int) -> str:
+        text = texts[id(g)]
+        return text if _prec(g) >= minimum else "(" + text + ")"
 
-def _wrap(f: Formula, minimum: int) -> str:
-    text = render(f)
-    return text if _prec(f) >= minimum else "(" + text + ")"
+    for g in _postorder([f]):
+        if isinstance(g, Bot):
+            text = "0"
+        elif isinstance(g, Var):
+            text = g.name
+        elif isinstance(g, Box):
+            text = "[]" + wrap(g.body, _PREC_UNARY)
+        elif isinstance(g, Dia):
+            text = "<>" + wrap(g.body, _PREC_UNARY)
+        elif isinstance(g, And):
+            # left associative: the right child needs parentheses when it is an And
+            text = wrap(g.left, _PREC_AND) + " & " + wrap(g.right, _PREC_AND + 1)
+        else:
+            # right associative: the left child needs parentheses when it is an Implies
+            text = wrap(g.left, _PREC_IMP + 1) + " -> " + wrap(g.right, _PREC_IMP)
+        texts[id(g)] = text
+    return texts[id(f)]
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     """All subformulas of f, plus bottom."""
-    acc: set[Formula] = {BOT}
-
-    def walk(g: Formula) -> None:
-        acc.add(g)
-        if isinstance(g, (And, Implies)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Box, Dia)):
-            walk(g.body)
-
-    walk(f)
-    return frozenset(acc)
+    return frozenset([BOT, *_postorder([f])])
 
 
 def complexity_ell(f: Formula) -> int:
     """Size measure used by the finite-model bound: number of subformulas."""
-    return len(subformulas(f))
+    ops = compile_formulas([f])[0]
+    return len(ops) if ("bot",) in ops else len(ops) + 1
 
 
 def variables(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Var))
+    return frozenset(compile_formulas([f])[2])
 
 
 class MissingMetavariableError(KeyError):
@@ -289,20 +345,20 @@ class MissingMetavariableError(KeyError):
 
 def instantiate(template: Formula, subst: Mapping[str, Formula]) -> Formula:
     """Replace each uppercase metavariable by its image under subst."""
-    if isinstance(template, Var) and template.name[0].isupper():
-        try:
-            return subst[template.name]
-        except KeyError:
-            raise MissingMetavariableError(
-                f"no binding for metavariable {template.name!r}"
-            ) from None
-    if isinstance(template, (And, Implies)):
-        cls = type(template)
-        return cls(instantiate(template.left, subst), instantiate(template.right, subst))
-    if isinstance(template, (Box, Dia)):
-        cls = type(template)
-        return cls(instantiate(template.body, subst))
-    return template
+    images: dict[int, Formula] = {}
+    for g in _postorder([template]):
+        if isinstance(g, Var) and g.name[0].isupper():
+            try:
+                image = subst[g.name]
+            except KeyError:
+                raise MissingMetavariableError(
+                    f"no binding for metavariable {g.name!r}"
+                ) from None
+        else:
+            children = _children(g)
+            image = type(g)(*[images[id(c)] for c in children]) if children else g
+        images[id(g)] = image
+    return images[id(template)]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from godelmodal import (
     Dia,
     Formula,
     Implies,
+    MissingMetavariableError,
     OrderEmbedding,
     PiGFModel,
     PiGModel,
@@ -75,6 +76,78 @@ def random_formula_bounded(
         if require_var and not variables(f):
             continue
         return f
+
+
+# --------------------------------------------------------------------------
+# Independent syntax oracles (plain recursion over the tree, no sharing)
+# --------------------------------------------------------------------------
+
+
+def oracle_subformulas(f: Formula) -> frozenset:
+    """All subformulas of f, plus bottom."""
+    acc = {BOT}
+
+    def walk(g):
+        acc.add(g)
+        if isinstance(g, (And, Implies)):
+            walk(g.left)
+            walk(g.right)
+        elif isinstance(g, (Box, Dia)):
+            walk(g.body)
+
+    walk(f)
+    return frozenset(acc)
+
+
+def oracle_complexity_ell(f: Formula) -> int:
+    return len(oracle_subformulas(f))
+
+
+def oracle_render(f: Formula) -> str:
+    """The printer's grammar: & binds tighter than ->, & is left and -> right
+    associative, and a modal operator's body is atomic, modal or bracketed."""
+
+    def prec(g):
+        if isinstance(g, Implies):
+            return 1
+        if isinstance(g, And):
+            return 2
+        if isinstance(g, (Box, Dia)):
+            return 3
+        return 4
+
+    def wrap(g, minimum):
+        text = oracle_render(g)
+        return text if prec(g) >= minimum else "(" + text + ")"
+
+    if isinstance(f, Bot):
+        return "0"
+    if isinstance(f, Var):
+        return f.name
+    if isinstance(f, Box):
+        return "[]" + wrap(f.body, 3)
+    if isinstance(f, Dia):
+        return "<>" + wrap(f.body, 3)
+    if isinstance(f, And):
+        return wrap(f.left, 2) + " & " + wrap(f.right, 3)
+    if isinstance(f, Implies):
+        return wrap(f.left, 2) + " -> " + wrap(f.right, 1)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def oracle_instantiate(template: Formula, subst) -> Formula:
+    """Replace each uppercase metavariable by its image under subst."""
+    if isinstance(template, Var) and template.name[0].isupper():
+        if template.name not in subst:
+            raise MissingMetavariableError(f"no binding for metavariable {template.name!r}")
+        return subst[template.name]
+    if isinstance(template, (And, Implies)):
+        return type(template)(
+            oracle_instantiate(template.left, subst), oracle_instantiate(template.right, subst)
+        )
+    if isinstance(template, (Box, Dia)):
+        return type(template)(oracle_instantiate(template.body, subst))
+    return template
 
 
 # --------------------------------------------------------------------------

@@ -104,6 +104,8 @@ def test_truth_set_sorts_dedupes_and_requires_bounds():
         TruthSet([Fraction(1, 2), ONE])
     with pytest.raises(ValueError):
         TruthSet([ZERO, Fraction(1, 2)])
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        TruthSet([0, 2, 1])
 
 
 def test_rounding_examples():

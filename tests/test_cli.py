@@ -307,6 +307,13 @@ def test_deeply_nested_formula_is_usage_error(capsys, formula):
     assert err == "error: formula nested too deeply\n"
 
 
+def test_wide_disjunction_check_finishes(capsys):
+    formula = " | ".join(f"p{i}" for i in range(40))
+    code, out, err = invoke(capsys, "check", "--mode", "random", "--budget", "10", formula)
+    assert code in (1, 2)
+    assert "Traceback" not in err
+
+
 def test_deeply_nested_model_file_is_usage_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

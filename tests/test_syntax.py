@@ -12,19 +12,26 @@ from godelmodal import (
     MissingMetavariableError,
     ParseError,
     Var,
+    bound_for,
     complexity_ell,
     corpus,
+    disj,
+    iff,
     instantiate,
     parse,
     render,
     subformulas,
     variables,
 )
+from godelmodal.syntax import _parse_template, compile_formulas
+
+from helpers import oracle_complexity_ell, oracle_instantiate, oracle_render, oracle_subformulas
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 
 
 def formulas():
+    # disj and iff share their arguments' subtrees, as the parser's | and <-> do
     return st.recursive(
         st.one_of(st.just(BOT), st.builds(Var, st.sampled_from(["p", "q", "r"]))),
         lambda kids: st.one_of(
@@ -32,6 +39,8 @@ def formulas():
             st.builds(Implies, kids, kids),
             st.builds(Box, kids),
             st.builds(Dia, kids),
+            st.builds(disj, kids, kids),
+            st.builds(iff, kids, kids),
         ),
         max_leaves=12,
     )
@@ -101,7 +110,13 @@ def test_render_examples():
 
 @given(formulas())
 def test_parse_render_round_trip(f):
+    assert render(f) == oracle_render(f)
     assert parse(render(f)) == f
+    # p turned into the metavariable X and back, or replaced by a formula
+    template = _parse_template(render(f).replace("p", "X"))
+    assert instantiate(template, {"X": P}) == f
+    image = Box(Implies(Q, R))
+    assert instantiate(template, {"X": image}) == oracle_instantiate(template, {"X": image})
 
 
 # -- subformulas and complexity -------------------------------------------------
@@ -127,9 +142,34 @@ def test_variables():
 @given(formulas())
 def test_subformula_closure(f):
     subs = subformulas(f)
+    assert subs == oracle_subformulas(f)
+    assert complexity_ell(f) == oracle_complexity_ell(f)
+    assert variables(f) == {g.name for g in subs if isinstance(g, Var)}
     assert BOT in subs
     for g in subs:
         assert subformulas(g) <= subs
+
+
+def test_wide_disjunction_is_measured_without_unfolding_it():
+    # | copies both disjuncts, so the tree of a 40-way disjunction has
+    # about 2**40 nodes; the subformula count must come from the shared DAG
+    f = parse(" | ".join(f"p{i}" for i in range(40)))
+    assert complexity_ell(f) == 236
+    assert bound_for(f) == 476
+    assert variables(f) == {f"p{i}" for i in range(40)}
+
+
+def test_deep_formula_traversals_do_not_recurse():
+    f, template = P, Var("X")
+    for _ in range(5000):
+        f, template = Box(f), Box(template)
+    assert complexity_ell(f) == 5002
+    assert variables(f) == {"p"}
+    ops, roots, names = compile_formulas([f])
+    assert (len(ops), roots, names) == (5001, [5000], ("p",))
+    assert render(f) == "[]" * 5000 + "p"
+    # == on the result would recurse through the dataclass __eq__
+    assert render(instantiate(template, {"X": P})) == render(f)
 
 
 # -- scheme instantiation ---------------------------------------------------------
@@ -146,8 +186,6 @@ def test_instantiate_substitutes_metavariables():
 
 
 def test_instantiate_missing_binding():
-    from godelmodal.syntax import _parse_template
-
     template = _parse_template("[]X -> Y")
     with pytest.raises(MissingMetavariableError):
         instantiate(template, {"X": P})
