@@ -25,10 +25,7 @@ from .decider import (
     verdict_to_json,
 )
 from .semantics import (
-    PiGFModel,
-    PiGModel,
     UnknownWorldError,
-    embed_pig,
     eval_pigf,
     evaluate,
     frame_report,
@@ -164,12 +161,7 @@ def _run_corpus(args: argparse.Namespace) -> int:
 
 
 def _run_frame(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
-    if isinstance(model, PiGFModel):
-        model = embed_pig(model.base)
-    elif isinstance(model, PiGModel):
-        model = embed_pig(model)
-    report = frame_report(model)
+    report = frame_report(_load_model(args.model))
     _print_json(
         {
             "transitive": report.transitive,

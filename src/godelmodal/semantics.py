@@ -16,6 +16,11 @@ possibilistic semantics box and diamond values do not depend on the world,
 so a possibilistic model is one shared accessibility row (pi) plus
 per-world variable columns; a relational model has one row per world.  The
 same evaluator runs on integer codes of the values in the decider's searches.
+
+frame_report reads a possibilistic model's frame properties off pi in
+closed form, and checks a relational model's on the rank codes of its
+accessibility values (code i is the i-th smallest value), never comparing
+Fractions inside its triple loop.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class UnknownWorldError(KeyError):
 def _coerce_values(mapping: Mapping[str, object], what: str) -> dict[str, Fraction]:
     out = {}
     for key, raw in mapping.items():
-        value = Fraction(raw)
+        value = raw if type(raw) is Fraction else Fraction(raw)
         if not ZERO <= value <= ONE:
             raise ValueError(f"{what} value {value} outside [0, 1]")
         out[str(key)] = value
@@ -269,20 +274,50 @@ class FrameReport:
     seriality_witnesses: tuple[str, ...]
 
 
-def frame_report(model: RelationalModel) -> FrameReport:
-    """Check min-transitivity, min-euclideanness and seriality of R."""
+def frame_report(model: PiGModel | PiGFModel | RelationalModel) -> FrameReport:
+    """Check min-transitivity, min-euclideanness and seriality of R.
+
+    A possibilistic model is read as the frame R(w, w') = pi(w'), which
+    needs no check: min(R(w, u), R(u, v)) = min(pi(u), pi(v)) <= pi(v) =
+    R(w, v), and min(R(w, u), R(w, v)) <= pi(v) = R(u, v), so the frame is
+    always transitive and euclidean.  Every row of R is pi, so it is serial
+    exactly when pi is normalized, and otherwise every world is a witness.
+
+    A relational model is checked on the rank codes of its values.  Witness
+    triples (w, u, v) come in lexicographic world order.
+    """
     ws = model.worlds
+    if not isinstance(model, RelationalModel):
+        serial = is_normalized(model)
+        return FrameReport(True, True, serial, (), (), () if serial else ws)
+    # values are keyed by numerator and denominator: integer pairs hash and
+    # compare in C, Fractions in Python
+    ratio = Fraction.as_integer_ratio
+    distinct = {ratio(x): x for row in model.R.values() for x in row.values()}
+    table = sorted({ZERO, ONE, *distinct.values()})
+    code = {ratio(x): i for i, x in enumerate(table)}
+    top = len(table) - 1
+    index = {w: i for i, w in enumerate(ws)}
+    rows = [[0] * len(ws) for _ in ws]
+    for w, row in model.R.items():
+        codes = rows[index[w]]
+        for u, x in row.items():
+            codes[index[u]] = code[ratio(x)]
     trans = []
     eucl = []
-    for w in ws:
-        for w1 in ws:
-            r01 = model.rel(w, w1)
-            for w2 in ws:
-                if min(r01, model.rel(w1, w2)) > model.rel(w, w2):
-                    trans.append((w, w1, w2))
-                if min(r01, model.rel(w, w2)) > model.rel(w1, w2):
-                    eucl.append((w, w1, w2))
-    serial = [w for w in ws if max(model.rel(w, w2) for w2 in ws) != ONE]
+    for w, row_w in zip(ws, rows):
+        for u, r, row_u in zip(ws, row_w, rows):
+            if not r:
+                continue
+            # min(r, a) > b and min(r, b) > a need a > b and b > a: at most
+            # one of the two can fail at (w, u, v)
+            for v, a, b in zip(ws, row_u, row_w):
+                if a > b:
+                    if r > b:
+                        trans.append((w, u, v))
+                elif b > a and r > a:
+                    eucl.append((w, u, v))
+    serial = [w for w, row in zip(ws, rows) if top not in row]
     return FrameReport(
         transitive=not trans,
         euclidean=not eucl,

@@ -19,6 +19,7 @@ from godelmodal import (
     Box,
     Dia,
     Formula,
+    FrameReport,
     Implies,
     MissingMetavariableError,
     OrderEmbedding,
@@ -304,3 +305,51 @@ def random_relational(rng: random.Random, n_worlds: int, names=("p", "q")) -> Re
             break
     valuation = {w: {v: random_value(rng) for v in names} for w in worlds}
     return RelationalModel(worlds, rel, valuation)
+
+
+def random_sparse_relational(rng: random.Random, n_worlds: int) -> RelationalModel:
+    """Random relational model of 1 or more worlds whose R leaves rows or
+    pairs out (missing pairs are 0) and favours interior values."""
+    worlds = tuple(f"w{i + 1}" for i in range(n_worlds))
+    rel = {}
+    for w in worlds:
+        roll = rng.random()
+        if roll < 0.2:
+            continue
+        row = {}
+        if roll >= 0.3:
+            for v in worlds:
+                if rng.random() < 0.6:
+                    d = rng.choice(_DENOMS)
+                    row[v] = Fraction(rng.randint(0, d), d)
+        rel[w] = row
+    return RelationalModel(worlds, rel)
+
+
+# --------------------------------------------------------------------------
+# Independent frame oracle (triple loop over exact rationals)
+# --------------------------------------------------------------------------
+
+
+def oracle_frame_report(model: RelationalModel) -> FrameReport:
+    """Check min-transitivity, min-euclideanness and seriality of R."""
+    ws = model.worlds
+    trans = []
+    eucl = []
+    for w in ws:
+        for w1 in ws:
+            r01 = model.rel(w, w1)
+            for w2 in ws:
+                if min(r01, model.rel(w1, w2)) > model.rel(w, w2):
+                    trans.append((w, w1, w2))
+                if min(r01, model.rel(w, w2)) > model.rel(w1, w2):
+                    eucl.append((w, w1, w2))
+    serial = [w for w in ws if max(model.rel(w, w2) for w2 in ws) != ONE]
+    return FrameReport(
+        transitive=not trans,
+        euclidean=not eucl,
+        serial=not serial,
+        transitivity_witnesses=tuple(trans),
+        euclidean_witnesses=tuple(eucl),
+        seriality_witnesses=tuple(serial),
+    )

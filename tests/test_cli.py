@@ -1,9 +1,12 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from godelmodal import RelationalModel, model_to_json, semantics
 from godelmodal.cli import run
+from helpers import oracle_frame_report, random_sparse_relational
 
 M0_DOC = {
     "worlds": ["a"],
@@ -248,6 +251,65 @@ def test_frame_accepts_possibilistic_file(capsys, m0_path):
     assert code == 0
     report = json.loads(out)
     assert report["transitive"] and report["euclidean"] and report["serial"]
+
+
+def test_frame_of_possibilistic_files_needs_no_relation(capsys, tmp_path, m0_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("possibilistic frame read through a relation")
+
+    monkeypatch.setattr(RelationalModel, "rel", refuse)
+    monkeypatch.setattr(semantics, "embed_pig", refuse)
+    doc = {"worlds": ["a", "b"], "pi": {"a": "1/2", "b": "0"}, "valuation": {}}
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "frame", "--model", str(path))
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"euclidean":true,"serial":false,"transitive":true,'
+        '"witnesses":{"euclidean":[],"seriality":["a","b"],"transitivity":[]}}\n'
+    )
+    code, out, err = invoke(capsys, "frame", "--model", m0_path)
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"euclidean":true,"serial":true,"transitive":true,'
+        '"witnesses":{"euclidean":[],"seriality":[],"transitivity":[]}}\n'
+    )
+
+
+def test_frame_of_large_possibilistic_file(capsys, tmp_path):
+    worlds = [f"w{i}" for i in range(200)]
+    pi = {w: f"{i}/200" for i, w in enumerate(worlds)}
+    path = tmp_path / "pi200.json"
+    path.write_text(json.dumps({"worlds": worlds, "pi": pi, "valuation": {}}))
+    code, out, err = invoke(capsys, "frame", "--model", str(path))
+    assert code == 0
+    assert json.loads(out) == {
+        "euclidean": True,
+        "serial": False,
+        "transitive": True,
+        "witnesses": {"euclidean": [], "seriality": worlds, "transitivity": []},
+    }
+
+
+def test_frame_relational_report_matches_oracle(capsys, tmp_path):
+    model = random_sparse_relational(random.Random(11), 6)
+    report = oracle_frame_report(model)
+    assert report.transitivity_witnesses and report.euclidean_witnesses
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    code, out, err = invoke(capsys, "frame", "--model", str(path))
+    expected = {
+        "transitive": report.transitive,
+        "euclidean": report.euclidean,
+        "serial": report.serial,
+        "witnesses": {
+            "transitivity": [list(t) for t in report.transitivity_witnesses],
+            "euclidean": [list(t) for t in report.euclidean_witnesses],
+            "seriality": list(report.seriality_witnesses),
+        },
+    }
+    assert code == 0
+    assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # -- error handling ------------------------------------------------------------------------

@@ -35,11 +35,13 @@ from godelmodal import (
 )
 from helpers import (
     oracle_eval,
+    oracle_frame_report,
     random_fixing_embedding,
     random_formula_bounded,
     random_pig,
     random_pigf,
     random_relational,
+    random_sparse_relational,
 )
 
 HALF = Fraction(1, 2)
@@ -253,6 +255,41 @@ def test_possibilistic_frames_transitive_euclidean():
         rep = frame_report(embed_pig(m))
         assert rep.transitive and rep.euclidean
         assert rep.serial == is_normalized(m)
+
+
+def test_frame_report_matches_oracle_on_relational_models():
+    rng = random.Random(606)
+    for i in range(600):
+        if i % 2:
+            m = random_relational(rng, rng.randint(2, 6))
+        else:
+            m = random_sparse_relational(rng, rng.randint(1, 6))
+        # full equality: the flags and every witness list, in order
+        assert frame_report(m) == oracle_frame_report(m)
+
+
+def test_frame_report_closed_form_on_possibilistic_models():
+    rng = random.Random(707)
+    for i in range(300):
+        n = rng.randint(1, 6)
+        m = random_pigf(rng, n) if i % 3 == 0 else random_pig(rng, n, normalized=i % 3 == 1)
+        base = m.base if isinstance(m, PiGFModel) else m
+        assert frame_report(m) == oracle_frame_report(embed_pig(base))
+
+
+def test_frame_report_compares_no_fractions_per_triple(monkeypatch):
+    # only sorting the distinct values of R may compare Fractions
+    m = random_relational(random.Random(808), 20)
+    calls = []
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        original = getattr(Fraction, name)
+        monkeypatch.setattr(
+            Fraction, name, lambda a, b, original=original: calls.append(1) or original(a, b)
+        )
+    report = frame_report(m)
+    monkeypatch.undo()
+    assert report == oracle_frame_report(m)
+    assert len(calls) < len(m.worlds) ** 2
 
 
 # -- inconsistency and normalization ------------------------------------------------
