@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 valid / no countermodel / evaluation done, 1 countermodel
-found, 2 search exhausted without an answer, 3 bad usage or input (also a
-formula nested too deeply), 4 internal error, with a traceback on stderr.
+found, 2 search exhausted without an answer, 3 bad usage or input, 4
+internal error, with a traceback on stderr.  A formula is never refused for
+its nesting depth: parsing and every walk over it are iterative.
 Machine-readable results go to stdout, diagnostics to stderr.
 """
 
@@ -188,11 +189,15 @@ def run(argv: list[str]) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
-    except (ValueError, KeyError, OSError) as exc:  # ParseError is a ValueError
+    except (ValueError, KeyError) as exc:  # ParseError is a ValueError
         detail = exc.args[0] if exc.args else exc
         print(f"error: {detail}", file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:
+    except OSError as exc:  # args[0] would be the bare errno
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {detail}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:  # a safety net: no known input recurses this deep
         print("error: formula nested too deeply", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -10,8 +10,11 @@ expanded at parse time:
     top, 1    0 -> 0
 
 | and <-> share subtrees, so a formula's tree can be exponentially larger
-than its DAG; every walk over a formula but the parser's runs on one
-iterative postorder that visits each node object once.
+than its DAG.  Nothing recurses on a formula's depth: the parser climbs
+precedence over explicit stacks, and every walk over a parsed formula runs
+on one iterative postorder that visits each node object once.  Precedence
+and associativity of the binary connectives are written once, in _BINARY,
+which the printer reads too.
 """
 
 from __future__ import annotations
@@ -125,102 +128,84 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, allow_meta: bool) -> None:
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.allow_meta = allow_meta
+# Token kind -> (precedence, right associative, builder), loosest first;
+# unary operators bind tighter than any of these.
+_BINARY = {
+    "iff": (1, True, iff),
+    "imp": (2, True, Implies),
+    "or": (3, False, disj),
+    "and": (4, False, And),
+}
+_UNARY = {"not": neg, "box": Box, "dia": Dia}
+_PREC_UNARY = 5
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _parse(text: str, allow_meta: bool) -> Formula:
+    """Precedence climbing over an operand stack and a pending-operator
+    stack, so the nesting depth is bounded by memory, not by recursion."""
+    tokens = iter(_tokenize(text))
+    operands: list[Formula] = []
+    pending: list[str] = []  # token kinds: "lpar", unary and binary operators
+    depth = 0  # "lpar" entries on pending, counted so that none is searched for
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2])
-        return tok
+    def reduce(threshold: int) -> None:
+        # Apply pending operators down to the innermost "(", stopping at a
+        # binary one whose precedence is below threshold.
+        while pending and pending[-1] != "lpar":
+            kind = pending[-1]
+            if kind in _UNARY:
+                operands.append(_UNARY[kind](operands.pop()))
+            elif _BINARY[kind][0] >= threshold:
+                right = operands.pop()
+                operands.append(_BINARY[kind][2](operands.pop(), right))
+            else:
+                return
+            pending.pop()
 
-    # Precedence, tightest first: unary, &, |, ->, <->.
-    def formula(self) -> Formula:
-        f = self.iff_level()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return f
-
-    def iff_level(self) -> Formula:
-        left = self.imp_level()
-        if self.peek()[0] == "iff":
-            self.advance()
-            return iff(left, self.iff_level())
-        return left
-
-    def imp_level(self) -> Formula:
-        left = self.or_level()
-        if self.peek()[0] == "imp":
-            self.advance()
-            return Implies(left, self.imp_level())
-        return left
-
-    def or_level(self) -> Formula:
-        f = self.and_level()
-        while self.peek()[0] == "or":
-            self.advance()
-            f = disj(f, self.and_level())
-        return f
-
-    def and_level(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "and":
-            self.advance()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "not":
-            self.advance()
-            return neg(self.unary())
-        if kind == "box":
-            self.advance()
-            return Box(self.unary())
-        if kind == "dia":
-            self.advance()
-            return Dia(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, text, pos = self.advance()
+    while True:
+        kind, word, pos = next(tokens)
+        if kind in _UNARY or kind == "lpar":
+            depth += kind == "lpar"
+            pending.append(kind)
+            continue
         if kind == "zero":
-            return BOT
-        if kind == "one":
-            return top()
-        if kind == "ident":
-            if text == "top":
-                return top()
-            if text[0].isupper() and not self.allow_meta:
-                raise ParseError(f"variable {text!r} must start lowercase", pos)
-            return Var(text)
-        if kind == "lpar":
-            f = self.iff_level()
-            self.expect("rpar", "')'")
-            return f
-        raise ParseError(f"expected a formula, found {text!r}" if text else "unexpected end of input", pos)
+            operands.append(BOT)
+        elif kind == "one" or word == "top":
+            operands.append(top())
+        elif kind == "ident":
+            if word[0].isupper() and not allow_meta:
+                raise ParseError(f"variable {word!r} must start lowercase", pos)
+            operands.append(Var(word))
+        else:
+            raise ParseError(f"expected a formula, found {word!r}" if word else "unexpected end of input", pos)
+        # An operand is complete: close parentheses until a binary operator.
+        for kind, word, pos in tokens:
+            if kind in _BINARY:
+                prec, right, _ = _BINARY[kind]
+                reduce(prec + right)
+                pending.append(kind)
+                break
+            if kind == "rpar" and depth:
+                reduce(0)
+                pending.pop()
+                depth -= 1
+            elif depth:
+                raise ParseError("expected ')'", pos)
+            elif kind == "end":
+                reduce(0)
+                return operands[0]
+            else:
+                raise ParseError(f"unexpected {word!r}", pos)
 
 
 def parse(text: str) -> Formula:
     """Parse the ASCII grammar into a primitive-connective AST."""
-    return _Parser(text, allow_meta=False).formula()
+    return _parse(text, allow_meta=False)
 
 
 def _parse_template(text: str) -> Formula:
     # Scheme templates may use uppercase metavariables.
-    return _Parser(text, allow_meta=True).formula()
+    return _parse(text, allow_meta=True)
 
 
 _TAGS = {Bot: "bot", Var: "var", And: "and", Implies: "imp", Box: "box", Dia: "dia"}
@@ -282,46 +267,31 @@ def compile_formulas(
     return ops, [node_index[id(r)] for r in roots], names
 
 
-_PREC_IMP = 1
-_PREC_AND = 2
-_PREC_UNARY = 3
-
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, Implies):
-        return _PREC_IMP
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, (Box, Dia)):
-        return _PREC_UNARY
-    return 4
+_SYMBOLS = {"and": " & ", "imp": " -> ", "box": "[]", "dia": "<>"}
 
 
 def render(f: Formula) -> str:
     """Print a formula using only primitive connectives; parse(render(f)) == f."""
-    texts: dict[int, str] = {}
+    printed: dict[int, tuple[int, str]] = {}  # id(node) -> (precedence, text)
 
     def wrap(g: Formula, minimum: int) -> str:
-        text = texts[id(g)]
-        return text if _prec(g) >= minimum else "(" + text + ")"
+        prec, text = printed[id(g)]
+        return text if prec >= minimum else "(" + text + ")"
 
     for g in _postorder([f]):
-        if isinstance(g, Bot):
-            text = "0"
-        elif isinstance(g, Var):
-            text = g.name
-        elif isinstance(g, Box):
-            text = "[]" + wrap(g.body, _PREC_UNARY)
-        elif isinstance(g, Dia):
-            text = "<>" + wrap(g.body, _PREC_UNARY)
-        elif isinstance(g, And):
-            # left associative: the right child needs parentheses when it is an And
-            text = wrap(g.left, _PREC_AND) + " & " + wrap(g.right, _PREC_AND + 1)
+        tag = _TAGS[type(g)]
+        if tag in _BINARY:
+            prec, right, _ = _BINARY[tag]
+            # the operand on the associative side may hold the same connective bare
+            text = wrap(g.left, prec + right) + _SYMBOLS[tag] + wrap(g.right, prec + (not right))
+        elif tag in _UNARY:
+            prec = _PREC_UNARY
+            text = _SYMBOLS[tag] + wrap(g.body, prec)
         else:
-            # right associative: the left child needs parentheses when it is an Implies
-            text = wrap(g.left, _PREC_IMP + 1) + " -> " + wrap(g.right, _PREC_IMP)
-        texts[id(g)] = text
-    return texts[id(f)]
+            prec = _PREC_UNARY + 1
+            text = g.name if tag == "var" else "0"
+        printed[id(g)] = (prec, text)
+    return printed[id(f)][1]
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:

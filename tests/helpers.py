@@ -23,14 +23,20 @@ from godelmodal import (
     Implies,
     MissingMetavariableError,
     OrderEmbedding,
+    ParseError,
     PiGFModel,
     PiGModel,
     RelationalModel,
     TruthSet,
     Var,
     complexity_ell,
+    disj,
+    iff,
+    neg,
+    top,
     variables,
 )
+from godelmodal.syntax import _tokenize
 
 # --------------------------------------------------------------------------
 # Random formulas
@@ -82,6 +88,100 @@ def random_formula_bounded(
 # --------------------------------------------------------------------------
 # Independent syntax oracles (plain recursion over the tree, no sharing)
 # --------------------------------------------------------------------------
+
+
+class _RecursiveParser:
+    def __init__(self, text: str, allow_meta: bool) -> None:
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.allow_meta = allow_meta
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}", tok[2])
+        return tok
+
+    # Precedence, tightest first: unary, &, |, ->, <->.
+    def formula(self) -> Formula:
+        f = self.iff_level()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        return f
+
+    def iff_level(self) -> Formula:
+        left = self.imp_level()
+        if self.peek()[0] == "iff":
+            self.advance()
+            return iff(left, self.iff_level())
+        return left
+
+    def imp_level(self) -> Formula:
+        left = self.or_level()
+        if self.peek()[0] == "imp":
+            self.advance()
+            return Implies(left, self.imp_level())
+        return left
+
+    def or_level(self) -> Formula:
+        f = self.and_level()
+        while self.peek()[0] == "or":
+            self.advance()
+            f = disj(f, self.and_level())
+        return f
+
+    def and_level(self) -> Formula:
+        f = self.unary()
+        while self.peek()[0] == "and":
+            self.advance()
+            f = And(f, self.unary())
+        return f
+
+    def unary(self) -> Formula:
+        kind, text, pos = self.peek()
+        if kind == "not":
+            self.advance()
+            return neg(self.unary())
+        if kind == "box":
+            self.advance()
+            return Box(self.unary())
+        if kind == "dia":
+            self.advance()
+            return Dia(self.unary())
+        return self.atom()
+
+    def atom(self) -> Formula:
+        kind, text, pos = self.advance()
+        if kind == "zero":
+            return BOT
+        if kind == "one":
+            return top()
+        if kind == "ident":
+            if text == "top":
+                return top()
+            if text[0].isupper() and not self.allow_meta:
+                raise ParseError(f"variable {text!r} must start lowercase", pos)
+            return Var(text)
+        if kind == "lpar":
+            f = self.iff_level()
+            self.expect("rpar", "')'")
+            return f
+        raise ParseError(f"expected a formula, found {text!r}" if text else "unexpected end of input", pos)
+
+
+def oracle_parse(text: str, allow_meta: bool) -> Formula:
+    """The recursive-descent parser the package used before its precedence
+    climber, one method per precedence level."""
+    return _RecursiveParser(text, allow_meta).formula()
 
 
 def oracle_subformulas(f: Formula) -> frozenset:

@@ -1,8 +1,13 @@
+import copy
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from godelmodal import RelationalModel, model_to_json, semantics
 from godelmodal.cli import run
@@ -328,10 +333,14 @@ def test_unknown_world_is_usage_error(capsys, m0_path):
     assert "zz" in err
 
 
-def test_missing_model_file_is_usage_error(capsys):
-    code, out, err = invoke(capsys, "eval", "--model", "/no/such/file.json", "p")
-    assert code == 3
-    assert err.startswith("error:")
+def test_missing_model_file_is_usage_error(capsys, tmp_path):
+    missing = str(tmp_path / "no-such-file.json")
+    code, out, err = invoke(capsys, "eval", "--model", missing, "p")
+    assert (code, out) == (3, "")
+    assert err == f"error: {missing}: No such file or directory\n"
+    code, out, err = invoke(capsys, "frame", "--model", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == f"error: {tmp_path}: Is a directory\n"
 
 
 def test_bad_json_model_is_usage_error(capsys, tmp_path):
@@ -361,12 +370,25 @@ def test_malformed_model_schema_is_usage_error(capsys, tmp_path, doc):
 
 
 @pytest.mark.parametrize(
-    "formula", ["(" * 300 + "p" + ")" * 300, "~" * 2000 + "p"], ids=["parentheses", "negations"]
+    "deep, shallow",
+    [("~" * 2000 + "p", "~~p"), ("(" * 300 + "p" + ")" * 300, "p")],
+    ids=["negations", "parentheses"],
 )
-def test_deeply_nested_formula_is_usage_error(capsys, formula):
-    code, out, err = invoke(capsys, "check", "--mode", "random", "--budget", "10", formula)
-    assert (code, out) == (3, "")
-    assert err == "error: formula nested too deeply\n"
+def test_deeply_nested_formula_runs_like_its_shallow_form(capsys, m0_path, deep, shallow):
+    for command in (
+        ("check", "--mode", "random", "--budget", "10"),
+        ("countermodel", "--budget", "50"),
+        ("eval", "--model", m0_path),
+    ):
+        code, out, err = invoke(capsys, *command, deep)
+        assert (code, out) == invoke(capsys, *command, shallow)[:2], command
+        assert "Traceback" not in err
+
+
+def test_deep_box_chain_is_decided_without_traceback(capsys):
+    code, out, err = invoke(capsys, "check", "--mode", "random", "--budget", "10", "[]" * 20_000 + "p")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_wide_disjunction_check_finishes(capsys):
@@ -408,3 +430,127 @@ def test_bad_logic_choice_is_usage_error(capsys):
 def test_no_command_is_usage_error(capsys):
     code, out, err = invoke(capsys)
     assert code == 3
+
+
+# -- fuzzing ---------------------------------------------------------------------------
+
+
+def shallow_formulas():
+    return st.recursive(
+        st.sampled_from(["p", "q", "0", "1", "top"]),
+        lambda kids: st.one_of(
+            st.builds(str.__add__, st.sampled_from(["~", "[]", "<>"]), kids),
+            kids.map(lambda f: "(" + f + ")"),
+            st.builds(
+                lambda f, op, g: f + op + g,
+                kids,
+                st.sampled_from([" & ", " | ", " -> ", " <-> "]),
+                kids,
+            ),
+        ),
+        max_leaves=6,
+    )
+
+
+def formula_texts():
+    depth = st.integers(0, 2000)
+    return st.one_of(
+        shallow_formulas(),
+        st.builds(lambda op, n, f: op * n + f, st.sampled_from(["~", "[]", "<>", "~[]"]), depth, shallow_formulas()),
+        st.builds(lambda n, f: "(" * n + f + ")" * n, depth, shallow_formulas()),
+    )
+
+
+def run_captured(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_well_behaved(directory, argv):
+    """Exit code in 0-3, no traceback, and every countermodel re-evaluates
+    through eval to its printed value, which is below 1."""
+    code, out, err = run_captured(*argv)
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err, argv
+    if code == 1:
+        doc = json.loads(out)
+        path = directory / "countermodel.json"
+        path.write_text(json.dumps(doc["model"]))
+        revalued = run_captured("eval", "--model", str(path), "--world", doc["world"], argv[-1])
+        assert revalued == (0, doc["value"] + "\n", ""), argv
+        assert Fraction(doc["value"]) < 1, argv
+
+
+@settings(max_examples=60)  # a deep formula proved valid under caps takes up to 1 s
+@given(
+    formula=formula_texts(),
+    command=st.sampled_from(["check", "countermodel"]),
+    logic=st.sampled_from(["k45", "kd45", "s5"]),
+    search=st.sampled_from(
+        [
+            ("--mode", "random", "--budget", "30"),
+            ("--mode", "exhaustive", "--max-worlds", "2", "--max-truth", "3"),
+            ("--mode", "hybrid", "--budget", "30", "--max-worlds", "1", "--max-truth", "3"),
+        ]
+    ),
+    seed=st.integers(0, 3),
+)
+def test_fuzz_search_commands(tmp_path_factory, formula, command, logic, search, seed):
+    argv = (command, "--logic", logic, *search, "--seed", str(seed), formula)
+    assert_well_behaved(tmp_path_factory.mktemp("fuzz"), argv)
+
+
+JUNK = st.one_of(
+    st.sampled_from(["0", "1", "1/2", "3/2", "-1/3", "1/0", "x", "", "a"]),
+    st.integers(-2, 2),
+    st.none(),
+    st.booleans(),
+    st.lists(st.just("1"), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "p"]), st.just("1"), max_size=1),
+)
+
+BASE_MODELS = [
+    M0_DOC,
+    {"worlds": ["a", "b"], "pi": {"a": "1", "b": "1/3"}, "valuation": {"a": {"p": "1/2"}, "b": {"q": "1"}}},
+    {"worlds": ["a", "b"], "R": {"a": {"b": "1"}, "b": {"a": "2/3"}}, "valuation": {"b": {"p": "1/3"}}},
+]
+
+
+@st.composite
+def model_texts(draw):
+    """A valid model file with one leaf replaced, one key dropped, or its
+    text cut short."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_MODELS)))
+    slots = []  # (container, key) for every entry under the root
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        for key in range(len(node)) if isinstance(node, list) else list(node):
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    container, key = draw(st.sampled_from(slots))
+    mutation = draw(st.sampled_from(["replace", "drop", "truncate", "none"]))
+    if mutation == "replace":
+        container[key] = draw(JUNK)
+    elif mutation == "drop":
+        del container[key]
+    text = json.dumps(doc)
+    if mutation == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@given(
+    text=model_texts(),
+    formula=formula_texts(),
+    world=st.sampled_from([(), ("--world", "a"), ("--world", "zz")]),
+)
+def test_fuzz_model_files(tmp_path_factory, text, formula, world):
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "model.json"
+    path.write_text(text)
+    assert_well_behaved(directory, ("eval", "--model", str(path), *world, formula))
+    assert_well_behaved(directory, ("frame", "--model", str(path)))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,7 +27,13 @@ from godelmodal import (
 )
 from godelmodal.syntax import _parse_template, compile_formulas
 
-from helpers import oracle_complexity_ell, oracle_instantiate, oracle_render, oracle_subformulas
+from helpers import (
+    oracle_complexity_ell,
+    oracle_instantiate,
+    oracle_parse,
+    oracle_render,
+    oracle_subformulas,
+)
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 
@@ -94,6 +102,60 @@ def test_parse_rejects_uppercase_variables():
 
 def test_parse_error_is_value_error():
     assert issubclass(ParseError, ValueError)
+
+
+_TOKENS = ("p", "q", "X", "top", "0", "1", "~", "[]", "<>", "&", "|", "->", "<->", "(", ")", "$")
+
+
+def random_token_text(rng):
+    # without spaces neighbours may fuse ("p" "q" into "pq", "<" ">" into "<>")
+    sep = rng.choice((" ", ""))
+    return sep.join(rng.choice(_TOKENS) for _ in range(rng.randint(0, 10)))
+
+
+def random_grammar_text(rng, depth=4):
+    """A formula of the full grammar, sometimes with one token inserted or
+    one character deleted."""
+
+    def gen(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return rng.choice(("p", "q", "X", "0", "1", "top"))
+        roll = rng.random()
+        if roll < 0.3:
+            return rng.choice(("~", "[]", "<>")) + gen(depth - 1)
+        if roll < 0.45:
+            return "(" + gen(depth - 1) + ")"
+        return gen(depth - 1) + rng.choice((" & ", " | ", " -> ", " <-> ")) + gen(depth - 1)
+
+    text = gen(depth)
+    i = rng.randint(0, len(text))
+    roll = rng.random()
+    if roll < 0.25:
+        return text[:i] + rng.choice(_TOKENS) + text[i:]
+    if roll < 0.5:
+        return text[:i] + text[i + 1 :]
+    return text
+
+
+def assert_parses_like_oracle(text):
+    for allow_meta, ours in ((False, parse), (True, _parse_template)):
+        try:
+            expected = oracle_parse(text, allow_meta)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                ours(text)
+            assert (str(got.value), got.value.position) == (str(exc), exc.position), text
+        else:
+            assert ours(text) == expected, text
+
+
+def test_parser_matches_recursive_oracle():
+    rng = random.Random(7)
+    for text in ["", " ", "(", ")", "()", "$", "p)", "(p", "((p)", "p q", "~", "p ->", "p & & q"]:
+        assert_parses_like_oracle(text)
+    for _ in range(2500):
+        assert_parses_like_oracle(random_token_text(rng))
+        assert_parses_like_oracle(random_grammar_text(rng))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -168,6 +230,9 @@ def test_deep_formula_traversals_do_not_recurse():
     ops, roots, names = compile_formulas([f])
     assert (len(ops), roots, names) == (5001, [5000], ("p",))
     assert render(f) == "[]" * 5000 + "p"
+    assert compile_formulas([parse(render(f))]) == (ops, roots, names)
+    negations = parse("~" * 5000 + "(" * 5000 + "p" + ")" * 5000)
+    assert len(compile_formulas([negations])[0]) == 5002
     # == on the result would recurse through the dataclass __eq__
     assert render(instantiate(template, {"X": P})) == render(f)
 
