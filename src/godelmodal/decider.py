@@ -1,10 +1,18 @@
-"""Validity checking by bounded countermodel search.
+"""Validity checking by countermodel search.
 
-A formula is valid over the rounded possibilistic semantics exactly when no
-model with |W| + |T| below a bound derived from the formula's subformula
-count refutes it.  Only the relative order of the finitely many values in a
-model matters to evaluation, so the search enumerates one representative per
-order type, realized on the evenly spaced rational grid.
+Exhaustive mode decides validity by world types.  Box and diamond values
+do not depend on the world, and rounding into a finite truth set gives the
+finite model property, so once each modal subformula is given a constant,
+every world is checked on its own row (pi, e(p1), ...).  A depth-first
+search over the constants' order type, with a set cover of the rows that
+meet its conditions, finds the smallest countermodel size or proves there
+is none; it is the quasimodel method of Caicedo, Metcalfe, Rodriguez and
+Rogger (Decidability of order-based modal logics, JCSS 2017) for
+world-independent modal values.  A refutation then comes from a sweep of
+that one size: the canonical models, one per order type and realized on
+an evenly spaced rational grid, in a fixed order, so it is the first
+countermodel a sweep of all sizes up to the bound 2(l + 2) would meet.
+Random mode samples models instead, and hybrid tries random first.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
 
 from .algebra import ONE, ZERO, TruthSet, format_rational
@@ -23,6 +31,7 @@ from .semantics import (
     UnknownWorldError,
     eval_pigf,
     evaluate_compiled,
+    modal_terms,
     model_to_json,
 )
 from .syntax import Formula, LogicId, compile_formulas, complexity_ell
@@ -115,18 +124,24 @@ def _materialize(
     return PiGFModel(PiGModel(worlds, pi, valuation), truth)
 
 
-# The sweep also identifies models that only differ by a renaming of worlds:
-# rows are generated in nondecreasing order.  Renaming is a model isomorphism,
-# so coverage of order types up to the bound is kept; it cuts the sweep by a
-# factor of up to n! per size.
-
-
 def _sorted_row_models(
     alphabet: Sequence[tuple[int, ...]],
     masks: Sequence[int],
     n_rows: int,
     need: int,
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every strictly increasing n_rows-tuple of alphabet rows whose masks
+    together cover need, in lexicographic order of alphabet positions.
+
+    Increasing rows identify models that only differ by a renaming of
+    worlds, a model isomorphism; that cuts a size by a factor of up to n!.
+    Strictly increasing rows also drop models with a duplicated world.  Min
+    and max are idempotent, so a duplicate never changes a value: a model
+    with a duplicated row refutes only if the model without the copy does,
+    and that model lies in the earlier size (|W| - 1, |T|).  A duplicate
+    can therefore never be the first hit of a sweep that visits sizes in
+    _size_order, and dropping them changes no refutation it reports.
+    """
     size = len(alphabet)
     suffix = [0] * (size + 1)
     for i in range(size - 1, -1, -1):
@@ -142,7 +157,7 @@ def _sorted_row_models(
             if need & ~(acc | suffix[i]):
                 break
             chosen[depth] = alphabet[i]
-            yield from rec(i, depth + 1, acc | masks[i])
+            yield from rec(i + 1, depth + 1, acc | masks[i])
 
     yield from rec(0, 0, 0)
 
@@ -202,6 +217,8 @@ def _first_refutation(
 
 
 def _size_order(bound: int, cfg: SearchConfig) -> list[tuple[int, int]]:
+    """Every size (|W|, |T|) within the bound and the caps, in the order a
+    whole-bound sweep visits them."""
     sizes = []
     for n in range(1, bound - 1):
         if cfg.max_worlds is not None and n > cfg.max_worlds:
@@ -214,28 +231,261 @@ def _size_order(bound: int, cfg: SearchConfig) -> list[tuple[int, int]]:
     return sizes
 
 
+# ---------------------------------------------------------------------------
+# world types
+#
+# Box and diamond values do not depend on the world.  Once each modal op is
+# given a constant, every world is evaluated on its own row (pi, e(p1), ...),
+# and a countermodel is a set of single-world rows that meets the modal
+# constants' conditions.  Rows are coded against K interior truth levels
+# 0 < c1 < ... < cK < 1.  With width = 1 + #variables and step = width + 1,
+# level j is code j * step, and a value strictly between levels j and j + 1
+# is code j * step + 1 + r, r its rank among the row's values in that gap.
+# Values of different worlds are only ever compared through a modal value,
+# which is a level, so one row per order type against the levels is enough.
+
+_REFUTED = 1  # requirement bits: some world refutes the formula,
+_NORMAL = 2  # some world has pi = 1 (KD45), and bit 2 + d for modal op d
+
+
+def _weak_orders(n: int) -> list[tuple[int, ...]]:
+    """Every weak order of n items, as onto tuples of block ranks."""
+    orders: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        longer = []
+        for ranks in orders:
+            r = len(set(ranks))
+            longer += [(*ranks, k) for k in range(r)]  # ties with block k
+            longer += [(*(x + (x >= k) for x in ranks), k) for k in range(r + 1)]  # new block k
+        orders = longer
+    return orders
+
+
+def _world_rows(k_levels: int, width: int, logic: LogicId) -> list[list[int]]:
+    """One row per order type of a world's width values against k_levels
+    interior levels, as columns (pi, then one per variable); under S5 pi is
+    fixed at 1.
+
+    A row is a weak order of its values whose blocks, in increasing order,
+    sit in slots: slot 2j is level j, which holds at most one block, and
+    slot 2j + 1 the gap above it, where blocks take consecutive codes.
+    """
+    step = width + 1
+    fixed = [(k_levels + 1) * step] if logic is LogicId.S5 else []
+    free = width - len(fixed)
+    # per block count, the weak orders with that many blocks, one column each
+    by_blocks: dict[int, list[tuple[int, ...]]] = {}
+    for ranks in _weak_orders(free):
+        by_blocks.setdefault(len(set(ranks)), []).append(ranks)
+    columns: list[list[int]] = [[] for _ in range(width)]
+    for blocks, orders in by_blocks.items():
+        picks = list(zip(*orders))
+        for slots in combinations_with_replacement(range(2 * k_levels + 3), blocks):
+            codes: list[int] = []
+            for i, s in enumerate(slots):
+                shared = i > 0 and slots[i - 1] == s
+                if shared and s % 2 == 0:
+                    break  # two blocks on one level
+                codes.append(codes[-1] + 1 if shared else s // 2 * step + s % 2)
+            else:
+                columns[0].extend(fixed * len(orders))
+                for column, pick in zip(columns[len(fixed):], picks):
+                    column.extend(map(codes.__getitem__, pick))
+    return columns
+
+
+def _segments(ops: list[tuple], root: int) -> tuple[list[tuple], list[tuple], int]:
+    """Cut the op list at its modal ops into programs for evaluate_compiled.
+
+    Returns the ops before the first modal op; for each modal op its tag,
+    the position of its body among the values known before it, the
+    positions of the known values still read after it, and the program that
+    extends those values and the op's constant up to the next modal op; and
+    the position of the root among the values known at the end.  Carrying
+    only values still read keeps each search state small on deep formulas.
+    """
+    modal = [i for i, op in enumerate(ops) if op[0] in ("box", "dia")]
+    last_read = [-1] * len(ops)
+    for i, op in enumerate(ops):
+        if op[0] not in ("var", "bot"):
+            for a in op[1:]:
+                last_read[a] = i
+    last_read[root] = len(ops)
+    known = list(range(modal[0] if modal else len(ops)))
+    head = ops[: len(known)]
+    programs = []
+    for d, i in enumerate(modal):
+        body = known.index(ops[i][1])
+        carried = [k for k, g in enumerate(known) if last_read[g] > i]
+        end = modal[d + 1] if d + 1 < len(modal) else len(ops)
+        known = [known[k] for k in carried] + list(range(i, end))
+        where = {g: k for k, g in enumerate(known)}
+        program = [None] * (len(carried) + 1) + [
+            op if op[0] in ("var", "bot") else (op[0], *(where[a] for a in op[1:]))
+            for op in ops[i + 1 : end]
+        ]
+        programs.append((ops[i][0], body, carried, program))
+    return head, programs, known.index(root)
+
+
+def _cover_size(masks: set[int], need: int, limit: int) -> int | None:
+    """The fewest masks whose union holds need, if that is at most limit."""
+    masks = {x & need for x in masks}
+    reach = {0}
+    for size in range(limit + 1):
+        if need in reach:
+            return size
+        grown = {r | x for r in reach for x in masks}
+        if grown == reach:
+            return None
+        reach = grown
+    return None
+
+
+def _world_types(
+    ops: list[tuple], root: int, n_vars: int, logic: LogicId, k_levels: int, limit: int
+) -> tuple[int | None, int]:
+    """The fewest worlds, if at most limit, of a countermodel whose truth
+    set has exactly k_levels interior members, all of them modal values; and
+    the number of complete order types examined.
+
+    A depth-first search gives the modal ops, in postorder, levels 0..K+1,
+    using every interior level.  Level c of a box asks every world for
+    pi -> b >= c (universal) and, if c < 1, some world for pi -> b below
+    the next level (existential); a diamond asks for min(pi, b) <= c and,
+    if c > 0, for some world above the previous level.  Worlds failing a
+    universal condition are dropped.  A prefix survives while at most limit
+    of the remaining rows together meet every existential requirement so
+    far, plus pi = 1 under KD45; the rows only shrink down the search, so
+    this pruning is sound, and every surviving prefix is the true value
+    vector of a model of at most limit worlds.  A complete order type needs one
+    more requirement: some world whose value of the formula is below 1.
+    """
+    width = 1 + n_vars
+    step = width + 1
+    top = (k_levels + 1) * step
+    pi, *columns = _world_rows(k_levels, width, logic)
+    head, programs, root_at = _segments(ops, root)
+    vals = evaluate_compiled(head, columns, [pi], 0, top)
+    need = _NORMAL if logic is LogicId.KD45 else 0
+    masks = [need if p == top else 0 for p in pi]
+
+    def settle(vals: list[list[int]], masks: list[int], need: int) -> int | None:
+        # a complete order type also needs a world that refutes the formula
+        masks = [x | _REFUTED if v < top else x for x, v in zip(masks, vals[root_at])]
+        return _cover_size(set(masks), need | _REFUTED, limit)
+
+    if not programs:
+        return settle(vals, masks, need), 1
+    best, examined = None, 0
+    stack = [(0, vals, columns, pi, masks, need, 0)]
+    while stack:
+        d, vals, columns, pi, masks, need, used = stack.pop()
+        if _cover_size(set(masks), need, limit) is None:
+            continue  # limit fell since this prefix was stacked
+        tag, body, carried, program = programs[d]
+        complete = d + 1 == len(programs)
+        # A box at level j keeps the worlds whose term lies at or above
+        # level j, and those below level j + 1 witness it.  Negated terms
+        # turn a diamond into the same test.  Levels are visited so that
+        # the kept worlds only grow.
+        sign = 1 if tag == "box" else -1
+        groups: dict[int, list[int]] = {}
+        for r, t in enumerate(modal_terms(tag, pi, vals[body], top)):
+            groups.setdefault(sign * t // step, []).append(r)
+        bit = 4 << d
+        keep: list[int] = []
+        plain: list[int] = []  # the masks of the worlds kept so far
+        children = []
+        for j in range(k_levels + 1, -1, -1) if tag == "box" else range(k_levels + 2):
+            group = groups.get(sign * j, [])
+            marks = plain + [masks[r] | bit for r in group]
+            keep = keep + group
+            plain = plain + [masks[r] for r in group]
+            grown = used | (1 << j) if 0 < j <= k_levels else used
+            if k_levels - grown.bit_count() > len(programs) - d - 1:
+                continue  # too few ops left to use every interior level
+            asked = j <= k_levels if tag == "box" else j > 0
+            marked = need | bit if asked else need
+            # prune before building the values, unless they are needed to
+            # tell which worlds refute
+            if not keep or (not complete and _cover_size(set(marks), marked, limit) is None):
+                continue
+            child_pi = [pi[r] for r in keep]
+            child_columns = [[col[r] for r in keep] for col in columns]
+            child = [[vals[k][r] for r in keep] for k in carried]
+            child.append([j * step] * len(keep))
+            evaluate_compiled(program, child_columns, [child_pi], 0, top, vals=child)
+            if not complete:
+                children.append((d + 1, child, child_columns, child_pi, marks, marked, grown))
+                continue
+            examined += 1
+            size = settle(child, marks, marked)
+            if size is not None:
+                best, limit = size, size - 1
+                if not limit:
+                    return best, examined
+        # explore level 0 first
+        stack.extend(children if tag == "box" else reversed(children))
+    return best, examined
+
+
 def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
+    """Decide f exactly within the caps by world types, then sweep the one
+    size (|W|, |T|) that holds a whole-bound sweep's first countermodel.
+
+    Let m be the number of modal ops.  Filtration caps: any rounded
+    countermodel shrinks to one with |W| <= m + 1 (m + 2 under KD45) and
+    |T| <= m + 2 whose interior truth values are all modal values.  Coarsen
+    T to {0, 1} and the modal values: each modal value already lies in the
+    coarser set, so no rounding and no value changes.  Then keep the
+    refuting world, one world per box below 1 whose term stays below the
+    next truth value, one per diamond above 0 whose term stays above the
+    previous one, and under KD45 one world with pi = 1; the witnesses keep
+    every modal value, so every value at a kept world stays.  Neither step
+    grows |W| or |T|, so the countermodel of the first size that a sweep
+    in _size_order order would reach is of this kind, and world types with
+    K <= m interior levels and at most m + 1 (m + 2) rows find that size.
+    Valid reports the whole bound 2(l + 2) and the number of complete
+    order types examined.
+    """
     bound = bound_for(f)
     ops, (root,), names = compile_formulas([f])
-    checked = 0
-    for n_worlds, n_truth in _size_order(bound, cfg):
-        for rows, t_ranks, t_codes, top_code, k_grid in _sweep_size(
-            n_worlds, n_truth, names, logic
-        ):
-            checked += 1
-            hit = _first_refutation(ops, root, rows, t_codes, top_code)
-            if hit is not None:
-                idx, code = hit
-                model = _materialize(names, rows, t_ranks, top_code, k_grid)
-                world = model.worlds[idx]
-                value = eval_pigf(model, world, f)
-                # the integer evaluation must mirror the exact one
-                if value != _decode(code, top_code, k_grid) or value >= ONE:
-                    raise RuntimeError(
-                        f"integer sweep and exact evaluation disagree on {model!r}"
-                    )
-                return Refuted(model, world, value)
-    return Valid(bound, checked)
+    m = sum(op[0] in ("box", "dia") for op in ops)
+    worlds = m + 2 if logic is LogicId.KD45 else m + 1
+    if cfg.max_worlds is not None:
+        worlds = min(worlds, cfg.max_worlds)
+    top_k = m if cfg.max_truth is None else min(m, cfg.max_truth - 2)
+    best = None
+    examined = 0
+    for k in range(top_k + 1):
+        limit = worlds
+        if best is not None:
+            # the size (n, k + 2) must sort before best: n + k + 2 < sum of
+            # best, or equal sums and n below best's worlds
+            limit = min(limit, best[0] + best[1] - k - 2)
+        if limit < 1:
+            break
+        n_worlds, seen = _world_types(ops, root, len(names), logic, k, limit)
+        examined += seen
+        if n_worlds is not None:
+            best = (n_worlds, k + 2)
+    if best is None:
+        return Valid(bound, examined)
+    for rows, t_ranks, t_codes, top_code, k_grid in _sweep_size(*best, names, logic):
+        hit = _first_refutation(ops, root, rows, t_codes, top_code)
+        if hit is not None:
+            idx, code = hit
+            model = _materialize(names, rows, t_ranks, top_code, k_grid)
+            world = model.worlds[idx]
+            value = eval_pigf(model, world, f)
+            # the integer evaluation must mirror the exact one
+            if value != _decode(code, top_code, k_grid) or value >= ONE:
+                raise RuntimeError(
+                    f"integer sweep and exact evaluation disagree on {model!r}"
+                )
+            return Refuted(model, world, value)
+    raise RuntimeError(f"world types found a countermodel of size {best}, the sweep none")
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +568,12 @@ def random_search(
 def decide(f: Formula, logic: LogicId, cfg: SearchConfig = SearchConfig()) -> Verdict:
     """Search for a countermodel of f over models of the given logic.
 
-    exhaustive: sweep every canonical model with |W| + |T| within the bound,
-    smallest sizes first; the first refutation in the fixed enumeration order
-    wins, and a Valid verdict certifies the whole bounded space (subject to
-    any max_worlds/max_truth caps).  random: sample cfg.budget models and
-    report Unknown when none refutes.  hybrid: random first, then exhaustive.
+    exhaustive: decide by world types whether some model within the
+    max_worlds/max_truth caps refutes f; a Valid verdict certifies the whole
+    bounded space, and a refutation is the first one a sweep of canonical
+    models, smallest sizes first, would meet.  random: sample cfg.budget
+    models and report Unknown when none refutes.  hybrid: random first,
+    then exhaustive.
     """
     _check_config(cfg)
     if cfg.mode in ("random", "hybrid"):

@@ -16,6 +16,8 @@ possibilistic semantics box and diamond values do not depend on the world,
 so a possibilistic model is one shared accessibility row (pi) plus
 per-world variable columns; a relational model has one row per world.  The
 same evaluator runs on integer codes of the values in the decider's searches.
+modal_terms gives each world's term of a box or diamond value, from which
+filtrate and the decider pick witness worlds.
 
 frame_report reads a possibilistic model's frame properties off pi in
 closed form, and checks a relational model's on the rank codes of its
@@ -35,7 +37,6 @@ from .algebra import (
     ZERO,
     TruthSet,
     format_rational,
-    godel_implies,
     parse_rational,
     OrderEmbedding,
     apply_embedding,
@@ -156,6 +157,17 @@ def _check_world(worlds: tuple[str, ...], world: str) -> None:
         raise UnknownWorldError(f"unknown world {world!r}")
 
 
+def modal_terms(tag: str, row: Sequence, body: Sequence, top) -> list:
+    """Each world's term of a modal value along one accessibility row:
+    row(w) -> body(w) for a box, min(row(w), body(w)) for a diamond.  The
+    box value is the least term and the diamond value the greatest, so a
+    world whose term is below (above) a bound witnesses that the box
+    (diamond) value is below (above) it."""
+    if tag == "box":
+        return [top if p <= x else x for p, x in zip(row, body)]
+    return [p if p < x else x for p, x in zip(row, body)]
+
+
 def evaluate_compiled(
     ops: list[tuple],
     columns: Sequence[Sequence],
@@ -163,6 +175,7 @@ def evaluate_compiled(
     zero,
     top,
     truth: Sequence | None = None,
+    vals: list[list] | None = None,
 ) -> list[list]:
     """Values of every compiled op at every world, in world order.
 
@@ -171,12 +184,18 @@ def evaluate_compiled(
     of variable names[i] at each world.  rows holds accessibility rows: one
     row (pi) shared by every world for a possibilistic model, or one row
     R(w, .) per world for a relational one.  With a sorted truth set, box
-    values are rounded down into it and diamond values up.  A modal value
-    is computed once per row; a shared row's value is broadcast.
+    values are rounded down into it and diamond values up.  A modal value,
+    the least or greatest of a row's modal_terms, is computed once per row;
+    a shared row's value is broadcast.
+
+    Given vals, the values of ops[:len(vals)], evaluation resumes after
+    them and extends that list; entries that no later op reads may stand
+    for anything.
     """
     n = len(rows[0])
-    vals: list[list] = []
-    for op in ops:
+    if vals is None:
+        vals = []
+    for op in ops[len(vals):]:
         tag = op[0]
         if tag == "imp":
             out = [top if x <= y else y for x, y in zip(vals[op[1]], vals[op[2]])]
@@ -189,6 +208,8 @@ def evaluate_compiled(
         else:
             body = vals[op[1]]
             out = []
+            # the least (greatest) of the row's modal_terms, found in one
+            # pass without building them, which is cheaper on small models
             if tag == "box":
                 for row in rows:
                     c = top
@@ -365,26 +386,18 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
     ]
     truth_set = TruthSet({v for _, v, _ in modal} | {ZERO, ONE})
     alphas = truth_set.values
+    row = [model.pi[w] for w in model.worlds]
     kept = {x}
     for tag, v, body in modal:
         i = alphas.index(v)
+        terms = modal_terms(tag, row, body, ONE)
         if tag == "box" and v < ONE:
-            ceiling = alphas[i + 1]
-            witness = next(
-                w
-                for w, b in zip(model.worlds, body)
-                if godel_implies(model.pi[w], b) < ceiling
-            )
+            witness = next(j for j, t in enumerate(terms) if t < alphas[i + 1])
         elif tag == "dia" and v > ZERO:
-            floor = alphas[i - 1]
-            witness = next(
-                w
-                for w, b in zip(model.worlds, body)
-                if min(model.pi[w], b) > floor
-            )
+            witness = next(j for j, t in enumerate(terms) if t > alphas[i - 1])
         else:
             continue
-        kept.add(witness)
+        kept.add(model.worlds[witness])
     small_worlds = tuple(w for w in model.worlds if w in kept)
     pi = {w: model.pi[w] for w in small_worlds}
     valuation = {w: dict(model.valuation.get(w, {})) for w in small_worlds}

@@ -11,10 +11,11 @@ expanded at parse time:
 
 | and <-> share subtrees, so a formula's tree can be exponentially larger
 than its DAG.  Nothing recurses on a formula's depth: the parser climbs
-precedence over explicit stacks, and every walk over a parsed formula runs
-on one iterative postorder that visits each node object once.  Precedence
-and associativity of the binary connectives are written once, in _BINARY,
-which the printer reads too.
+precedence over explicit stacks, every walk over a parsed formula runs on
+one iterative postorder that visits each node object once, and the printer,
+whose text spells out shared subtrees, emits it from one explicit stack.
+Precedence and associativity of the binary connectives are written once,
+in _BINARY, which the printer reads too.
 """
 
 from __future__ import annotations
@@ -271,27 +272,43 @@ _SYMBOLS = {"and": " & ", "imp": " -> ", "box": "[]", "dia": "<>"}
 
 
 def render(f: Formula) -> str:
-    """Print a formula using only primitive connectives; parse(render(f)) == f."""
-    printed: dict[int, tuple[int, str]] = {}  # id(node) -> (precedence, text)
+    """Print a formula using only primitive connectives; parse(render(f)) == f.
 
-    def wrap(g: Formula, minimum: int) -> str:
-        prec, text = printed[id(g)]
-        return text if prec >= minimum else "(" + text + ")"
+    One pass over an explicit stack of pending nodes and text pieces, so
+    memory is linear in the output even for deep formulas."""
 
-    for g in _postorder([f]):
+    def precedence(g: Formula) -> int:
+        tag = _TAGS[type(g)]
+        if tag in _BINARY:
+            return _BINARY[tag][0]
+        return _PREC_UNARY if tag in _UNARY else _PREC_UNARY + 1
+
+    def push(g: Formula, minimum: int) -> None:
+        if precedence(g) >= minimum:
+            stack.append(g)
+        else:
+            stack.extend((")", g, "("))
+
+    out: list[str] = []
+    stack: list[Formula | str] = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            out.append(g)
+            continue
         tag = _TAGS[type(g)]
         if tag in _BINARY:
             prec, right, _ = _BINARY[tag]
             # the operand on the associative side may hold the same connective bare
-            text = wrap(g.left, prec + right) + _SYMBOLS[tag] + wrap(g.right, prec + (not right))
+            push(g.right, prec + (not right))
+            stack.append(_SYMBOLS[tag])
+            push(g.left, prec + right)
         elif tag in _UNARY:
-            prec = _PREC_UNARY
-            text = _SYMBOLS[tag] + wrap(g.body, prec)
+            out.append(_SYMBOLS[tag])
+            push(g.body, _PREC_UNARY)
         else:
-            prec = _PREC_UNARY + 1
-            text = g.name if tag == "var" else "0"
-        printed[id(g)] = (prec, text)
-    return printed[id(f)][1]
+            out.append(g.name if tag == "var" else "0")
+    return "".join(out)
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:

@@ -1,8 +1,9 @@
 """Shared test utilities: random generators and independent oracles.
 
-Everything here is deliberately written from first principles (plain
-recursion, no reuse of the library's evaluator internals) so that tests
-compare the package against genuinely independent reference behaviour.
+Everything here except oracle_exhaustive is deliberately written from
+first principles (plain recursion, no reuse of the library's evaluator
+internals) so that tests compare the package against genuinely
+independent reference behaviour.
 """
 
 from __future__ import annotations
@@ -36,7 +37,18 @@ from godelmodal import (
     top,
     variables,
 )
-from godelmodal.syntax import _tokenize
+from godelmodal.decider import (
+    Refuted,
+    Valid,
+    _decode,
+    _first_refutation,
+    _materialize,
+    _size_order,
+    _sweep_size,
+    bound_for,
+)
+from godelmodal.semantics import eval_pigf
+from godelmodal.syntax import _tokenize, compile_formulas
 
 # --------------------------------------------------------------------------
 # Random formulas
@@ -453,3 +465,35 @@ def oracle_frame_report(model: RelationalModel) -> FrameReport:
         euclidean_witnesses=tuple(eucl),
         seriality_witnesses=tuple(serial),
     )
+
+
+# --------------------------------------------------------------------------
+# Whole-bound sweep oracle for exhaustive mode
+# --------------------------------------------------------------------------
+
+
+def oracle_exhaustive(f: Formula, logic, cfg):
+    """Exhaustive mode as a sweep of every canonical model of every size
+    within the bound and the caps, smallest sizes first: the first model
+    with a refuting world wins, and Valid counts the models swept.  The
+    world-type decider must agree with it on every verdict, and match its
+    refutations byte for byte.  Unlike the oracles above, this one reuses
+    the package's enumerator and integer evaluation, since what it checks
+    is the world types against the sweep itself."""
+    bound = bound_for(f)
+    ops, (root,), names = compile_formulas([f])
+    checked = 0
+    for n_worlds, n_truth in _size_order(bound, cfg):
+        for rows, t_ranks, t_codes, top_code, k_grid in _sweep_size(
+            n_worlds, n_truth, names, logic
+        ):
+            checked += 1
+            hit = _first_refutation(ops, root, rows, t_codes, top_code)
+            if hit is not None:
+                idx, code = hit
+                model = _materialize(names, rows, t_ranks, top_code, k_grid)
+                world = model.worlds[idx]
+                value = eval_pigf(model, world, f)
+                assert value == _decode(code, top_code, k_grid) < ONE
+                return Refuted(model, world, value)
+    return Valid(bound, checked)

@@ -29,6 +29,7 @@ from godelmodal import (
     Unknown,
     Valid,
     apply_embedding,
+    bound_for,
     corpus,
     decide,
     embed_pig,
@@ -246,3 +247,13 @@ def test_criterion_11_grid_enumeration_catches_every_refutation():
             )
             assert isinstance(verdict, Refuted), f"missed a refutation of {f}"
             assert eval_pigf(verdict.countermodel, verdict.world, f) == verdict.value < ONE
+
+
+def test_criterion_12_uncapped_exhaustive_certifies_corpus():
+    with criterion(12, 60.0, "uncapped exhaustive mode certifies every named scheme of the three logics"):
+        schemes = [(logic, name, f) for logic in LogicId for name, f in corpus(logic)]
+        assert len(schemes) == 70
+        for logic, name, f in schemes:
+            verdict = decide(f, logic, SearchConfig(mode="exhaustive"))
+            assert isinstance(verdict, Valid), f"{logic.value} scheme {name}: {verdict}"
+            assert verdict.bound_used == bound_for(f)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from godelmodal import (
 )
 from godelmodal import decider
 from godelmodal.decider import _materialize, _size_order, _sweep_size
-from helpers import random_formula_bounded, random_pigf
+from helpers import oracle_exhaustive, random_formula_bounded, random_pigf
 
 DNEG = parse("[]~~p -> ~~[]p")
 
@@ -76,17 +77,18 @@ def test_enumerate_smallest_space():
 
 
 def test_enumerate_two_world_regression():
-    # The sweep lists one model per order type up to renaming of worlds:
-    # 7 world-sorted models, which expand to the 11 order types of two
-    # worlds, two values each, no variables.
+    # The sweep lists one model per order type up to renaming of worlds,
+    # with no duplicated world: 4 world-sorted models, which expand to the 8
+    # order types of two distinct worlds, two values each, no variables.
     models = sweep_models(2, 2, (), LogicId.K45)
-    assert len(models) == 7
-    assert len({repr(model_to_json(m)) for m in models}) == 7  # pairwise distinct
+    assert len(models) == 4
+    assert len({repr(model_to_json(m)) for m in models}) == 4  # pairwise distinct
     order_types = set()
     for m in models:
         a, b = (m.pi[w] for w in m.worlds)
+        assert a != b
         order_types |= {(a, b), (b, a)}
-    assert len(order_types) == 11
+    assert len(order_types) == 8
 
 
 def test_enumerate_respects_dimensions_grid_and_logic():
@@ -148,7 +150,7 @@ def test_decide_axiom_d_separation():
     kd45 = decide(dtop, LogicId.KD45, SearchConfig(mode="exhaustive"))
     assert isinstance(kd45, Valid)
     assert kd45.bound_used == 10
-    assert kd45.models_checked == 4916  # deterministic sweep size
+    assert kd45.models_checked == 3  # complete order types examined
 
 
 def test_decide_valid_small_formula_with_caps():
@@ -160,6 +162,62 @@ def test_decide_valid_small_formula_with_caps():
     assert isinstance(verdict, Valid)
     assert verdict.bound_used == 10
     assert verdict.models_checked > 0
+
+
+def test_modal_free_formula_examines_one_order_type():
+    for logic in LogicId:
+        verdict = decide(parse("p & q -> p"), logic, SearchConfig(mode="exhaustive"))
+        assert verdict == Valid(bound_for(parse("p & q -> p")), 1)
+
+
+def test_world_types_match_the_whole_bound_sweep():
+    # The world-type decision against the sweep of every canonical model
+    # within the bound and the caps: the same verdict kind, and a refutation
+    # identical byte for byte.  The oracle's sweep of a valid formula grows
+    # with its grid of |W| * (1 + #variables) + |T| points, so caps of more
+    # than one world keep that grid at most 8.
+    rng = random.Random(8)
+    kinds = {"valid": 0, "refuted": 0}
+    for _ in range(600):
+        f = random_formula_bounded(rng, ("p", "q", "r"), max_ell=8)
+        logic = rng.choice(list(LogicId))
+        while True:
+            most_worlds, most_truth = rng.choice([(3, 2), (2, 4), (1, 5)])
+            worlds, truth = rng.randint(1, most_worlds), rng.randint(2, most_truth)
+            if worlds == 1 or worlds * (1 + len(variables(f))) + truth <= 8:
+                break
+        cfg = SearchConfig(mode="exhaustive", max_worlds=worlds, max_truth=truth)
+        got, want = decide(f, logic, cfg), oracle_exhaustive(f, logic, cfg)
+        assert type(got) is type(want), (f, logic, cfg)
+        doc = verdict_to_json(got)
+        if isinstance(got, Refuted):
+            assert json.dumps(doc) == json.dumps(verdict_to_json(want)), (f, logic, cfg)
+        else:
+            assert doc["bound"] == verdict_to_json(want)["bound"] and doc["models_checked"] >= 1
+        kinds[doc["verdict"]] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+@pytest.mark.parametrize(
+    "text", ["[]" * 2000 + "(p -> q)", "~[]" * 1000 + "(p -> q)"], ids=["boxes", "negated-boxes"]
+)
+def test_deep_chains_decide_without_recursion(text):
+    # p = 1, q = 0 at a world with pi = 1 makes every box of p -> q 0: both
+    # chains are refuted in every logic, in one world and two truth values
+    f = parse(text)
+    for logic in LogicId:
+        verdict = decide(f, logic, SearchConfig(mode="exhaustive", max_worlds=2, max_truth=3))
+        assert isinstance(verdict, Refuted), logic
+        assert len(verdict.countermodel.worlds) == 1
+        assert len(verdict.countermodel.truth_set) == 2
+        assert eval_pigf(verdict.countermodel, verdict.world, f) == verdict.value < ONE
+
+
+def test_world_types_without_a_swept_countermodel_raise(monkeypatch):
+    # a size the world types claim but the sweep cannot fill is a bug
+    monkeypatch.setattr(decider, "_sweep_size", lambda *args: iter(()))
+    with pytest.raises(RuntimeError):
+        decide(DNEG, LogicId.K45, SearchConfig(mode="exhaustive"))
 
 
 def test_exhaustive_cross_check_raises_on_disagreement(monkeypatch):

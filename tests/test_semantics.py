@@ -33,6 +33,8 @@ from godelmodal import (
     transport,
     variables,
 )
+from godelmodal.semantics import evaluate_compiled, modal_terms
+from godelmodal.syntax import compile_formulas
 from helpers import (
     oracle_eval,
     oracle_frame_report,
@@ -222,6 +224,29 @@ def test_evaluators_agree_with_independent_oracle():
 
 
 # -- frame properties -------------------------------------------------------------
+
+
+def test_modal_values_are_the_extremes_of_the_modal_terms():
+    # evaluate_compiled's box (diamond) value along a row is the least
+    # (greatest) of modal_terms, which filtrate and the decider read
+    rng = random.Random(5)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        row = [rng.randint(0, 9) for _ in range(n)]
+        body = [rng.randint(0, 9) for _ in range(n)]
+        ops = [("var", 0), ("box", 0), ("dia", 0)]
+        _, box, dia = evaluate_compiled(ops, [body], [row], 0, 9)
+        assert box == [min(modal_terms("box", row, body, 9))] * n
+        assert dia == [max(modal_terms("dia", row, body, 9))] * n
+
+
+def test_evaluation_resumes_from_known_values():
+    f = parse("[](p -> <>q) & (<>p | ~[]q)")
+    ops, (root,), names = compile_formulas([f])
+    columns = [[0, 3, 9], [9, 1, 0]]
+    full = evaluate_compiled(ops, columns, [[9, 4, 0]], 0, 9)
+    for cut in range(len(ops) + 1):
+        assert evaluate_compiled(ops, columns, [[9, 4, 0]], 0, 9, vals=full[:cut]) == full
 
 
 def test_frame_report_total_relation():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -235,6 +236,18 @@ def test_deep_formula_traversals_do_not_recurse():
     assert len(compile_formulas([negations])[0]) == 5002
     # == on the result would recurse through the dataclass __eq__
     assert render(instantiate(template, {"X": P})) == render(f)
+
+
+def test_render_memory_is_linear_in_the_output():
+    f = parse("~" * 50_000 + "p")
+    tracemalloc.start()
+    try:
+        text = render(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "(" * 49_999 + "p -> 0" + ") -> 0" * 49_999
+    assert peak < 8_000_000, peak
 
 
 # -- scheme instantiation ---------------------------------------------------------
