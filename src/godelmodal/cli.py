@@ -103,6 +103,8 @@ def _load_model(path: str):
             doc = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except (OSError, ValueError) as exc:  # read, decode and JSON errors
+            raise ValueError(f"{path}: {exc}") from None
     return model_from_json(doc)
 
 
@@ -190,7 +192,8 @@ def run(argv: list[str]) -> int:
     try:
         return args.handler(args)
     except (ValueError, KeyError) as exc:  # ParseError is a ValueError
-        detail = exc.args[0] if exc.args else exc
+        # str() of a KeyError adds quotes; args[0] of a UnicodeDecodeError is a codec
+        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {detail}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:  # args[0] would be the bare errno

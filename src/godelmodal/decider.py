@@ -124,44 +124,6 @@ def _materialize(
     return PiGFModel(PiGModel(worlds, pi, valuation), truth)
 
 
-def _sorted_row_models(
-    alphabet: Sequence[tuple[int, ...]],
-    masks: Sequence[int],
-    n_rows: int,
-    need: int,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every strictly increasing n_rows-tuple of alphabet rows whose masks
-    together cover need, in lexicographic order of alphabet positions.
-
-    Increasing rows identify models that only differ by a renaming of
-    worlds, a model isomorphism; that cuts a size by a factor of up to n!.
-    Strictly increasing rows also drop models with a duplicated world.  Min
-    and max are idempotent, so a duplicate never changes a value: a model
-    with a duplicated row refutes only if the model without the copy does,
-    and that model lies in the earlier size (|W| - 1, |T|).  A duplicate
-    can therefore never be the first hit of a sweep that visits sizes in
-    _size_order, and dropping them changes no refutation it reports.
-    """
-    size = len(alphabet)
-    suffix = [0] * (size + 1)
-    for i in range(size - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    chosen: list[tuple[int, ...]] = [()] * n_rows
-
-    def rec(start: int, depth: int, acc: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if depth == n_rows:
-            if not (need & ~acc):
-                yield tuple(chosen)
-            return
-        for i in range(start, size):
-            if need & ~(acc | suffix[i]):
-                break
-            chosen[depth] = alphabet[i]
-            yield from rec(i + 1, depth + 1, acc | masks[i])
-
-    yield from rec(0, 0, 0)
-
-
 def _sweep_size(
     n_worlds: int,
     n_truth: int,
@@ -169,7 +131,18 @@ def _sweep_size(
     logic: LogicId,
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], list[int], int, int]]:
     """Canonical world-sorted models of exactly these dimensions, as integer
-    code structures (rows, t_ranks, t_codes, top_code, k_grid)."""
+    code structures (rows, t_ranks, t_codes, top_code, k_grid).
+
+    A model's rows strictly increase in alphabet order.  Increasing rows
+    identify models that only differ by a renaming of worlds, a model
+    isomorphism; that cuts a size by a factor of up to n!.  Strictly
+    increasing rows also drop models with a duplicated world.  Min and max
+    are idempotent, so a duplicate never changes a value: a model with a
+    duplicated row refutes only if the model without the copy does, and
+    that model lies in the earlier size (|W| - 1, |T|).  A duplicate can
+    therefore never be the first hit of a sweep that visits sizes in
+    _size_order, and dropping them changes no refutation it reports.
+    """
     width = 1 + len(names)
     k_grid = n_worlds * width + n_truth
     for j in range(n_worlds * width + n_truth - 2 + 1):
@@ -195,8 +168,12 @@ def _sweep_size(
                 if r not in in_t:
                     need |= 1 << r
             t_codes = sorted({0, top_code} | in_t)
-            for rows in _sorted_row_models(alphabet, masks, n_worlds, need):
-                yield rows, t_ranks, t_codes, top_code, k_grid
+            for picks in combinations(range(len(alphabet)), n_worlds):
+                cover = 0
+                for i in picks:
+                    cover |= masks[i]
+                if not need & ~cover:
+                    yield tuple(alphabet[i] for i in picks), t_ranks, t_codes, top_code, k_grid
 
 
 def _first_refutation(
@@ -294,40 +271,6 @@ def _world_rows(k_levels: int, width: int, logic: LogicId) -> list[list[int]]:
     return columns
 
 
-def _segments(ops: list[tuple], root: int) -> tuple[list[tuple], list[tuple], int]:
-    """Cut the op list at its modal ops into programs for evaluate_compiled.
-
-    Returns the ops before the first modal op; for each modal op its tag,
-    the position of its body among the values known before it, the
-    positions of the known values still read after it, and the program that
-    extends those values and the op's constant up to the next modal op; and
-    the position of the root among the values known at the end.  Carrying
-    only values still read keeps each search state small on deep formulas.
-    """
-    modal = [i for i, op in enumerate(ops) if op[0] in ("box", "dia")]
-    last_read = [-1] * len(ops)
-    for i, op in enumerate(ops):
-        if op[0] not in ("var", "bot"):
-            for a in op[1:]:
-                last_read[a] = i
-    last_read[root] = len(ops)
-    known = list(range(modal[0] if modal else len(ops)))
-    head = ops[: len(known)]
-    programs = []
-    for d, i in enumerate(modal):
-        body = known.index(ops[i][1])
-        carried = [k for k, g in enumerate(known) if last_read[g] > i]
-        end = modal[d + 1] if d + 1 < len(modal) else len(ops)
-        known = [known[k] for k in carried] + list(range(i, end))
-        where = {g: k for k, g in enumerate(known)}
-        program = [None] * (len(carried) + 1) + [
-            op if op[0] in ("var", "bot") else (op[0], *(where[a] for a in op[1:]))
-            for op in ops[i + 1 : end]
-        ]
-        programs.append((ops[i][0], body, carried, program))
-    return head, programs, known.index(root)
-
-
 def _cover_size(masks: set[int], need: int, limit: int) -> int | None:
     """The fewest masks whose union holds need, if that is at most limit."""
     masks = {x & need for x in masks}
@@ -360,22 +303,30 @@ def _world_types(
     this pruning is sound, and every surviving prefix is the true value
     vector of a model of at most limit worlds.  A complete order type needs one
     more requirement: some world whose value of the formula is below 1.
+
+    A state holds, by op index, its worlds' values of the ops a later op
+    still reads, which keeps it small on deep formulas; a child adds its
+    modal op's level, and evaluate_compiled extends it to the next modal op.
     """
     width = 1 + n_vars
     step = width + 1
     top = (k_levels + 1) * step
     pi, *columns = _world_rows(k_levels, width, logic)
-    head, programs, root_at = _segments(ops, root)
-    vals = evaluate_compiled(head, columns, [pi], 0, top)
+    modal = [i for i, op in enumerate(ops) if op[0] in ("box", "dia")]
+    # the last op that reads each op's values; a var op's argument is a column
+    last_read = {a: i for i, op in enumerate(ops) if op[0] != "var" for a in op[1:]}
+    last_read[root] = len(ops)
+    cuts = [*modal, len(ops)]
+    vals = evaluate_compiled(ops, columns, [pi], 0, top, span=(0, cuts[0]), vals={})
     need = _NORMAL if logic is LogicId.KD45 else 0
     masks = [need if p == top else 0 for p in pi]
 
-    def settle(vals: list[list[int]], masks: list[int], need: int) -> int | None:
+    def settle(vals: dict[int, list[int]], masks: list[int], need: int) -> int | None:
         # a complete order type also needs a world that refutes the formula
-        masks = [x | _REFUTED if v < top else x for x, v in zip(masks, vals[root_at])]
+        masks = [x | _REFUTED if v < top else x for x, v in zip(masks, vals[root])]
         return _cover_size(set(masks), need | _REFUTED, limit)
 
-    if not programs:
+    if not modal:
         return settle(vals, masks, need), 1
     best, examined = None, 0
     stack = [(0, vals, columns, pi, masks, need, 0)]
@@ -383,8 +334,11 @@ def _world_types(
         d, vals, columns, pi, masks, need, used = stack.pop()
         if _cover_size(set(masks), need, limit) is None:
             continue  # limit fell since this prefix was stacked
-        tag, body, carried, program = programs[d]
-        complete = d + 1 == len(programs)
+        i = modal[d]
+        tag, body = ops[i]
+        span = (i + 1, cuts[d + 1])
+        carried = [k for k in vals if last_read[k] > i]  # still read after op i
+        complete = d + 1 == len(modal)
         # A box at level j keeps the worlds whose term lies at or above
         # level j, and those below level j + 1 witness it.  Negated terms
         # turn a diamond into the same test.  Levels are visited so that
@@ -403,7 +357,7 @@ def _world_types(
             keep = keep + group
             plain = plain + [masks[r] for r in group]
             grown = used | (1 << j) if 0 < j <= k_levels else used
-            if k_levels - grown.bit_count() > len(programs) - d - 1:
+            if k_levels - grown.bit_count() > len(modal) - d - 1:
                 continue  # too few ops left to use every interior level
             asked = j <= k_levels if tag == "box" else j > 0
             marked = need | bit if asked else need
@@ -413,9 +367,9 @@ def _world_types(
                 continue
             child_pi = [pi[r] for r in keep]
             child_columns = [[col[r] for r in keep] for col in columns]
-            child = [[vals[k][r] for r in keep] for k in carried]
-            child.append([j * step] * len(keep))
-            evaluate_compiled(program, child_columns, [child_pi], 0, top, vals=child)
+            child = {k: [vals[k][r] for r in keep] for k in carried}
+            child[i] = [j * step] * len(keep)
+            evaluate_compiled(ops, child_columns, [child_pi], 0, top, span=span, vals=child)
             if not complete:
                 children.append((d + 1, child, child_columns, child_pi, marks, marked, grown))
                 continue

@@ -15,7 +15,8 @@ compiled once by syntax.compile_formulas into a postorder op list.  In the
 possibilistic semantics box and diamond values do not depend on the world,
 so a possibilistic model is one shared accessibility row (pi) plus
 per-world variable columns; a relational model has one row per world.  The
-same evaluator runs on integer codes of the values in the decider's searches.
+same evaluator runs on integer codes of the values in the decider's searches;
+the world-type search evaluates one span of ops between modal ops at a time.
 modal_terms gives each world's term of a box or diamond value, from which
 filtrate and the decider pick witness worlds.
 
@@ -175,8 +176,9 @@ def evaluate_compiled(
     zero,
     top,
     truth: Sequence | None = None,
-    vals: list[list] | None = None,
-) -> list[list]:
+    span: tuple[int, int] | None = None,
+    vals: dict[int, list] | None = None,
+) -> list[list] | dict[int, list]:
     """Values of every compiled op at every world, in world order.
 
     The domain is any totally ordered set with bottom zero and top top:
@@ -188,14 +190,15 @@ def evaluate_compiled(
     the least or greatest of a row's modal_terms, is computed once per row;
     a shared row's value is broadcast.
 
-    Given vals, the values of ops[:len(vals)], evaluation resumes after
-    them and extends that list; entries that no later op reads may stand
-    for anything.
+    Given a span (start, stop), only ops[start:stop] are evaluated, into
+    vals, a dict from op index to values that holds every value the span
+    reads from before start.  The result is vals.
     """
     n = len(rows[0])
+    start, stop = span or (0, len(ops))
     if vals is None:
-        vals = []
-    for op in ops[len(vals):]:
+        vals = [None] * len(ops)
+    for i, op in enumerate(ops[start:stop], start):
         tag = op[0]
         if tag == "imp":
             out = [top if x <= y else y for x, y in zip(vals[op[1]], vals[op[2]])]
@@ -227,7 +230,7 @@ def evaluate_compiled(
                     out.append(c if truth is None else truth[bisect_left(truth, c)])
             if len(out) < n:
                 out *= n
-        vals.append(out)
+        vals[i] = out
     return vals
 
 

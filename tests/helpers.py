@@ -1,15 +1,17 @@
 """Shared test utilities: random generators and independent oracles.
 
-Everything here except oracle_exhaustive is deliberately written from
-first principles (plain recursion, no reuse of the library's evaluator
-internals) so that tests compare the package against genuinely
-independent reference behaviour.
+Everything here except oracle_sweep_size and oracle_exhaustive is
+deliberately written from first principles (plain recursion, no reuse of
+the library's evaluator internals) so that tests compare the package
+against genuinely independent reference behaviour.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from typing import Iterator, Sequence
 
 from godelmodal import (
     BOT,
@@ -22,6 +24,7 @@ from godelmodal import (
     Formula,
     FrameReport,
     Implies,
+    LogicId,
     MissingMetavariableError,
     OrderEmbedding,
     ParseError,
@@ -44,7 +47,6 @@ from godelmodal.decider import (
     _first_refutation,
     _materialize,
     _size_order,
-    _sweep_size,
     bound_for,
 )
 from godelmodal.semantics import eval_pigf
@@ -472,19 +474,100 @@ def oracle_frame_report(model: RelationalModel) -> FrameReport:
 # --------------------------------------------------------------------------
 
 
+# The canonical enumeration as the package had it when the world-type
+# decider came in, copied verbatim: a recursive generator of increasing row
+# tuples that prunes on the masks still reachable.  Tests compare the
+# package's _sweep_size with it, and oracle_exhaustive sweeps with it.
+
+
+def _sorted_row_models(
+    alphabet: Sequence[tuple[int, ...]],
+    masks: Sequence[int],
+    n_rows: int,
+    need: int,
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every strictly increasing n_rows-tuple of alphabet rows whose masks
+    together cover need, in lexicographic order of alphabet positions.
+
+    Increasing rows identify models that only differ by a renaming of
+    worlds, a model isomorphism; that cuts a size by a factor of up to n!.
+    Strictly increasing rows also drop models with a duplicated world.  Min
+    and max are idempotent, so a duplicate never changes a value: a model
+    with a duplicated row refutes only if the model without the copy does,
+    and that model lies in the earlier size (|W| - 1, |T|).  A duplicate
+    can therefore never be the first hit of a sweep that visits sizes in
+    _size_order, and dropping them changes no refutation it reports.
+    """
+    size = len(alphabet)
+    suffix = [0] * (size + 1)
+    for i in range(size - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    chosen: list[tuple[int, ...]] = [()] * n_rows
+
+    def rec(start: int, depth: int, acc: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if depth == n_rows:
+            if not (need & ~acc):
+                yield tuple(chosen)
+            return
+        for i in range(start, size):
+            if need & ~(acc | suffix[i]):
+                break
+            chosen[depth] = alphabet[i]
+            yield from rec(i + 1, depth + 1, acc | masks[i])
+
+    yield from rec(0, 0, 0)
+
+
+def oracle_sweep_size(
+    n_worlds: int,
+    n_truth: int,
+    names: tuple[str, ...],
+    logic: LogicId,
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], list[int], int, int]]:
+    """Canonical world-sorted models of exactly these dimensions, as integer
+    code structures (rows, t_ranks, t_codes, top_code, k_grid)."""
+    width = 1 + len(names)
+    k_grid = n_worlds * width + n_truth
+    for j in range(n_worlds * width + n_truth - 2 + 1):
+        top_code = j + 1
+        space = product(range(top_code + 1), repeat=width)
+        if logic is LogicId.S5:
+            alphabet = [row for row in space if row[0] == top_code]
+        else:
+            alphabet = list(space)
+        masks = []
+        for row in alphabet:
+            mask = 0
+            for c in row:
+                if 0 < c <= j:
+                    mask |= 1 << c
+            if row[0] == top_code:
+                mask |= 1  # normalization marker: some world fully possible
+            masks.append(mask)
+        for t_ranks in combinations(range(1, j + 1), n_truth - 2):
+            need = 1 if logic is not LogicId.K45 else 0
+            in_t = set(t_ranks)
+            for r in range(1, j + 1):
+                if r not in in_t:
+                    need |= 1 << r
+            t_codes = sorted({0, top_code} | in_t)
+            for rows in _sorted_row_models(alphabet, masks, n_worlds, need):
+                yield rows, t_ranks, t_codes, top_code, k_grid
+
+
 def oracle_exhaustive(f: Formula, logic, cfg):
     """Exhaustive mode as a sweep of every canonical model of every size
     within the bound and the caps, smallest sizes first: the first model
     with a refuting world wins, and Valid counts the models swept.  The
     world-type decider must agree with it on every verdict, and match its
     refutations byte for byte.  Unlike the oracles above, this one reuses
-    the package's enumerator and integer evaluation, since what it checks
-    is the world types against the sweep itself."""
+    the package's integer evaluation, since what it checks is the world
+    types against the sweep itself; it sweeps with oracle_sweep_size."""
     bound = bound_for(f)
     ops, (root,), names = compile_formulas([f])
     checked = 0
     for n_worlds, n_truth in _size_order(bound, cfg):
-        for rows, t_ranks, t_codes, top_code, k_grid in _sweep_size(
+        for rows, t_ranks, t_codes, top_code, k_grid in oracle_sweep_size(
             n_worlds, n_truth, names, logic
         ):
             checked += 1

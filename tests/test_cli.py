@@ -348,6 +348,13 @@ def test_bad_json_model_is_usage_error(capsys, tmp_path):
     path.write_text("{nope")
     code, out, err = invoke(capsys, "eval", "--model", str(path), "p")
     assert code == 3
+    # a file that is not UTF-8 names the file and the byte, not the codec
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = invoke(capsys, "eval", "--model", str(path), "p")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

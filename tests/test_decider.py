@@ -29,7 +29,8 @@ from godelmodal import (
 )
 from godelmodal import decider
 from godelmodal.decider import _materialize, _size_order, _sweep_size
-from helpers import oracle_exhaustive, random_formula_bounded, random_pigf
+from godelmodal.syntax import corpus
+from helpers import oracle_exhaustive, oracle_sweep_size, random_formula_bounded, random_pigf
 
 DNEG = parse("[]~~p -> ~~[]p")
 
@@ -110,6 +111,21 @@ def test_enumerate_respects_dimensions_grid_and_logic():
         assert count > 0
 
 
+def test_sweep_size_matches_the_recursive_enumeration():
+    # every size with |W| * (1 + #variables) + |T| <= 8 lists the same
+    # models in the same order as the pruning generator it replaced
+    listed = 0
+    for names in ((), ("p",), ("p", "q")):
+        width = 1 + len(names)
+        for logic in LogicId:
+            for n in range(1, 8 // width + 1):
+                for t in range(2, 9 - n * width):
+                    got = list(_sweep_size(n, t, names, logic))
+                    assert got == list(oracle_sweep_size(n, t, names, logic)), (n, t, names, logic)
+                    listed += len(got)
+    assert listed == 22599
+
+
 def test_enumerate_rejects_bad_dimensions():
     # Caps below one world or two truth values are refused up front, and the
     # sweep is only ever asked for sizes of at least (1, 2).
@@ -168,6 +184,94 @@ def test_modal_free_formula_examines_one_order_type():
     for logic in LogicId:
         verdict = decide(parse("p & q -> p"), logic, SearchConfig(mode="exhaustive"))
         assert verdict == Valid(bound_for(parse("p & q -> p")), 1)
+
+
+# models_checked of every named scheme at caps (2, 2), at (1, 5) and
+# uncapped: the complete order types the world-type search examines
+CORPUS_MODELS_CHECKED = {
+    ("K45", "K_□"): (8, 39, 51),
+    ("K45", "K_◇"): (6, 31, 31),
+    ("K45", "F_□"): (2, 3, 3),
+    ("K45", "P"): (6, 31, 31),
+    ("K45", "FS2"): (8, 51, 51),
+    ("K45", "4_□"): (4, 11, 11),
+    ("K45", "4_◇"): (4, 11, 11),
+    ("K45", "5_□"): (4, 11, 11),
+    ("K45", "5_◇"): (4, 11, 11),
+    ("K45", "T1"): (4, 11, 11),
+    ("K45", "T2"): (4, 11, 11),
+    ("K45", "T3"): (4, 11, 11),
+    ("K45", "T4"): (8, 51, 51),
+    ("K45", "T5"): (8, 51, 51),
+    ("K45", "F_◇□"): (4, 11, 11),
+    ("K45", "U_◇"): (4, 11, 11),
+    ("K45", "U_□"): (4, 11, 11),
+    ("K45", "T4_□"): (4, 11, 11),
+    ("K45", "T4_◇"): (4, 11, 11),
+    ("K45", "Sk_◇"): (6, 31, 31),
+    ("K45", "T4'_◇"): (6, 19, 19),
+    ("K45", "G45"): (8, 51, 51),
+    ("KD45", "K_□"): (8, 39, 51),
+    ("KD45", "K_◇"): (6, 31, 31),
+    ("KD45", "F_□"): (2, 3, 3),
+    ("KD45", "P"): (6, 31, 31),
+    ("KD45", "FS2"): (8, 51, 51),
+    ("KD45", "4_□"): (4, 11, 11),
+    ("KD45", "4_◇"): (4, 11, 11),
+    ("KD45", "5_□"): (4, 11, 11),
+    ("KD45", "5_◇"): (4, 11, 11),
+    ("KD45", "T1"): (4, 11, 11),
+    ("KD45", "T2"): (4, 11, 11),
+    ("KD45", "T3"): (4, 6, 11),
+    ("KD45", "T4"): (8, 51, 51),
+    ("KD45", "T5"): (8, 49, 51),
+    ("KD45", "F_◇□"): (2, 3, 3),
+    ("KD45", "U_◇"): (4, 11, 11),
+    ("KD45", "U_□"): (4, 11, 11),
+    ("KD45", "T4_□"): (4, 11, 11),
+    ("KD45", "T4_◇"): (4, 11, 11),
+    ("KD45", "Sk_◇"): (4, 11, 11),
+    ("KD45", "T4'_◇"): (4, 11, 11),
+    ("KD45", "G45"): (8, 51, 51),
+    ("KD45", "D"): (2, 3, 3),
+    ("KD45", "D'"): (4, 11, 11),
+    ("S5", "K_□"): (8, 39, 51),
+    ("S5", "K_◇"): (6, 31, 31),
+    ("S5", "F_□"): (2, 3, 3),
+    ("S5", "P"): (6, 31, 31),
+    ("S5", "FS2"): (8, 51, 51),
+    ("S5", "4_□"): (3, 7, 7),
+    ("S5", "4_◇"): (3, 7, 7),
+    ("S5", "5_□"): (3, 7, 7),
+    ("S5", "5_◇"): (3, 7, 7),
+    ("S5", "T1"): (4, 11, 11),
+    ("S5", "T2"): (4, 11, 11),
+    ("S5", "T3"): (4, 6, 6),
+    ("S5", "T4"): (8, 51, 51),
+    ("S5", "T5"): (8, 49, 51),
+    ("S5", "F_◇□"): (1, 1, 1),
+    ("S5", "U_◇"): (3, 7, 7),
+    ("S5", "U_□"): (3, 7, 7),
+    ("S5", "T4_□"): (3, 7, 7),
+    ("S5", "T4_◇"): (3, 7, 7),
+    ("S5", "Sk_◇"): (3, 7, 7),
+    ("S5", "T4'_◇"): (2, 3, 3),
+    ("S5", "G45"): (7, 39, 39),
+    ("S5", "T_□"): (2, 3, 3),
+    ("S5", "T_◇"): (2, 3, 3),
+}
+
+
+def test_corpus_models_checked_are_pinned():
+    got = {}
+    for logic in LogicId:
+        for name, f in corpus(logic):
+            got[logic.name, name] = tuple(
+                decide(f, logic, SearchConfig("exhaustive", max_worlds=w, max_truth=t)).models_checked
+                for w, t in ((2, 2), (1, 5), (None, None))
+            )
+    assert got == CORPUS_MODELS_CHECKED
+    assert sum(map(sum, got.values())) == 3064
 
 
 def test_world_types_match_the_whole_bound_sweep():
