@@ -12,7 +12,12 @@ world-independent modal values.  A refutation then comes from a sweep of
 that one size: the canonical models, one per order type and realized on
 an evenly spaced rational grid, in a fixed order, so it is the first
 countermodel a sweep of all sizes up to the bound 2(l + 2) would meet.
-Random mode samples models instead, and hybrid tries random first.
+
+Random mode samples models instead, and hybrid tries random first.  Samples
+come in batches that double from 1 to 256 models.  A batch is drawn
+straight into shared code columns, one block per model, and evaluated in
+one pass of the op list; the draws read the seeded stream exactly as
+sampling one model at a time does, so the first countermodel is the same.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .semantics import (
     modal_terms,
     model_to_json,
 )
-from .syntax import Formula, LogicId, compile_formulas, complexity_ell
+from .syntax import Formula, LogicId, compile_formulas, compiled_ell
 
 MODES = ("exhaustive", "random", "hybrid")
 
@@ -70,9 +75,13 @@ class Unknown:
 Verdict = Valid | Refuted | Unknown
 
 
+def _bound(ops: list[tuple]) -> int:
+    return 2 * (compiled_ell(ops) + 2)
+
+
 def bound_for(f: Formula) -> int:
     """Ceiling on |W| + |T| that a complete countermodel sweep must reach."""
-    return 2 * (complexity_ell(f) + 2)
+    return _bound(compile_formulas([f])[0])
 
 
 def _check_config(cfg: SearchConfig) -> None:
@@ -186,7 +195,7 @@ def _first_refutation(
     """The first world whose root code is below top, with that code, in a
     model given as integer code rows (pi, then one code per variable)."""
     columns = list(zip(*rows))
-    values = evaluate_compiled(ops, columns[1:], columns[:1], 0, top, t_codes)[root]
+    values = evaluate_compiled(ops, columns[1:], [(columns[:1], t_codes)], 0, top)[root]
     for idx, code in enumerate(values):
         if code != top:
             return idx, code
@@ -317,7 +326,7 @@ def _world_types(
     last_read = {a: i for i, op in enumerate(ops) if op[0] != "var" for a in op[1:]}
     last_read[root] = len(ops)
     cuts = [*modal, len(ops)]
-    vals = evaluate_compiled(ops, columns, [pi], 0, top, span=(0, cuts[0]), vals={})
+    vals = evaluate_compiled(ops, columns, [([pi], None)], 0, top, span=(0, cuts[0]), vals={})
     need = _NORMAL if logic is LogicId.KD45 else 0
     masks = [need if p == top else 0 for p in pi]
 
@@ -369,7 +378,7 @@ def _world_types(
             child_columns = [[col[r] for r in keep] for col in columns]
             child = {k: [vals[k][r] for r in keep] for k in carried}
             child[i] = [j * step] * len(keep)
-            evaluate_compiled(ops, child_columns, [child_pi], 0, top, span=span, vals=child)
+            evaluate_compiled(ops, child_columns, [([child_pi], None)], 0, top, span=span, vals=child)
             if not complete:
                 children.append((d + 1, child, child_columns, child_pi, marks, marked, grown))
                 continue
@@ -403,8 +412,8 @@ def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
     Valid reports the whole bound 2(l + 2) and the number of complete
     order types examined.
     """
-    bound = bound_for(f)
     ops, (root,), names = compile_formulas([f])
+    bound = _bound(ops)
     m = sum(op[0] in ("box", "dia") for op in ops)
     worlds = m + 2 if logic is LogicId.KD45 else m + 1
     if cfg.max_worlds is not None:
@@ -449,39 +458,117 @@ _DENOMS = (2, 3, 4, 5, 6, 8, 12)
 # Sampled values lie on the grid {0, 1/120, ..., 1}: 120 is the lcm of
 # _DENOMS.  Code c stands for c/120, so code order is value order.
 _GRID = 120
+# For each denominator d, randint(0, d) and randint(1, d - 1) written as
+# draws below d + 1 and d - 1: (the bound, its bit length, the grid step).
+_ANY = tuple((d + 1, (d + 1).bit_length(), _GRID // d) for d in _DENOMS)
+_INNER = tuple((d - 1, (d - 1).bit_length(), _GRID // d) for d in _DENOMS)
+
+# The most samples in one batch, and the most values one batch's evaluation
+# may hold over the whole op list; see random_search.
+_BATCH = 256
+_BATCH_VALUES = 1 << 20
 
 
-def _random_code(rng: random.Random, anchors: Sequence[int]) -> int:
-    roll = rng.random()
-    if roll < 0.22:
-        return 0
-    if roll < 0.44:
-        return _GRID
-    if anchors and roll < 0.60:
-        return rng.choice(anchors)
-    d = rng.choice(_DENOMS)
-    return rng.randint(0, d) * (_GRID // d)
+def _draw(
+    rng: random.Random,
+    count: int,
+    n_vars: int,
+    logic: LogicId,
+    n_worlds: int,
+    n_truth: int,
+    bound: int | None = None,
+) -> tuple[list[list[int]], list[tuple[list[list[int]], list[int]]]]:
+    """count random rounded models obeying the logic's frame constraint, in
+    evaluate_compiled's form: one code column per variable, the models end to
+    end, and one block ([pi], truth set codes) per model.  Values sometimes
+    coincide with truth set members.
 
+    With bound None every model has n_worlds worlds and n_truth truth values.
+    Otherwise those are caps: each model draws |W| = randint(1, n_worlds),
+    then |T| = randint(2, max(2, min(n_truth, bound - |W|))).  A model draws
+    its interior truth values, then pi at each world (all 1 under S5), under
+    KD45 a world whose pi is set to 1, then each world's variable codes.
 
-def _sample(
-    rng: random.Random, n_worlds: int, n_truth: int, n_vars: int, logic: LogicId
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """A random rounded model obeying the logic's frame constraint, as code
-    rows (pi, then one code per variable) and the sorted interior truth set
-    codes; values sometimes coincide with truth set members."""
-    interior: set[int] = set()
-    while len(interior) < n_truth - 2:
-        d = rng.choice(_DENOMS)
-        interior.add(rng.randint(1, d - 1) * (_GRID // d))
-    anchors = sorted(interior)
-    if logic is LogicId.S5:
-        pis = [_GRID] * n_worlds
-    else:
-        pis = [_random_code(rng, anchors) for _ in range(n_worlds)]
-        if logic is LogicId.KD45:
-            pis[rng.choice(range(n_worlds))] = _GRID
-    rows = [(p, *(_random_code(rng, anchors) for _ in range(n_vars))) for p in pis]
-    return rows, anchors
+    The loop spells out the random module's calls.  randint(a, b) is a plus
+    a draw below b - a + 1, choice(seq) is seq[a draw below len(seq)], and
+    a draw below n takes getrandbits(n.bit_length()) until the result is
+    below n.  That is CPython's _randbelow_with_getrandbits, the same for
+    n > 0 in the 3.10 to 3.13 stdlib, so rng yields exactly the models that
+    plain calls to rng.random, rng.randint and rng.choice in this order
+    would; tests/helpers.oracle_random_search makes those calls.
+    """
+    rand = rng.random
+    bits = rng.getrandbits
+    n_denoms = len(_DENOMS)
+    k_denoms = n_denoms.bit_length()
+    kd45 = logic is LogicId.KD45
+    columns: list[list[int]] = [[] for _ in range(n_vars)]
+    blocks = []
+    n, m = n_worlds, n_truth
+    k_worlds = n_worlds.bit_length()
+    if bound is not None:
+        # randint(2, cap) for each |W|, as a draw below cap - 1
+        caps = [max(2, min(n_truth, bound - w)) for w in range(n_worlds + 1)]
+        truth_draws = [(c - 1, (c - 1).bit_length()) for c in caps]
+    for _ in range(count):
+        if bound is not None:
+            r = bits(k_worlds)
+            while r >= n_worlds:
+                r = bits(k_worlds)
+            n = 1 + r
+            below, k = truth_draws[n]
+            r = bits(k)
+            while r >= below:
+                r = bits(k)
+            m = 2 + r
+        interior: set[int] = set()
+        while len(interior) < m - 2:
+            r = bits(k_denoms)
+            while r >= n_denoms:
+                r = bits(k_denoms)
+            below, k, step = _INNER[r]
+            r = bits(k)
+            while r >= below:
+                r = bits(k)
+            interior.add((1 + r) * step)
+        anchors = sorted(interior)
+        n_anchors = len(anchors)
+        k_anchors = n_anchors.bit_length()
+        codes = [_GRID] * n if logic is LogicId.S5 else []
+        pick = kd45
+        # pi codes up to n, then the variable codes world by world
+        for stop in (n, n + n * n_vars):
+            for _ in range(stop - len(codes)):
+                roll = rand()
+                if roll < 0.22:
+                    codes.append(0)
+                elif roll < 0.44:
+                    codes.append(_GRID)
+                elif anchors and roll < 0.60:
+                    r = bits(k_anchors)
+                    while r >= n_anchors:
+                        r = bits(k_anchors)
+                    codes.append(anchors[r])
+                else:
+                    r = bits(k_denoms)
+                    while r >= n_denoms:
+                        r = bits(k_denoms)
+                    below, k, step = _ANY[r]
+                    r = bits(k)
+                    while r >= below:
+                        r = bits(k)
+                    codes.append(r * step)
+            if pick:
+                k = n.bit_length()
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                codes[r] = _GRID
+                pick = False
+        for v, column in enumerate(columns, n):
+            column += codes[v::n_vars]
+        blocks.append(([codes[:n]], [0, *anchors, _GRID]))
+    return columns, blocks
 
 
 def random_pigf_model(
@@ -492,30 +579,61 @@ def random_pigf_model(
     logic: LogicId,
 ) -> PiGFModel:
     """A random rounded model; values sometimes coincide with truth set members."""
-    rows, anchors = _sample(rng, n_worlds, n_truth, len(var_names), logic)
-    return _materialize(var_names, rows, anchors, _GRID, _GRID)
+    if n_worlds < 1:
+        raise ValueError("a model needs at least one world")
+    columns, [(rows, truth)] = _draw(rng, 1, len(var_names), logic, n_worlds, n_truth)
+    return _materialize(var_names, list(zip(rows[0], *columns)), truth[1:-1], _GRID, _GRID)
 
 
 def random_search(
     f: Formula, logic: LogicId, cfg: SearchConfig
 ) -> tuple[PiGFModel, str, Fraction] | None:
     """Sample cfg.budget models within the size bound; return the first
-    countermodel found, or None.  Deterministic in cfg.seed."""
+    countermodel found, or None.  Deterministic in cfg.seed.
+
+    Samples are drawn and evaluated in batches of 1, 2, 4, ... up to _BATCH
+    samples, each batch in one evaluate_compiled call over all its models;
+    a batch without a hit costs one count of its root values.  Batches are
+    drawn in order from one rng, so the first refuting world of the first
+    batch with a hit is the one a sample-by-sample search would return, and
+    only that sample becomes a model.  Doubling from 1 keeps a hit on the
+    first samples as cheap as one sample.
+
+    Memory: a batch of b samples of at most w worlds holds b * w values per
+    op, b times what one sample holds.  Codes are small ints, which CPython
+    shares, so a value costs one 8-byte list slot.  The batch cap is lowered
+    so that b * w * len(ops) stays within _BATCH_VALUES (8 MiB of slots)
+    unless one sample alone holds more; a formula of a few dozen ops at the
+    default 5-world cap runs full 256-sample batches of at most 1280 worlds,
+    a few hundred KiB.
+    """
     _check_config(cfg)
     rng = random.Random(cfg.seed)
-    bound = bound_for(f)
     ops, (root,), names = compile_formulas([f])
+    bound = _bound(ops)
     worlds_cap = max(1, min(cfg.max_worlds or 5, bound - 2))
-    for _ in range(cfg.budget):
-        n = rng.randint(1, worlds_cap)
-        truth_cap = max(2, min(cfg.max_truth or 6, bound - n))
-        m = rng.randint(2, truth_cap)
-        rows, anchors = _sample(rng, n, m, len(names), logic)
-        hit = _first_refutation(ops, root, rows, [0, *anchors, _GRID], _GRID)
-        if hit is not None:
-            idx, code = hit
-            model = _materialize(names, rows, anchors, _GRID, _GRID)
-            return model, model.worlds[idx], _decode(code, _GRID, _GRID)
+    most = max(1, min(_BATCH, _BATCH_VALUES // (worlds_cap * len(ops))))
+    size = 1
+    left = cfg.budget
+    while left > 0:
+        count = min(size, left)
+        columns, blocks = _draw(
+            rng, count, len(names), logic, worlds_cap, cfg.max_truth or 6, bound
+        )
+        values = evaluate_compiled(ops, columns, blocks, 0, _GRID)[root]
+        if values.count(_GRID) < len(values):
+            hit = next(i for i, v in enumerate(values) if v != _GRID)
+            start = 0
+            for rows, truth in blocks:
+                n = len(rows[0])
+                if hit < start + n:
+                    break
+                start += n
+            sample = list(zip(rows[0], *(column[start:start + n] for column in columns)))
+            model = _materialize(names, sample, truth[1:-1], _GRID, _GRID)
+            return model, model.worlds[hit - start], _decode(values[hit], _GRID, _GRID)
+        left -= count
+        size = min(2 * size, most)
     return None
 
 
@@ -602,7 +720,7 @@ def shrink(
 
     live = list(model.worlds)
     codes = list(zip(*rows.values()))
-    at_world = evaluate_compiled(ops, codes[1:], codes[:1], 0, top, truth)[root]
+    at_world = evaluate_compiled(ops, codes[1:], [(codes[:1], truth)], 0, top)[root]
     if at_world[live.index(world)] == top:
         raise ValueError("shrink needs a countermodel")
     if not lawful(live):

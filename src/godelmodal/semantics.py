@@ -11,12 +11,17 @@ Three model classes:
                    R(w, .) where the possibilistic classes use pi.
 
 All three are evaluated by one function, evaluate_compiled, over a formula
-compiled once by syntax.compile_formulas into a postorder op list.  In the
-possibilistic semantics box and diamond values do not depend on the world,
-so a possibilistic model is one shared accessibility row (pi) plus
-per-world variable columns; a relational model has one row per world.  The
-same evaluator runs on integer codes of the values in the decider's searches;
-the world-type search evaluates one span of ops between modal ops at a time.
+compiled once by syntax.compile_formulas into a postorder op list.  A model
+is passed as a block, its accessibility rows and truth set, with its
+worlds' values in per-variable columns.  In the possibilistic semantics box
+and diamond values do not depend on the world, so a possibilistic block
+has one shared accessibility row (pi); a relational block has one row per
+world.  Several blocks laid end to end in the columns are evaluated in one
+pass: propositional ops run once over all their worlds, modal ops reduce
+and round block by block.  The same evaluator runs on integer codes of the
+values in the decider's searches: the random search evaluates a batch of
+sampled models in one call, and the world-type search one span of ops
+between modal ops at a time.
 modal_terms gives each world's term of a box or diamond value, from which
 filtrate and the decider pick witness worlds.
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -172,29 +178,33 @@ def modal_terms(tag: str, row: Sequence, body: Sequence, top) -> list:
 def evaluate_compiled(
     ops: list[tuple],
     columns: Sequence[Sequence],
-    rows: Sequence[Sequence],
+    blocks: Sequence[tuple[Sequence[Sequence], Sequence | None]],
     zero,
     top,
-    truth: Sequence | None = None,
     span: tuple[int, int] | None = None,
     vals: dict[int, list] | None = None,
 ) -> list[list] | dict[int, list]:
     """Values of every compiled op at every world, in world order.
 
     The domain is any totally ordered set with bottom zero and top top:
-    exact rationals, or integer codes of them.  columns[i] holds the values
-    of variable names[i] at each world.  rows holds accessibility rows: one
-    row (pi) shared by every world for a possibilistic model, or one row
-    R(w, .) per world for a relational one.  With a sorted truth set, box
-    values are rounded down into it and diamond values up.  A modal value,
-    the least or greatest of a row's modal_terms, is computed once per row;
-    a shared row's value is broadcast.
+    exact rationals, or integer codes of them.  blocks holds one pair
+    (rows, truth) per model, and the models' worlds lie end to end in
+    columns: columns[i] holds the values of variable names[i] at every world
+    of every block.  A block's world count is len(rows[0]).  rows holds its
+    accessibility rows: one row (pi) shared by every world of a
+    possibilistic model, or one row R(w, .) per world of a relational one.
+    With a sorted truth set, the block's box values are rounded down into
+    it and diamond values up; with None they are exact.  Propositional ops
+    run once over all blocks' worlds.  A modal value, the least or greatest
+    of a row's modal_terms, is computed once per row of its own block; a
+    shared row's value is broadcast over its block.
 
     Given a span (start, stop), only ops[start:stop] are evaluated, into
     vals, a dict from op index to values that holds every value the span
     reads from before start.  The result is vals.
     """
-    n = len(rows[0])
+    single = len(blocks) == 1
+    n = len(blocks[0][0][0]) if single else sum(len(rows[0]) for rows, _ in blocks)
     start, stop = span or (0, len(ops))
     if vals is None:
         vals = [None] * len(ops)
@@ -210,26 +220,41 @@ def evaluate_compiled(
             out = [zero] * n
         else:
             body = vals[op[1]]
+            box = tag == "box"
             out = []
-            # the least (greatest) of the row's modal_terms, found in one
-            # pass without building them, which is cheaper on small models
-            if tag == "box":
+            rest = None if single else iter(body)  # the blocks' values in turn
+            for rows, truth in blocks:
+                k = len(rows[0])
+                if single:
+                    part = body
+                elif len(rows) == 1:
+                    part = rest  # zip(row, rest) takes just this block's k values
+                else:
+                    part = list(islice(rest, k))
+                # the least (greatest) of each row's modal_terms, found in
+                # one pass without building them, which is cheaper on small
+                # models
                 for row in rows:
-                    c = top
-                    for p, x in zip(row, body):
-                        if p > x and x < c:
-                            c = x
-                    out.append(c if truth is None else truth[bisect_right(truth, c) - 1])
-            else:
-                for row in rows:
-                    c = zero
-                    for p, x in zip(row, body):
-                        v = p if p < x else x
-                        if v > c:
-                            c = v
-                    out.append(c if truth is None else truth[bisect_left(truth, c)])
-            if len(out) < n:
-                out *= n
+                    if box:
+                        c = top
+                        for p, x in zip(row, part):
+                            if p > x and x < c:
+                                c = x
+                        c = c if truth is None else truth[bisect_right(truth, c) - 1]
+                    else:
+                        c = zero
+                        for p, x in zip(row, part):
+                            v = p if p < x else x
+                            if v > c:
+                                c = v
+                        c = c if truth is None else truth[bisect_left(truth, c)]
+                    out.append(c)
+                if len(rows) < k:
+                    # a shared row's value holds at every world of its block
+                    if single:
+                        out *= k
+                    else:
+                        out += [c] * (k - 1)
         vals[i] = out
     return vals
 
@@ -248,7 +273,7 @@ def model_values(
     else:
         rows = [[model.pi[w] for w in ws]]
     columns = [[model.value(w, p) for w in ws] for p in names]
-    return evaluate_compiled(ops, columns, rows, ZERO, ONE, truth)
+    return evaluate_compiled(ops, columns, [(rows, truth)], ZERO, ONE)
 
 
 def evaluate(model, formula: Formula) -> list[Fraction]:

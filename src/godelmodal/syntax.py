@@ -316,10 +316,15 @@ def subformulas(f: Formula) -> frozenset[Formula]:
     return frozenset([BOT, *_postorder([f])])
 
 
+def compiled_ell(ops: list[tuple]) -> int:
+    """complexity_ell read off a compiled op list: one op per subformula,
+    plus bottom when the formula does not contain it."""
+    return len(ops) if ("bot",) in ops else len(ops) + 1
+
+
 def complexity_ell(f: Formula) -> int:
     """Size measure used by the finite-model bound: number of subformulas."""
-    ops = compile_formulas([f])[0]
-    return len(ops) if ("bot",) in ops else len(ops) + 1
+    return compiled_ell(compile_formulas([f])[0])
 
 
 def variables(f: Formula) -> frozenset[str]:

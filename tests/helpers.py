@@ -1,9 +1,9 @@
 """Shared test utilities: random generators and independent oracles.
 
-Everything here except oracle_sweep_size and oracle_exhaustive is
-deliberately written from first principles (plain recursion, no reuse of
-the library's evaluator internals) so that tests compare the package
-against genuinely independent reference behaviour.
+Everything here except oracle_sweep_size, oracle_exhaustive and
+oracle_random_search is deliberately written from first principles (plain
+recursion, no reuse of the library's evaluator internals) so that tests
+compare the package against genuinely independent reference behaviour.
 """
 
 from __future__ import annotations
@@ -41,8 +41,12 @@ from godelmodal import (
     variables,
 )
 from godelmodal.decider import (
+    _DENOMS,
+    _GRID,
     Refuted,
+    SearchConfig,
     Valid,
+    _check_config,
     _decode,
     _first_refutation,
     _materialize,
@@ -60,7 +64,7 @@ from godelmodal.syntax import _tokenize, compile_formulas
 def random_formula(rng: random.Random, names=("p", "q"), depth: int = 3) -> Formula:
     """One random formula over the primitive connectives, depth-bounded."""
     if depth == 0 or rng.random() < 0.3:
-        if rng.random() < 0.85:
+        if rng.random() < 0.85 and names:
             return Var(rng.choice(names))
         return BOT
     roll = rng.random()
@@ -577,6 +581,76 @@ def oracle_exhaustive(f: Formula, logic, cfg):
                 model = _materialize(names, rows, t_ranks, top_code, k_grid)
                 world = model.worlds[idx]
                 value = eval_pigf(model, world, f)
-                assert value == _decode(code, top_code, k_grid) < ONE
+                # a bare assert here would vanish under python -O: this
+                # module is not one whose asserts pytest rewrites
+                if not value == _decode(code, top_code, k_grid) < ONE:
+                    raise AssertionError(
+                        f"integer sweep and exact evaluation disagree on {model!r}"
+                    )
                 return Refuted(model, world, value)
     return Valid(bound, checked)
+
+
+# --------------------------------------------------------------------------
+# Sample-by-sample random search
+# --------------------------------------------------------------------------
+# The random search as one sample at a time through plain rng.random,
+# rng.randint and rng.choice calls, one evaluation per sample.  The batched
+# search spells those calls out as getrandbits draws; it must return the same
+# countermodel and draw the same models.
+
+
+def oracle_random_code(rng: random.Random, anchors: Sequence[int]) -> int:
+    roll = rng.random()
+    if roll < 0.22:
+        return 0
+    if roll < 0.44:
+        return _GRID
+    if anchors and roll < 0.60:
+        return rng.choice(anchors)
+    d = rng.choice(_DENOMS)
+    return rng.randint(0, d) * (_GRID // d)
+
+
+def oracle_sample(
+    rng: random.Random, n_worlds: int, n_truth: int, n_vars: int, logic: LogicId
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """A random rounded model obeying the logic's frame constraint, as code
+    rows (pi, then one code per variable) and the sorted interior truth set
+    codes; values sometimes coincide with truth set members."""
+    interior: set[int] = set()
+    while len(interior) < n_truth - 2:
+        d = rng.choice(_DENOMS)
+        interior.add(rng.randint(1, d - 1) * (_GRID // d))
+    anchors = sorted(interior)
+    if logic is LogicId.S5:
+        pis = [_GRID] * n_worlds
+    else:
+        pis = [oracle_random_code(rng, anchors) for _ in range(n_worlds)]
+        if logic is LogicId.KD45:
+            pis[rng.choice(range(n_worlds))] = _GRID
+    rows = [(p, *(oracle_random_code(rng, anchors) for _ in range(n_vars))) for p in pis]
+    return rows, anchors
+
+
+def oracle_random_search(
+    f: Formula, logic: LogicId, cfg: SearchConfig
+) -> tuple[tuple[PiGFModel, str, Fraction] | None, int]:
+    """The first countermodel among cfg.budget samples, or None, and the
+    number of samples drawn."""
+    _check_config(cfg)
+    rng = random.Random(cfg.seed)
+    bound = bound_for(f)
+    ops, (root,), names = compile_formulas([f])
+    worlds_cap = max(1, min(cfg.max_worlds or 5, bound - 2))
+    for index in range(cfg.budget):
+        n = rng.randint(1, worlds_cap)
+        truth_cap = max(2, min(cfg.max_truth or 6, bound - n))
+        m = rng.randint(2, truth_cap)
+        rows, anchors = oracle_sample(rng, n, m, len(names), logic)
+        hit = _first_refutation(ops, root, rows, [0, *anchors, _GRID], _GRID)
+        if hit is not None:
+            idx, code = hit
+            model = _materialize(names, rows, anchors, _GRID, _GRID)
+            return (model, model.worlds[idx], _decode(code, _GRID, _GRID)), index + 1
+    return None, cfg.budget

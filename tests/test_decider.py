@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from godelmodal import (
     is_normalized,
     model_to_json,
     parse,
+    random_pigf_model,
     random_search,
     shrink,
     variables,
@@ -30,7 +32,15 @@ from godelmodal import (
 from godelmodal import decider
 from godelmodal.decider import _materialize, _size_order, _sweep_size
 from godelmodal.syntax import corpus
-from helpers import oracle_exhaustive, oracle_sweep_size, random_formula_bounded, random_pigf
+from helpers import (
+    oracle_exhaustive,
+    oracle_random_search,
+    oracle_sample,
+    oracle_sweep_size,
+    random_formula,
+    random_formula_bounded,
+    random_pigf,
+)
 
 DNEG = parse("[]~~p -> ~~[]p")
 
@@ -393,6 +403,65 @@ def test_random_search_obeys_logic_constraint():
     assert found is not None  # the T axiom fails on serial non-universal models
     assert is_normalized(found[0].base)
     assert random_search(parse("[]p -> p"), LogicId.S5, SearchConfig(mode="random", budget=2000, seed=3)) is None
+
+
+LOGICS = (LogicId.K45, LogicId.KD45, LogicId.S5)
+
+
+def found_json(found):
+    return None if found is None else verdict_to_json(Refuted(*found))
+
+
+def test_random_search_matches_the_sample_by_sample_oracle():
+    # Batches double from one sample to decider._BATCH = 256, so a batch
+    # ends after sample 1, 3, 7, ..., 255 or 511, and later batches hold 256
+    # samples.  The batched search must return what drawing and checking one
+    # sample at a time returns, wherever the first hit lies.
+    rng = random.Random(31)
+    names = [(), ("p",), ("p", "q"), ("p", "q", "r")]
+    caps = [(None, None), (1, 2), (3, 4)]
+    budgets = [1, 2, 3, 7, 100, 600]
+    cases = []
+    for i in range(2160):
+        f = random_formula(rng, names[i // 54 % 4], depth=rng.randint(1, 4))
+        cases.append((f, LOGICS[i % 3], caps[i // 3 % 3], budgets[i // 9 % 6], i))
+    # a three-way equality is rarely met by a one-world sample, so these
+    # hits land late in a batch and past the 511th sample
+    rare = parse("(p <-> q) & (q <-> r) -> ~~p -> p")
+    cases += [(rare, logic, (1, 2), 600, seed) for seed in range(40) for logic in LOGICS]
+    ends = {2**j - 1 for j in range(1, 10)}
+    where = Counter()
+    for f, logic, (max_worlds, max_truth), budget, seed in cases:
+        cfg = SearchConfig("random", budget, seed, max_worlds, max_truth)
+        expected, drawn = oracle_random_search(f, logic, cfg)
+        assert found_json(random_search(f, logic, cfg)) == found_json(expected), (f, logic, cfg)
+        if expected is None:
+            where["none"] += 1
+        elif drawn > 511:
+            where["past 511"] += 1
+        elif drawn in ends:
+            where["batch end"] += 1
+        elif drawn - 1 in ends:
+            where["batch start"] += 1
+        else:
+            where["inside"] += 1
+    assert min(where[k] for k in ("none", "past 511", "batch end", "batch start", "inside")) > 0, where
+
+
+def test_random_pigf_model_draws_like_the_oracle_sampler():
+    # same model and same rng state afterwards, so callers that draw more
+    # from rng see the same stream
+    for seed in range(300):
+        logic = LOGICS[seed % 3]
+        n_worlds, n_truth = 1 + seed % 5, 2 + seed // 5 % 5
+        names = ("p", "q", "r")[: seed // 25 % 4]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        model = random_pigf_model(ours, n_worlds, n_truth, names, logic)
+        rows, anchors = oracle_sample(theirs, n_worlds, n_truth, len(names), logic)
+        assert model_to_json(model) == model_to_json(_materialize(names, rows, anchors, 120, 120))
+        assert ours.random() == theirs.random()
+    with pytest.raises(ValueError):
+        random_pigf_model(random.Random(0), 0, 2, ("p",), LogicId.KD45)
 
 
 # -- grid coverage: arbitrary rational refutations are caught under the same caps -------

@@ -235,9 +235,32 @@ def test_modal_values_are_the_extremes_of_the_modal_terms():
         row = [rng.randint(0, 9) for _ in range(n)]
         body = [rng.randint(0, 9) for _ in range(n)]
         ops = [("var", 0), ("box", 0), ("dia", 0)]
-        _, box, dia = evaluate_compiled(ops, [body], [row], 0, 9)
+        _, box, dia = evaluate_compiled(ops, [body], [([row], None)], 0, 9)
         assert box == [min(modal_terms("box", row, body, 9))] * n
         assert dia == [max(modal_terms("dia", row, body, 9))] * n
+
+
+def test_blocks_evaluate_as_their_models_do_one_by_one():
+    # models laid end to end in the columns, possibilistic (one shared row)
+    # and relational (one row per world), rounded or exact, give each model
+    # the values it has alone
+    rng = random.Random(6)
+    ops, (root,), names = compile_formulas([parse("[](p -> <>q) & (<>p | ~[]q) -> <>[]p")])
+    for _ in range(300):
+        blocks, columns, alone = [], [[], []], []
+        for _ in range(rng.randint(1, 5)):
+            k = rng.randint(1, 4)
+            if rng.random() < 0.5:
+                rows = [[rng.randint(0, 9) for _ in range(k)]]
+            else:
+                rows = [[rng.randint(0, 9) for _ in range(k)] for _ in range(k)]
+            truth = rng.choice([None, [0, 9], sorted({0, 9, rng.randint(1, 8), rng.randint(1, 8)})])
+            own = [[rng.randint(0, 9) for _ in range(k)] for _ in names]
+            blocks.append((rows, truth))
+            for column, values in zip(columns, own):
+                column += values
+            alone += evaluate_compiled(ops, own, [(rows, truth)], 0, 9)[root]
+        assert evaluate_compiled(ops, columns, blocks, 0, 9)[root] == alone
 
 
 def test_evaluation_resumes_from_known_values():
@@ -246,7 +269,7 @@ def test_evaluation_resumes_from_known_values():
     f = parse("[](p -> <>q) & (<>p | ~[]q)")
     ops, (root,), names = compile_formulas([f])
     columns = [[0, 3, 9], [9, 1, 0]]
-    full = evaluate_compiled(ops, columns, [[9, 4, 0]], 0, 9)
+    full = evaluate_compiled(ops, columns, [([[9, 4, 0]], None)], 0, 9)
     written = []
 
     class Recording(dict):
@@ -259,7 +282,7 @@ def test_evaluation_resumes_from_known_values():
         known = {a: full[a] for a in read}
         written.clear()
         span = (cut, len(ops))
-        vals = evaluate_compiled(ops, columns, [[9, 4, 0]], 0, 9, span=span, vals=Recording(known))
+        vals = evaluate_compiled(ops, columns, [([[9, 4, 0]], None)], 0, 9, span=span, vals=Recording(known))
         assert [vals[i] for i in range(*span)] == full[cut:]
         assert written == list(range(*span))
         assert {a: vals[a] for a in read} == known
