@@ -29,16 +29,6 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def godel_implies(x: Fraction, y: Fraction) -> Fraction:
-    """Residuum of min: 1 when x <= y, else y."""
-    return ONE if x <= y else y
-
-
-def godel_neg(x: Fraction) -> Fraction:
-    """x -> 0; collapses everything positive to 0."""
-    return ONE if x == ZERO else ZERO
-
-
 @dataclass(frozen=True)
 class TruthSet:
     """Finite set of truth values containing 0 and 1, kept sorted ascending."""
@@ -96,13 +86,6 @@ class OrderEmbedding:
                 raise ValueError("breakpoint coordinates must be strictly increasing")
         object.__setattr__(self, "breakpoints", pts)
 
-    @classmethod
-    def identity(cls) -> "OrderEmbedding":
-        return cls(((ZERO, ZERO), (ONE, ONE)))
-
-    def fixes(self, values: Iterable[Fraction]) -> bool:
-        return all(apply_embedding(self, v) == v for v in values)
-
 
 def apply_embedding(h: OrderEmbedding, v: Fraction) -> Fraction:
     """Evaluate h at v by exact linear interpolation between breakpoints."""
@@ -115,10 +98,3 @@ def apply_embedding(h: OrderEmbedding, v: Fraction) -> Fraction:
         return pts[-1][1]
     (x0, y0), (x1, y1) = pts[i], pts[i + 1]
     return y0 + (y1 - y0) * (v - x0) / (x1 - x0)
-
-
-def canonical_grid(k: int) -> TruthSet:
-    """The evenly spaced truth set {0, 1/k, ..., 1}."""
-    if k < 1:
-        raise ValueError("grid resolution must be at least 1")
-    return TruthSet(Fraction(i, k) for i in range(k + 1))

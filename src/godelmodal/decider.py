@@ -462,6 +462,8 @@ _GRID = 120
 # draws below d + 1 and d - 1: (the bound, its bit length, the grid step).
 _ANY = tuple((d + 1, (d + 1).bit_length(), _GRID // d) for d in _DENOMS)
 _INNER = tuple((d - 1, (d - 1).bit_length(), _GRID // d) for d in _DENOMS)
+# The number of distinct interior values those draws can give
+_N_INNER = len({i * step for below, _, step in _INNER for i in range(1, below + 1)})
 
 # The most samples in one batch, and the most values one batch's evaluation
 # may hold over the whole op list; see random_search.
@@ -488,6 +490,9 @@ def _draw(
     then |T| = randint(2, max(2, min(n_truth, bound - |W|))).  A model draws
     its interior truth values, then pi at each world (all 1 under S5), under
     KD45 a world whose pi is set to 1, then each world's variable codes.
+    The grid holds only _N_INNER interior values, so a model drawing a
+    larger |T| stops at that many: its truth set has min(|T|, _N_INNER + 2)
+    members.
 
     The loop spells out the random module's calls.  randint(a, b) is a plus
     a draw below b - a + 1, choice(seq) is seq[a draw below len(seq)], and
@@ -522,7 +527,8 @@ def _draw(
                 r = bits(k)
             m = 2 + r
         interior: set[int] = set()
-        while len(interior) < m - 2:
+        want = min(m - 2, _N_INNER)
+        while len(interior) < want:
             r = bits(k_denoms)
             while r >= n_denoms:
                 r = bits(k_denoms)

@@ -377,11 +377,6 @@ def frame_report(model: PiGModel | PiGFModel | RelationalModel) -> FrameReport:
     )
 
 
-def inconsistency_degree(model: PiGModel) -> Fraction:
-    """1 minus the largest possibility degree."""
-    return ONE - max(model.pi[w] for w in model.worlds)
-
-
 def is_normalized(model: PiGModel) -> bool:
     """True when some world has possibility degree exactly 1."""
     return any(model.pi[w] == ONE for w in model.worlds)

@@ -9,10 +9,14 @@ expanded at parse time:
     f <-> g   (f -> g) & (g -> f)
     top, 1    0 -> 0
 
+Nodes are interned (hash-consed): constructing a node equal to a live one
+returns that node, so equal subformulas are one object, == is identity and
+hashing is O(1).
+
 | and <-> share subtrees, so a formula's tree can be exponentially larger
 than its DAG.  Nothing recurses on a formula's depth: the parser climbs
 precedence over explicit stacks, every walk over a parsed formula runs on
-one iterative postorder that visits each node object once, and the printer,
+one iterative postorder that visits each node once, and the printer,
 whose text spells out shared subtrees, emits it from one explicit stack.
 Precedence and associativity of the binary connectives are written once,
 in _BINARY, which the printer reads too.
@@ -21,6 +25,7 @@ in _BINARY, which the printer reads too.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -32,38 +37,58 @@ class LogicId(Enum):
     S5 = "s5"
 
 
+# (node class, *fields) -> the live node with those fields
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class Formula:
+    """An interned node: constructing one whose class and fields equal a live
+    node's returns that node, and copies return it too.  Children are
+    interned already, so the lookup key is shallow."""
+
     __slots__ = ()
 
+    def __new__(cls, *args, **kwargs):
+        if kwargs:  # a missing or unknown keyword fails in __init__
+            args += tuple(kwargs.get(name) for name in cls.__match_args__[len(args):])
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+        return node
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+@dataclass(frozen=True, eq=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dia(Formula):
     body: Formula
 
@@ -223,18 +248,17 @@ def _children(f: Formula) -> tuple[Formula, ...]:
 
 
 def _postorder(roots: Sequence[Formula]) -> list[Formula]:
-    """Every distinct node object under the roots once, children before
-    parents and left before right.  Nodes are told apart by identity, so a
-    subtree the parser shares is visited once and nothing is hashed."""
+    """Every distinct node under the roots once, children before parents
+    and left before right."""
     order: list[Formula] = []
-    seen: set[int] = set()
+    seen: set[Formula] = set()
     stack = [(r, False) for r in reversed(roots)]
     while stack:
         g, expanded = stack.pop()
         if expanded:
             order.append(g)
-        elif id(g) not in seen:
-            seen.add(id(g))
+        elif g not in seen:
+            seen.add(g)
             stack.append((g, True))
             stack.extend((c, False) for c in reversed(_children(g)))
     return order
@@ -248,24 +272,21 @@ def compile_formulas(
 
     An op is ("bot",), ("var", i) with i the variable's position in the
     names, ("and", a, b), ("imp", a, b), ("box", a) or ("dia", a), where a
-    and b are indices of earlier ops.  Equal subformulas, also across roots,
-    share one entry: an op is looked up by its tuple, so no formula is ever
-    hashed as a whole.
+    and b are indices of earlier ops.  Nodes are interned, so equal
+    subformulas, also across roots, are one node and share one entry.
     """
     ops: list[tuple] = []
-    op_index: dict[tuple, int] = {}
-    node_index: dict[int, int] = {}  # id(node) -> op index
+    index: dict[Formula, int] = {}
     for g in _postorder(roots):
         if isinstance(g, Var):
             op = ("var", g.name)
         else:
-            op = (_TAGS[type(g)], *[node_index[id(c)] for c in _children(g)])
-        i = node_index[id(g)] = op_index.setdefault(op, len(ops))
-        if i == len(ops):
-            ops.append(op)
+            op = (_TAGS[type(g)], *[index[c] for c in _children(g)])
+        index[g] = len(ops)
+        ops.append(op)
     names = tuple(sorted(op[1] for op in ops if op[0] == "var"))
     ops = [("var", names.index(op[1])) if op[0] == "var" else op for op in ops]
-    return ops, [node_index[id(r)] for r in roots], names
+    return ops, [index[r] for r in roots], names
 
 
 _SYMBOLS = {"and": " & ", "imp": " -> ", "box": "[]", "dia": "<>"}
@@ -337,7 +358,7 @@ class MissingMetavariableError(KeyError):
 
 def instantiate(template: Formula, subst: Mapping[str, Formula]) -> Formula:
     """Replace each uppercase metavariable by its image under subst."""
-    images: dict[int, Formula] = {}
+    images: dict[Formula, Formula] = {}
     for g in _postorder([template]):
         if isinstance(g, Var) and g.name[0].isupper():
             try:
@@ -348,9 +369,9 @@ def instantiate(template: Formula, subst: Mapping[str, Formula]) -> Formula:
                 ) from None
         else:
             children = _children(g)
-            image = type(g)(*[images[id(c)] for c in children]) if children else g
-        images[id(g)] = image
-    return images[id(template)]
+            image = type(g)(*[images[c] for c in children]) if children else g
+        images[g] = image
+    return images[template]
 
 
 @dataclass(frozen=True)

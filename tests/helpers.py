@@ -599,6 +599,9 @@ def oracle_exhaustive(f: Formula, logic, cfg):
 # search spells those calls out as getrandbits draws; it must return the same
 # countermodel and draw the same models.
 
+# The most distinct interior values a sample can draw from the grid
+_N_INTERIOR = len({k * (_GRID // d) for d in _DENOMS for k in range(1, d)})
+
 
 def oracle_random_code(rng: random.Random, anchors: Sequence[int]) -> int:
     roll = rng.random()
@@ -619,7 +622,7 @@ def oracle_sample(
     rows (pi, then one code per variable) and the sorted interior truth set
     codes; values sometimes coincide with truth set members."""
     interior: set[int] = set()
-    while len(interior) < n_truth - 2:
+    while len(interior) < min(n_truth - 2, _N_INTERIOR):
         d = rng.choice(_DENOMS)
         interior.add(rng.randint(1, d - 1) * (_GRID // d))
     anchors = sorted(interior)

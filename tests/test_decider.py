@@ -17,7 +17,6 @@ from godelmodal import (
     Unknown,
     Valid,
     bound_for,
-    canonical_grid,
     decide,
     eval_pigf,
     is_normalized,
@@ -103,7 +102,8 @@ def test_enumerate_two_world_regression():
 
 
 def test_enumerate_respects_dimensions_grid_and_logic():
-    grid = canonical_grid(2 * 2 + 3)  # n_worlds*(vars+1) + n_truth
+    # the grid 1/k with k = n_worlds*(vars+1) + n_truth
+    grid = TruthSet(["0", "1/7", "2/7", "3/7", "4/7", "5/7", "6/7", "1"])
     for logic in LogicId:
         count = 0
         for m in sweep_models(2, 3, ("p",), logic):
@@ -446,6 +446,20 @@ def test_random_search_matches_the_sample_by_sample_oracle():
         else:
             where["inside"] += 1
     assert min(where[k] for k in ("none", "past 511", "batch end", "batch start", "inside")) > 0, where
+
+
+def test_truth_sets_larger_than_the_grid_stop_at_its_interior_values():
+    # the grid holds 19 interior values, so |T| = 40 cannot be drawn; the
+    # search must end, and still draw what the sample-by-sample oracle draws
+    f = parse(" & ".join(f"p{i}" for i in range(30)) + " -> p0")
+    cfg = SearchConfig("random", 50, 0, None, 40)
+    assert random_search(f, LogicId.K45, cfg) is None
+    assert oracle_random_search(f, LogicId.K45, cfg) == (None, 50)
+    ours, theirs = random.Random(0), random.Random(0)
+    model = random_pigf_model(ours, 2, 40, ("p",), LogicId.K45)
+    rows, anchors = oracle_sample(theirs, 2, 40, 1, LogicId.K45)
+    assert model_to_json(model) == model_to_json(_materialize(("p",), rows, anchors, 120, 120))
+    assert len(model.truth_set) == 21
 
 
 def test_random_pigf_model_draws_like_the_oracle_sampler():

@@ -24,7 +24,6 @@ from godelmodal import (
     evaluate,
     filtrate,
     frame_report,
-    inconsistency_degree,
     is_normalized,
     model_from_json,
     model_to_json,
@@ -356,13 +355,7 @@ def test_frame_report_compares_no_fractions_per_triple(monkeypatch):
     assert len(calls) < len(m.worlds) ** 2
 
 
-# -- inconsistency and normalization ------------------------------------------------
-
-
-def test_inconsistency_degree():
-    assert inconsistency_degree(PiGModel(["a"], {"a": ONE})) == ZERO
-    assert inconsistency_degree(PiGModel(["a"], {"a": Fraction(3, 5)})) == Fraction(2, 5)
-    assert inconsistency_degree(PiGModel(["a", "b"], {"a": ZERO, "b": ZERO})) == ONE
+# -- normalization ------------------------------------------------------------------
 
 
 def test_is_normalized():
@@ -436,7 +429,7 @@ def test_filtrate_agreement_and_bound_random_sweep():
 
 def test_transport_identity():
     m = m0()
-    assert transport(m, OrderEmbedding.identity()) == m
+    assert transport(m, OrderEmbedding([(ZERO, ZERO), (ONE, ONE)])) == m
 
 
 def test_transport_worked_example():

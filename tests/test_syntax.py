@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import random
 import tracemalloc
 
@@ -26,6 +29,7 @@ from godelmodal import (
     subformulas,
     variables,
 )
+from godelmodal import syntax
 from godelmodal.syntax import _parse_template, compile_formulas
 
 from helpers import (
@@ -234,8 +238,7 @@ def test_deep_formula_traversals_do_not_recurse():
     assert compile_formulas([parse(render(f))]) == (ops, roots, names)
     negations = parse("~" * 5000 + "(" * 5000 + "p" + ")" * 5000)
     assert len(compile_formulas([negations])[0]) == 5002
-    # == on the result would recurse through the dataclass __eq__
-    assert render(instantiate(template, {"X": P})) == render(f)
+    assert instantiate(template, {"X": P}) is f
 
 
 def test_render_memory_is_linear_in_the_output():
@@ -248,6 +251,45 @@ def test_render_memory_is_linear_in_the_output():
         tracemalloc.stop()
     assert text == "(" * 49_999 + "p -> 0" + ") -> 0" * 49_999
     assert peak < 8_000_000, peak
+
+
+# -- interning ----------------------------------------------------------------------
+
+
+def test_equal_deep_formulas_are_one_node():
+    text = "~" * 5000 + "p"
+    a, b = parse(text), parse(text)
+    assert a is b
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+def test_subformulas_of_a_wide_disjunction_share_their_nodes():
+    f = parse(" | ".join(f"p{i}" for i in range(40)))
+    assert len(subformulas(f)) == 236
+
+
+def test_copies_return_the_interned_node():
+    f = parse("[](p -> q) | <>~p")
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+
+
+def test_constructors_intern_alike():
+    assert Var(name="p") is Var("p")
+    assert Implies(right=BOT, left=P) is Implies(P, BOT)
+    assert repr(Box(P)) == "Box(body=Var(name='p'))"
+
+
+def test_dropped_formulas_leave_the_node_table():
+    gc.collect()
+    before = len(syntax._NODES)
+    f = parse("~" * 4200 + "fresh_atom")
+    assert len(syntax._NODES) > before + 4000
+    del f
+    gc.collect()
+    assert len(syntax._NODES) == before
 
 
 # -- scheme instantiation ---------------------------------------------------------
