@@ -5,19 +5,22 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "n/d" (lowest terms not required on input) or a bare integer string."""
+    """Parse a value in [0, 1] as Fraction reads the stripped text: "n/d"
+    (lowest terms not required on input), an integer, a decimal or an
+    exponent.  The range check reads the numerator and the denominator,
+    which is always positive, so no Fraction comparison runs."""
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
-    if not ZERO <= value <= ONE:
+    if not 0 <= value.numerator <= value.denominator:
         raise ValueError(f"rational {text!r} outside [0, 1]")
     return value
 
@@ -87,14 +90,36 @@ class OrderEmbedding:
         object.__setattr__(self, "breakpoints", pts)
 
 
-def apply_embedding(h: OrderEmbedding, v: Fraction) -> Fraction:
-    """Evaluate h at v by exact linear interpolation between breakpoints."""
-    if not ZERO <= v <= ONE:
-        raise ValueError(f"value {v} outside [0, 1]")
+def _embedding(h: OrderEmbedding) -> Callable[[Fraction], Fraction]:
+    """h as a function on [0, 1]: the breakpoint list is built once, and each
+    distinct value is range-checked and interpolated once.  Values are keyed
+    by numerator and denominator, which hash in C."""
     pts = h.breakpoints
-    xs = [p[0] for p in pts]
-    i = bisect_right(xs, v) - 1
-    if i == len(pts) - 1:
-        return pts[-1][1]
-    (x0, y0), (x1, y1) = pts[i], pts[i + 1]
-    return y0 + (y1 - y0) * (v - x0) / (x1 - x0)
+    xs = [x for x, _ in pts]
+    last = len(pts) - 1
+    images: dict[tuple[int, int], Fraction] = {}
+
+    def image(v: Fraction) -> Fraction:
+        key = v.as_integer_ratio()
+        y = images.get(key)
+        if y is None:
+            n, d = key
+            if not 0 <= n <= d:
+                raise ValueError(f"value {v} outside [0, 1]")
+            i = bisect_right(xs, v) - 1
+            if i == last:
+                y = pts[-1][1]
+            else:
+                (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+                y = y0 + (y1 - y0) * (v - x0) / (x1 - x0)
+            images[key] = y
+        return y
+
+    return image
+
+
+def apply_embedding(h: OrderEmbedding, v: Fraction) -> Fraction:
+    """Evaluate h at v by exact linear interpolation between breakpoints;
+    raises ValueError if v lies outside [0, 1].  One value through the same
+    prepared map that transport builds once per model."""
+    return _embedding(h)(v)

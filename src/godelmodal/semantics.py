@@ -46,7 +46,7 @@ from .algebra import (
     format_rational,
     parse_rational,
     OrderEmbedding,
-    apply_embedding,
+    _embedding,
 )
 from .syntax import BOT, Formula, compile_formulas
 
@@ -56,10 +56,12 @@ class UnknownWorldError(KeyError):
 
 
 def _coerce_values(mapping: Mapping[str, object], what: str) -> dict[str, Fraction]:
+    # a Fraction's denominator is positive, so the range check needs no
+    # Fraction comparison
     out = {}
     for key, raw in mapping.items():
         value = raw if type(raw) is Fraction else Fraction(raw)
-        if not ZERO <= value <= ONE:
+        if not 0 <= value.numerator <= value.denominator:
             raise ValueError(f"{what} value {value} outside [0, 1]")
         out[str(key)] = value
     return out
@@ -429,16 +431,20 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
 
 def transport(model: PiGFModel, h: OrderEmbedding) -> PiGFModel:
     """Push pi and the valuation through an order embedding that fixes the
-    truth set pointwise; raises ValueError if h moves a truth set member."""
-    moved = [t for t in model.truth_set if apply_embedding(h, t) != t]
+    truth set pointwise; raises ValueError if h moves a truth set member.
+
+    h is prepared once for the whole model, so its breakpoint list is built
+    once and each distinct value is interpolated once."""
+    image = _embedding(h)
+    moved = [t for t in model.truth_set if image(t) != t]
     if moved:
         raise ValueError(
             f"embedding moves truth set member {format_rational(moved[0])}"
         )
     base = model.base
-    pi = {w: apply_embedding(h, base.pi[w]) for w in base.worlds}
+    pi = {w: image(base.pi[w]) for w in base.worlds}
     valuation = {
-        w: {p: apply_embedding(h, v) for p, v in row.items()}
+        w: {p: image(v) for p, v in row.items()}
         for w, row in base.valuation.items()
     }
     return PiGFModel(PiGModel(base.worlds, pi, valuation), model.truth_set)
@@ -469,32 +475,46 @@ def _object(value: object, what: str) -> dict:
     return value
 
 
-def _rational_rows(value: object, what: str) -> dict:
+def _rational_rows(value: object, what: str, rational) -> dict:
     return {
-        w: {str(k): parse_rational(str(v)) for k, v in _object(row, f"{what} row").items()}
+        w: {str(k): rational(v) for k, v in _object(row, f"{what} row").items()}
         for w, row in _object(value, f"'{what}'").items()
     }
 
 
 def model_from_json(doc: object) -> PiGModel | PiGFModel | RelationalModel:
-    """Parse the JSON file structure; the keys present select the model class."""
+    """Parse the JSON file structure; the keys present select the model class.
+
+    A value is read as parse_rational(str(v)): a string "n/d", an integer,
+    a decimal or an exponent as Fraction reads them, or a JSON number.  Each
+    distinct literal text is parsed once per call, and a bad one raises
+    before anything is kept, so every occurrence of it fails alike."""
+    literals: dict[str, Fraction] = {}
+
+    def rational(v: object) -> Fraction:
+        text = str(v)
+        value = literals.get(text)
+        if value is None:
+            value = literals[text] = parse_rational(text)
+        return value
+
     doc = _object(doc, "model document")
     if "worlds" not in doc:
         raise ValueError("model document lacks 'worlds'")
     worlds = doc["worlds"]
     if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
         raise ValueError("'worlds' must be a list of strings")
-    valuation = _rational_rows(doc.get("valuation", {}), "valuation")
+    valuation = _rational_rows(doc.get("valuation", {}), "valuation", rational)
     if "R" in doc:
         if "pi" in doc or "truth_set" in doc:
             raise ValueError("relational model must not carry 'pi' or 'truth_set'")
-        return RelationalModel(worlds, _rational_rows(doc["R"], "R"), valuation)
+        return RelationalModel(worlds, _rational_rows(doc["R"], "R", rational), valuation)
     if "pi" not in doc:
         raise ValueError("model document lacks 'pi' or 'R'")
-    pi = {w: parse_rational(str(v)) for w, v in _object(doc["pi"], "'pi'").items()}
+    pi = {w: rational(v) for w, v in _object(doc["pi"], "'pi'").items()}
     base = PiGModel(worlds, pi, valuation)
     if "truth_set" in doc:
         if not isinstance(doc["truth_set"], list):
             raise ValueError("'truth_set' must be a list")
-        return PiGFModel(base, TruthSet(parse_rational(str(t)) for t in doc["truth_set"]))
+        return PiGFModel(base, TruthSet(rational(t) for t in doc["truth_set"]))
     return base

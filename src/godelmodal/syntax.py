@@ -44,51 +44,86 @@ _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 class Formula:
     """An interned node: constructing one whose class and fields equal a live
     node's returns that node, and copies return it too.  Children are
-    interned already, so the lookup key is shallow."""
+    interned already, so the lookup key is shallow.  A node's fields are set
+    once, when it is made; a node found live is returned as it is."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        if kwargs:  # a missing or unknown keyword fails in __init__
-            args += tuple(kwargs.get(name) for name in cls.__match_args__[len(args):])
+        if kwargs or len(args) != len(cls.__match_args__):
+            # bind the call as the dataclass __init__ does, with its TypeErrors
+            probe = object.__new__(cls)
+            cls._fill(probe, *args, **kwargs)
+            args = tuple(getattr(probe, name) for name in cls.__match_args__)
         key = (cls, *args)
         node = _NODES.get(key)
         if node is None:
-            node = _NODES[key] = object.__new__(cls)
+            node = object.__new__(cls)
+            cls._fill(node, *args)
+            _NODES[key] = node
         return node
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        # a flat postorder, so that pickling does not recurse per level
+        order = _postorder([self])
+        index = {g: i for i, g in enumerate(order)}
+        items = tuple(
+            (Var, g.name) if type(g) is Var else (type(g), *[index[c] for c in _children(g)])
+            for g in order
+        )
+        return _rebuild, (items,)
+
+    def __deepcopy__(self, memo) -> Formula:
+        return self
 
 
-@dataclass(frozen=True, eq=False)
+def _rebuild(items: tuple) -> Formula:
+    """The formula of a Formula.__reduce__ postorder: each item is a node's
+    class and its fields, a child given by its index in items."""
+    nodes: list[Formula] = []
+    for cls, *fields in items:
+        nodes.append(cls(*fields) if cls is Var else cls(*[nodes[i] for i in fields]))
+    return nodes[-1]
+
+
+def _node(cls: type) -> type:
+    """A frozen dataclass node whose generated __init__ becomes _fill, which
+    Formula.__new__ runs on a new node only; a construction then runs
+    object.__init__, which ignores the arguments."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls._fill = cls.__init__
+    del cls.__init__
+    return cls
+
+
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Box(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Dia(Formula):
     body: Formula
 

@@ -1,14 +1,18 @@
 """Shared test utilities: random generators and independent oracles.
 
-Everything here except oracle_sweep_size, oracle_exhaustive and
-oracle_random_search is deliberately written from first principles (plain
-recursion, no reuse of the library's evaluator internals) so that tests
-compare the package against genuinely independent reference behaviour.
+Everything here except oracle_sweep_size, oracle_exhaustive,
+oracle_random_search and the model boundary oracles is deliberately written
+from first principles (plain recursion, no reuse of the library's evaluator
+internals) so that tests compare the package against genuinely independent
+reference behaviour.  The model boundary oracles keep the model file reader
+and transport that the package had before each literal and value was read
+once; they build the package's own model classes.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence
@@ -35,6 +39,7 @@ from godelmodal import (
     Var,
     complexity_ell,
     disj,
+    format_rational,
     iff,
     neg,
     top,
@@ -471,6 +476,86 @@ def oracle_frame_report(model: RelationalModel) -> FrameReport:
         euclidean_witnesses=tuple(eucl),
         seriality_witnesses=tuple(serial),
     )
+
+
+# --------------------------------------------------------------------------
+# Model boundary oracles: the model file reader and the transport that
+# parsed every literal and interpolated every value on its own
+# --------------------------------------------------------------------------
+
+
+def oracle_parse_rational(text: str) -> Fraction:
+    try:
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational literal {text!r}") from exc
+    if not ZERO <= value <= ONE:
+        raise ValueError(f"rational {text!r} outside [0, 1]")
+    return value
+
+
+def _oracle_object(value: object, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _oracle_rational_rows(value: object, what: str) -> dict:
+    return {
+        w: {str(k): oracle_parse_rational(str(v)) for k, v in _oracle_object(row, f"{what} row").items()}
+        for w, row in _oracle_object(value, f"'{what}'").items()
+    }
+
+
+def oracle_model_from_json(doc: object) -> PiGModel | PiGFModel | RelationalModel:
+    """Parse the JSON file structure, one parse_rational call per value."""
+    doc = _oracle_object(doc, "model document")
+    if "worlds" not in doc:
+        raise ValueError("model document lacks 'worlds'")
+    worlds = doc["worlds"]
+    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+        raise ValueError("'worlds' must be a list of strings")
+    valuation = _oracle_rational_rows(doc.get("valuation", {}), "valuation")
+    if "R" in doc:
+        if "pi" in doc or "truth_set" in doc:
+            raise ValueError("relational model must not carry 'pi' or 'truth_set'")
+        return RelationalModel(worlds, _oracle_rational_rows(doc["R"], "R"), valuation)
+    if "pi" not in doc:
+        raise ValueError("model document lacks 'pi' or 'R'")
+    pi = {w: oracle_parse_rational(str(v)) for w, v in _oracle_object(doc["pi"], "'pi'").items()}
+    base = PiGModel(worlds, pi, valuation)
+    if "truth_set" in doc:
+        if not isinstance(doc["truth_set"], list):
+            raise ValueError("'truth_set' must be a list")
+        return PiGFModel(base, TruthSet(oracle_parse_rational(str(t)) for t in doc["truth_set"]))
+    return base
+
+
+def oracle_apply_embedding(h: OrderEmbedding, v: Fraction) -> Fraction:
+    """h at v by linear interpolation, the breakpoint list built per call."""
+    if not ZERO <= v <= ONE:
+        raise ValueError(f"value {v} outside [0, 1]")
+    pts = h.breakpoints
+    xs = [p[0] for p in pts]
+    i = bisect_right(xs, v) - 1
+    if i == len(pts) - 1:
+        return pts[-1][1]
+    (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+    return y0 + (y1 - y0) * (v - x0) / (x1 - x0)
+
+
+def oracle_transport(model: PiGFModel, h: OrderEmbedding) -> PiGFModel:
+    """Push pi and the valuation through h, one interpolation per value."""
+    moved = [t for t in model.truth_set if oracle_apply_embedding(h, t) != t]
+    if moved:
+        raise ValueError(f"embedding moves truth set member {format_rational(moved[0])}")
+    base = model.base
+    pi = {w: oracle_apply_embedding(h, base.pi[w]) for w in base.worlds}
+    valuation = {
+        w: {p: oracle_apply_embedding(h, v) for p, v in row.items()}
+        for w, row in base.valuation.items()
+    }
+    return PiGFModel(PiGModel(base.worlds, pi, valuation), model.truth_set)
 
 
 # --------------------------------------------------------------------------

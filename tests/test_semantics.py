@@ -35,14 +35,19 @@ from godelmodal import (
 from godelmodal.semantics import evaluate_compiled, modal_terms
 from godelmodal.syntax import compile_formulas
 from helpers import (
+    oracle_apply_embedding,
     oracle_eval,
     oracle_frame_report,
+    oracle_model_from_json,
+    oracle_transport,
     random_fixing_embedding,
     random_formula_bounded,
     random_pig,
     random_pigf,
     random_relational,
     random_sparse_relational,
+    random_truth_set,
+    random_value,
 )
 
 HALF = Fraction(1, 2)
@@ -72,8 +77,18 @@ def test_model_validation():
         PiGModel(["a", "a"], {"a": ONE})
     with pytest.raises(ValueError):
         PiGModel(["a"], {})  # pi not total
-    with pytest.raises(ValueError):
-        PiGModel(["a"], {"a": Fraction(3, 2)})  # out of range
+    out_of_range = [
+        (lambda: PiGModel(["a"], {"a": Fraction(3, 2)}), "pi value 3/2 outside [0, 1]"),
+        (lambda: PiGModel(["a"], {"a": -1}), "pi value -1 outside [0, 1]"),
+        (lambda: PiGModel(["a"], {"a": ONE}, {"a": {"p": "7/2"}}), "valuation value 7/2 outside [0, 1]"),
+        (lambda: RelationalModel(["a"], {"a": {"a": Fraction(-1, 3)}}), "R value -1/3 outside [0, 1]"),
+    ]
+    for build, message in out_of_range:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+    m = PiGModel(["a", "b"], {"a": 1, "b": 0}, {"a": {"p": "1/1"}, "b": {"p": Fraction(0, 5)}})
+    assert (m.pi, m.valuation) == ({"a": ONE, "b": ZERO}, {"a": {"p": ONE}, "b": {"p": ZERO}})
     with pytest.raises(ValueError):
         PiGModel(["a"], {"a": ONE}, {"zz": {"p": ONE}})  # unknown world
     with pytest.raises(ValueError):
@@ -457,6 +472,44 @@ def test_transport_commutes_with_evaluation():
         assert eval_pigf(transport(m, h), x, f) == apply_embedding(h, eval_pigf(m, x, f))
 
 
+def test_transport_matches_the_per_value_oracle():
+    rng = random.Random(1313)
+    for trial in range(150):
+        if trial % 2:  # many distinct values
+            draw = lambda: Fraction(rng.randint(0, 997), 997)  # noqa: E731
+        else:  # a few values, each repeated many times
+            pool = [random_value(rng) for _ in range(3)]
+            draw = lambda: rng.choice(pool)  # noqa: E731
+        worlds = [f"w{i}" for i in range(rng.randint(1, 30))]
+        names = [f"p{i}" for i in range(rng.randint(1, 6))]
+        valuation = {w: {p: draw() for p in names if rng.random() < 0.8} for w in worlds}
+        m = PiGFModel(PiGModel(worlds, {w: draw() for w in worlds}, valuation), random_truth_set(rng))
+        if trial % 3:
+            h = random_fixing_embedding(rng, m.truth_set)
+        else:  # most of these move a truth set member
+            cuts = sorted({Fraction(rng.randint(1, 11), 12) for _ in range(2)})
+            images = sorted({Fraction(rng.randint(1, 11), 12) for _ in cuts})
+            h = OrderEmbedding([(ZERO, ZERO), *zip(cuts, images), (ONE, ONE)])
+        try:
+            expected = oracle_transport(m, h)
+        except ValueError as exc:
+            assert str(exc).startswith("embedding moves truth set member ")
+            with pytest.raises(ValueError) as info:
+                transport(m, h)
+            assert str(info.value) == str(exc)
+        else:
+            assert transport(m, h) == expected
+        for v in (draw(), ZERO, ONE, *m.truth_set):
+            assert apply_embedding(h, v) == oracle_apply_embedding(h, v)
+    h = OrderEmbedding([(ZERO, ZERO), (HALF, Fraction(3, 4)), (ONE, ONE)])
+    for v in (Fraction(3, 2), Fraction(-1, 4), 2, -1):
+        with pytest.raises(ValueError) as info:
+            apply_embedding(h, v)
+        assert str(info.value) == f"value {v} outside [0, 1]"
+        with pytest.raises(ValueError):
+            oracle_apply_embedding(h, v)
+
+
 # -- JSON model files ------------------------------------------------------------------
 
 
@@ -502,3 +555,100 @@ def test_model_json_class_selection_and_errors():
     for bad in bad_docs:
         with pytest.raises(ValueError):
             model_from_json(bad)
+
+
+# literals that read as values in [0, 1], in the forms model files may use
+_GOOD_LITERALS = ["0", "1", "1/2", "2/4", " 1/2 ", "5e-1", "-0", "0.25", "3/7", "10/20", 0.5, 1, 0]
+# literals that are malformed, out of range, or not a scalar at all
+_BAD_LITERALS = ["7/2", "-1/3", "1/0", "abc", "", "1/2/3", "nan", 1.5, -1, 2, True, False, None, ["1/2"], {"x": "1"}]
+
+
+def _random_model_doc(rng: random.Random) -> tuple[object, bool]:
+    """A model document, and whether a bad literal was planted in it twice."""
+    worlds = [f"w{i}" for i in range(rng.randint(1, 4))]
+    slots = []  # (container, key) of every value
+
+    def row(keys) -> dict:
+        out = {k: rng.choice(_GOOD_LITERALS) for k in keys if rng.random() < 0.7}
+        slots.extend((out, k) for k in out)
+        return out
+
+    doc: dict = {"worlds": worlds, "valuation": {w: row(["p", "q"]) for w in worlds}}
+    kind = rng.choice(["pig", "pigf", "rel"])
+    if kind == "rel":
+        doc["R"] = {w: row(worlds) for w in worlds}
+    else:
+        doc["pi"] = {w: rng.choice(_GOOD_LITERALS) for w in worlds}
+        slots.extend((doc["pi"], w) for w in worlds)
+    if kind == "pigf":
+        doc["truth_set"] = ["0", "1", *rng.sample(_GOOD_LITERALS, 2)]
+        slots.extend((doc["truth_set"], i) for i in range(len(doc["truth_set"])))
+    planted = len(slots) >= 2 and rng.random() < 0.4
+    if planted:
+        bad = rng.choice(_BAD_LITERALS)
+        for container, key in rng.sample(slots, 2):
+            container[key] = bad
+    roll = rng.random()  # and now and then a schema fault
+    if roll < 0.04:
+        del doc["worlds"]
+    elif roll < 0.08:
+        doc["worlds"] = [*worlds, 1]
+    elif roll < 0.12:
+        doc["valuation"]["zz"] = {"p": "1/2"}
+    elif roll < 0.16:
+        doc["pi" if "pi" in doc else "R"] = ["1"]
+    elif roll < 0.20:
+        doc["pi" if "R" in doc else "R"] = {}
+    elif roll < 0.24 and "truth_set" in doc:
+        doc["truth_set"] = rng.choice(["01", ["1/2", "1"]])
+    elif roll < 0.28 and "pi" in doc:
+        del doc["pi"][worlds[0]]
+    return doc, planted
+
+
+def _outcome(read, doc) -> tuple:
+    try:
+        model = read(doc)
+    except Exception as exc:  # the class and the message must match
+        return type(exc), str(exc)
+    return type(model), model
+
+
+def test_model_from_json_matches_the_per_literal_oracle():
+    rng = random.Random(1212)
+    counts = {"model": 0, "error": 0, "planted error": 0}
+    for _ in range(800):
+        doc, planted = _random_model_doc(rng)
+        expected = _outcome(oracle_model_from_json, doc)
+        assert _outcome(model_from_json, doc) == expected, doc
+        failed = issubclass(expected[0], Exception)
+        counts["error" if failed else "model"] += 1
+        counts["planted error"] += planted and failed
+    assert min(counts.values()) >= 100, counts
+
+
+def test_each_distinct_literal_is_parsed_once(monkeypatch):
+    from godelmodal import semantics
+
+    seen = []
+    parse_rational = semantics.parse_rational
+
+    def counting(text):
+        seen.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(semantics, "parse_rational", counting)
+    doc = {
+        "worlds": ["a", "b"],
+        "pi": {"a": "1", "b": "1/2"},
+        "valuation": {"a": {"p": "1/2", "q": 0.5}, "b": {"p": "1/2", "q": "1"}},
+        "truth_set": ["0", "1/2", "1"],
+    }
+    assert model_from_json(doc) == oracle_model_from_json(doc)
+    assert sorted(seen) == ["0", "0.5", "1", "1/2"]
+    seen.clear()
+    doc["valuation"]["b"]["q"] = "7/2"
+    doc["truth_set"].append("7/2")
+    with pytest.raises(ValueError, match=r"^rational '7/2' outside \[0, 1\]$"):
+        model_from_json(doc)
+    assert seen.count("7/2") == 1

@@ -280,6 +280,52 @@ def test_constructors_intern_alike():
     assert Var(name="p") is Var("p")
     assert Implies(right=BOT, left=P) is Implies(P, BOT)
     assert repr(Box(P)) == "Box(body=Var(name='p'))"
+    assert Var.__match_args__ == ("name",) and Implies.__match_args__ == ("left", "right")
+    for bad in (
+        lambda: Var(),
+        lambda: Var(nam="p"),
+        lambda: Var("p", name="p"),
+        lambda: Var("p", "q"),
+        lambda: Implies(P),
+        lambda: Implies(left=P, body=BOT),
+        lambda: syntax.Bot(P),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_deep_formulas_pickle_and_copy_without_recursion():
+    f = parse("~" * 5000 + "p")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(f, protocol)) is f
+        assert pickle.loads(pickle.dumps(P, protocol)) is P
+        assert pickle.loads(pickle.dumps(BOT, protocol)) is BOT
+    assert copy.deepcopy(f) is f
+    assert copy.deepcopy([f, {"g": f}])[1]["g"] is f
+    assert copy.copy(f) is f
+
+
+def test_a_pickled_formula_outlives_its_nodes():
+    text = "[](fresh_p -> <>fresh_q) | ~fresh_p"
+    data = pickle.dumps(parse(text), 0)
+    gc.collect()
+    g = pickle.loads(data)
+    assert g is parse(text)
+
+
+def test_a_live_node_is_returned_without_setting_its_fields(monkeypatch):
+    made = []
+    fill = Var._fill
+
+    def counting(node, *args, **kwargs):
+        made.append(args or kwargs)
+        fill(node, *args, **kwargs)
+
+    monkeypatch.setattr(Var, "_fill", counting)
+    a = Var("fresh_live")
+    assert made == [("fresh_live",)]
+    assert Var("fresh_live") is a and Var(name="fresh_live") is a
+    assert made == [("fresh_live",), {"name": "fresh_live"}]  # the keyword call only binds
 
 
 def test_dropped_formulas_leave_the_node_table():
