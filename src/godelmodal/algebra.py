@@ -39,10 +39,12 @@ class TruthSet:
     values: tuple[Fraction, ...]
 
     def __init__(self, values: Iterable[Fraction | int | str]) -> None:
-        vals = sorted({Fraction(v) for v in values})
-        if vals and (vals[0] < ZERO or vals[-1] > ONE):
+        # Fraction members are kept as they are; the checks read numerators
+        # and denominators (always positive), so no Fraction comparison runs
+        vals = sorted({v if type(v) is Fraction else Fraction(v) for v in values})
+        if vals and (vals[0].numerator < 0 or vals[-1].numerator > vals[-1].denominator):
             raise ValueError("truth set values must lie in [0, 1]")
-        if not vals or vals[0] != ZERO or vals[-1] != ONE:
+        if not vals or vals[0].numerator != 0 or vals[-1].numerator != vals[-1].denominator:
             raise ValueError("truth set must contain 0 and 1")
         object.__setattr__(self, "values", tuple(vals))
 

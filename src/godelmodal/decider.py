@@ -39,7 +39,7 @@ from .semantics import (
     modal_terms,
     model_to_json,
 )
-from .syntax import Formula, LogicId, compile_formulas, compiled_ell
+from .syntax import Formula, LogicId, compile_formulas, complexity_ell
 
 MODES = ("exhaustive", "random", "hybrid")
 
@@ -75,13 +75,9 @@ class Unknown:
 Verdict = Valid | Refuted | Unknown
 
 
-def _bound(ops: list[tuple]) -> int:
-    return 2 * (compiled_ell(ops) + 2)
-
-
 def bound_for(f: Formula) -> int:
     """Ceiling on |W| + |T| that a complete countermodel sweep must reach."""
-    return _bound(compile_formulas([f])[0])
+    return 2 * (complexity_ell(f) + 2)
 
 
 def _check_config(cfg: SearchConfig) -> None:
@@ -413,7 +409,7 @@ def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
     order types examined.
     """
     ops, (root,), names = compile_formulas([f])
-    bound = _bound(ops)
+    bound = bound_for(f)
     m = sum(op[0] in ("box", "dia") for op in ops)
     worlds = m + 2 if logic is LogicId.KD45 else m + 1
     if cfg.max_worlds is not None:
@@ -616,7 +612,7 @@ def random_search(
     _check_config(cfg)
     rng = random.Random(cfg.seed)
     ops, (root,), names = compile_formulas([f])
-    bound = _bound(ops)
+    bound = bound_for(f)
     worlds_cap = max(1, min(cfg.max_worlds or 5, bound - 2))
     most = max(1, min(_BATCH, _BATCH_VALUES // (worlds_cap * len(ops))))
     size = 1

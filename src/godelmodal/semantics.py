@@ -477,7 +477,7 @@ def _object(value: object, what: str) -> dict:
 
 def _rational_rows(value: object, what: str, rational) -> dict:
     return {
-        w: {str(k): rational(v) for k, v in _object(row, f"{what} row").items()}
+        w: {str(k): rational(v, what, w, k) for k, v in _object(row, f"{what} row").items()}
         for w, row in _object(value, f"'{what}'").items()
     }
 
@@ -488,14 +488,20 @@ def model_from_json(doc: object) -> PiGModel | PiGFModel | RelationalModel:
     A value is read as parse_rational(str(v)): a string "n/d", an integer,
     a decimal or an exponent as Fraction reads them, or a JSON number.  Each
     distinct literal text is parsed once per call, and a bad one raises
-    before anything is kept, so every occurrence of it fails alike."""
+    before anything is kept, so every occurrence of it fails alike.  The
+    error names where the literal sits, e.g. "valuation['b']['p']: ", at its
+    first occurrence in the order valuation, R, pi, truth_set."""
     literals: dict[str, Fraction] = {}
 
-    def rational(v: object) -> Fraction:
+    def rational(v: object, what: str, key: object, column: object = None) -> Fraction:
         text = str(v)
         value = literals.get(text)
         if value is None:
-            value = literals[text] = parse_rational(text)
+            try:
+                value = literals[text] = parse_rational(text)
+            except ValueError as exc:
+                where = f"{what}[{key!r}]" if column is None else f"{what}[{key!r}][{column!r}]"
+                raise ValueError(f"{where}: {exc}") from exc
         return value
 
     doc = _object(doc, "model document")
@@ -511,10 +517,11 @@ def model_from_json(doc: object) -> PiGModel | PiGFModel | RelationalModel:
         return RelationalModel(worlds, _rational_rows(doc["R"], "R", rational), valuation)
     if "pi" not in doc:
         raise ValueError("model document lacks 'pi' or 'R'")
-    pi = {w: rational(v) for w, v in _object(doc["pi"], "'pi'").items()}
+    pi = {w: rational(v, "pi", w) for w, v in _object(doc["pi"], "'pi'").items()}
     base = PiGModel(worlds, pi, valuation)
     if "truth_set" in doc:
         if not isinstance(doc["truth_set"], list):
             raise ValueError("'truth_set' must be a list")
-        return PiGFModel(base, TruthSet(rational(t) for t in doc["truth_set"]))
+        members = enumerate(doc["truth_set"])
+        return PiGFModel(base, TruthSet(rational(t, "truth_set", i) for i, t in members))
     return base

@@ -45,7 +45,8 @@ class Formula:
     """An interned node: constructing one whose class and fields equal a live
     node's returns that node, and copies return it too.  Children are
     interned already, so the lookup key is shallow.  A node's fields are set
-    once, when it is made; a node found live is returned as it is."""
+    once, when it is made; a node found live is returned as it is.
+    compile_formulas keeps a node's own compile on it as _compiled."""
 
     __slots__ = ()
 
@@ -309,7 +310,18 @@ def compile_formulas(
     names, ("and", a, b), ("imp", a, b), ("box", a) or ("dia", a), where a
     and b are indices of earlier ops.  Nodes are interned, so equal
     subformulas, also across roots, are one node and share one entry.
+
+    A one-root compile is kept on the root node for as long as the node
+    lives, so every later compile of that node returns it without walking
+    the formula.  The kept ops hold only ints and strings, so they never
+    keep the node alive, and a formula parsed again after its node died
+    compiles again.  The memo is stored as tuples and every call returns
+    fresh lists, so a caller cannot change what the next call gets.
+    Compiles of several roots are not kept.
     """
+    memo = getattr(roots[0], "_compiled", None) if len(roots) == 1 else None
+    if memo is not None:
+        return list(memo[0]), [memo[1]], memo[2]
     ops: list[tuple] = []
     index: dict[Formula, int] = {}
     for g in _postorder(roots):
@@ -321,6 +333,8 @@ def compile_formulas(
         ops.append(op)
     names = tuple(sorted(op[1] for op in ops if op[0] == "var"))
     ops = [("var", names.index(op[1])) if op[0] == "var" else op for op in ops]
+    if len(roots) == 1:
+        object.__setattr__(roots[0], "_compiled", (tuple(ops), index[roots[0]], names))
     return ops, [index[r] for r in roots], names
 
 
@@ -372,15 +386,11 @@ def subformulas(f: Formula) -> frozenset[Formula]:
     return frozenset([BOT, *_postorder([f])])
 
 
-def compiled_ell(ops: list[tuple]) -> int:
-    """complexity_ell read off a compiled op list: one op per subformula,
-    plus bottom when the formula does not contain it."""
-    return len(ops) if ("bot",) in ops else len(ops) + 1
-
-
 def complexity_ell(f: Formula) -> int:
-    """Size measure used by the finite-model bound: number of subformulas."""
-    return compiled_ell(compile_formulas([f])[0])
+    """Size measure used by the finite-model bound: number of subformulas,
+    which is one op per subformula, plus bottom when f does not contain it."""
+    ops = compile_formulas([f])[0]
+    return len(ops) if ("bot",) in ops else len(ops) + 1
 
 
 def variables(f: Formula) -> frozenset[str]:

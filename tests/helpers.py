@@ -1,12 +1,14 @@
 """Shared test utilities: random generators and independent oracles.
 
 Everything here except oracle_sweep_size, oracle_exhaustive,
-oracle_random_search and the model boundary oracles is deliberately written
-from first principles (plain recursion, no reuse of the library's evaluator
-internals) so that tests compare the package against genuinely independent
-reference behaviour.  The model boundary oracles keep the model file reader
-and transport that the package had before each literal and value was read
-once; they build the package's own model classes.
+oracle_random_search, oracle_compile_formulas and the model boundary oracles
+is deliberately written from first principles (plain recursion, no reuse of
+the library's evaluator internals) so that tests compare the package against
+genuinely independent reference behaviour.  The model boundary oracles keep
+the model file reader and transport that the package had before each literal
+and value was read once; they build the package's own model classes.
+oracle_compile_formulas is the compiler as it was before a one-root compile
+was kept on its root node.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from godelmodal import (
     top,
     variables,
 )
+from godelmodal import syntax
 from godelmodal.decider import (
     _DENOMS,
     _GRID,
@@ -59,7 +62,7 @@ from godelmodal.decider import (
     bound_for,
 )
 from godelmodal.semantics import eval_pigf
-from godelmodal.syntax import _tokenize, compile_formulas
+from godelmodal.syntax import _TAGS, _children, _postorder, _tokenize, compile_formulas
 
 # --------------------------------------------------------------------------
 # Random formulas
@@ -225,6 +228,38 @@ def oracle_subformulas(f: Formula) -> frozenset:
 
 def oracle_complexity_ell(f: Formula) -> int:
     return len(oracle_subformulas(f))
+
+
+def oracle_compile_formulas(
+    roots: Sequence[Formula],
+) -> tuple[list[tuple], list[int], tuple[str, ...]]:
+    """compile_formulas without its memo: every call walks the roots."""
+    ops: list[tuple] = []
+    index: dict[Formula, int] = {}
+    for g in _postorder(roots):
+        if isinstance(g, Var):
+            op = ("var", g.name)
+        else:
+            op = (_TAGS[type(g)], *[index[c] for c in _children(g)])
+        index[g] = len(ops)
+        ops.append(op)
+    names = tuple(sorted(op[1] for op in ops if op[0] == "var"))
+    ops = [("var", names.index(op[1])) if op[0] == "var" else op for op in ops]
+    return ops, [index[r] for r in roots], names
+
+
+def count_compile_walks(monkeypatch) -> list[int]:
+    """Record the number of roots of every formula walk compile_formulas
+    makes from now on; the roots themselves are not kept, so they can die."""
+    walks: list[int] = []
+    postorder = syntax._postorder
+
+    def counting(roots):
+        walks.append(len(roots))
+        return postorder(roots)
+
+    monkeypatch.setattr(syntax, "_postorder", counting)
+    return walks
 
 
 def oracle_render(f: Formula) -> str:

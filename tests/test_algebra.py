@@ -111,6 +111,29 @@ def test_truth_set_sorts_dedupes_and_requires_bounds():
         TruthSet([ZERO, Fraction(1, 2)])
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
         TruthSet([0, 2, 1])
+    # Fraction members are kept as they are, anything else goes through Fraction()
+    half = Fraction(1, 2)
+    assert TruthSet([ONE, half, ZERO]).values[1] is half
+
+    class Sub(Fraction):
+        pass
+
+    mixed = TruthSet([False, True, Sub(1, 3), "2/3", 1, Fraction(2, 3)])
+    assert mixed.values == (ZERO, Fraction(1, 3), Fraction(2, 3), ONE)
+    assert all(type(v) is Fraction for v in mixed)
+    for members, message in [
+        ([Fraction(-1, 3), ZERO, ONE], "truth set values must lie in [0, 1]"),
+        ([ZERO, ONE, Fraction(4, 3)], "truth set values must lie in [0, 1]"),
+        ([ZERO, ONE, Sub(4, 3)], "truth set values must lie in [0, 1]"),
+        (["-1/3", "0", "1"], "truth set values must lie in [0, 1]"),
+        ([Fraction(1, 3), ONE], "truth set must contain 0 and 1"),
+        ([ZERO, Fraction(2, 3)], "truth set must contain 0 and 1"),
+        ([ZERO], "truth set must contain 0 and 1"),
+        ([], "truth set must contain 0 and 1"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            TruthSet(members)
+        assert str(info.value) == message
 
 
 def test_rounding_examples():

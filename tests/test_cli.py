@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from godelmodal import RelationalModel, model_to_json, semantics
 from godelmodal.cli import run
-from helpers import oracle_frame_report, random_sparse_relational
+from helpers import count_compile_walks, oracle_frame_report, random_sparse_relational
 
 M0_DOC = {
     "worlds": ["a"],
@@ -254,6 +254,17 @@ def test_countermodel_golden_shrunk_output(capsys, logic, formula, expected):
     assert (code, out) == (1, expected)
 
 
+def test_countermodel_compiles_its_formula_once(capsys, monkeypatch):
+    # the search, shrink and the final evaluation share one compile
+    from godelmodal import decider
+
+    walks = count_compile_walks(monkeypatch)
+    monkeypatch.setattr(decider, "_exhaustive", None)  # the random search must hit
+    code, out, err = invoke(capsys, "countermodel", "--logic", "k45", "--seed", "0", "once_q -> [](once_q & once_p)")
+    assert (code, json.loads(out)["verdict"]) == (1, "refuted")
+    assert walks == [1]
+
+
 # -- corpus ---------------------------------------------------------------------------
 
 
@@ -414,6 +425,25 @@ def test_malformed_model_schema_is_usage_error(capsys, tmp_path, doc):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        # a bad literal is named at its first occurrence: valuation, R, pi, truth_set
+        ({"worlds": ["a", "b"], "pi": {"a": "1", "b": "7/2"}, "valuation": {"a": {"p": "1"}, "b": {"p": "7/2"}}}, "valuation['b']['p']"),
+        ({"worlds": ["a", "b"], "R": {"a": {"b": "7/2"}, "b": {"a": "7/2"}}, "valuation": {"a": {"p": "1"}}}, "R['a']['b']"),
+        ({"worlds": ["a", "b"], "pi": {"a": "1", "b": "7/2"}, "truth_set": ["0", "7/2", "1"]}, "pi['b']"),
+        ({"worlds": ["a"], "pi": {"a": "1"}, "truth_set": ["0", "1", "7/2"]}, "truth_set[2]"),
+    ],
+)
+def test_bad_model_literal_is_located(capsys, tmp_path, doc, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("eval", "--model", str(path), "p"), ("frame", "--model", str(path))):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: {where}: rational '7/2' outside [0, 1]\n"
 
 
 @pytest.mark.parametrize(

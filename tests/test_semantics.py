@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -614,13 +615,23 @@ def _outcome(read, doc) -> tuple:
     return type(model), model
 
 
+# where a literal sits, as a literal error names it
+_LOCATION = re.compile(r"(valuation|R)\['\w+'\]\['\w+'\]|pi\['\w+'\]|truth_set\[\d+\]")
+
+
 def test_model_from_json_matches_the_per_literal_oracle():
     rng = random.Random(1212)
-    counts = {"model": 0, "error": 0, "planted error": 0}
+    counts = {"model": 0, "error": 0, "planted error": 0, "located": 0}
     for _ in range(800):
         doc, planted = _random_model_doc(rng)
         expected = _outcome(oracle_model_from_json, doc)
-        assert _outcome(model_from_json, doc) == expected, doc
+        got = _outcome(model_from_json, doc)
+        if got != expected:
+            # a literal error is the oracle's message after its location
+            assert got[0] is expected[0] is ValueError, doc
+            where, _, tail = got[1].partition(": ")
+            assert _LOCATION.fullmatch(where) and tail == expected[1], doc
+            counts["located"] += 1
         failed = issubclass(expected[0], Exception)
         counts["error" if failed else "model"] += 1
         counts["planted error"] += planted and failed
@@ -649,6 +660,6 @@ def test_each_distinct_literal_is_parsed_once(monkeypatch):
     seen.clear()
     doc["valuation"]["b"]["q"] = "7/2"
     doc["truth_set"].append("7/2")
-    with pytest.raises(ValueError, match=r"^rational '7/2' outside \[0, 1\]$"):
+    with pytest.raises(ValueError, match=r"^valuation\['b'\]\['q'\]: rational '7/2' outside \[0, 1\]$"):
         model_from_json(doc)
     assert seen.count("7/2") == 1

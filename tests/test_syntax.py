@@ -3,6 +3,7 @@ import gc
 import pickle
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given
@@ -33,11 +34,14 @@ from godelmodal import syntax
 from godelmodal.syntax import _parse_template, compile_formulas
 
 from helpers import (
+    count_compile_walks,
+    oracle_compile_formulas,
     oracle_complexity_ell,
     oracle_instantiate,
     oracle_parse,
     oracle_render,
     oracle_subformulas,
+    random_formula,
 )
 
 P, Q, R = Var("p"), Var("q"), Var("r")
@@ -336,6 +340,67 @@ def test_dropped_formulas_leave_the_node_table():
     del f
     gc.collect()
     assert len(syntax._NODES) == before
+
+
+# -- the compile memo ---------------------------------------------------------------
+
+
+def test_the_compile_memo_dies_with_its_node(monkeypatch):
+    walks = count_compile_walks(monkeypatch)
+    text = "<>memo_p & ~[](memo_p | memo_q)"
+    f = parse(text)
+    first = compile_formulas([f])
+    assert (complexity_ell(f), bound_for(f), variables(f)) == (12, 28, {"memo_p", "memo_q"})
+    assert compile_formulas([f]) == first and len(walks) == 1
+    node = weakref.ref(f)
+    del f
+    gc.collect()
+    assert node() is None
+    # no cache outlives the node: the same text compiles again
+    assert compile_formulas([parse(text)]) == first and len(walks) == 2
+
+
+def test_the_compile_memo_matches_the_unmemoized_compiler():
+    rng = random.Random(1414)
+    pool = [P, BOT]
+    for _ in range(300):
+        f = random_formula(rng, ("p", "q", "r"), depth=rng.randint(1, 5))
+        g = rng.choice(pool)
+        # disj and iff share their arguments' subtrees, and pooled roots recur
+        pool += [f, disj(f, g), iff(g, f)]
+    deep = parse("[]" * 5000 + "(p | q)")
+    for f in [*pool, deep]:
+        expected = oracle_compile_formulas([f])
+        assert compile_formulas([f]) == expected
+        assert compile_formulas((f,)) == expected  # now read from the memo
+        g = rng.choice(pool)
+        # several roots are compiled afresh, also when each has a memo
+        assert compile_formulas([f, g]) == oracle_compile_formulas([f, g])
+
+
+def test_mutating_a_compile_result_leaves_the_memo_alone():
+    f = parse("[](p -> <>q) & ~p")
+    expected = oracle_compile_formulas([f])
+    for _ in range(2):
+        ops, roots, names = compile_formulas([f])
+        ops[0] = ("bot",)
+        ops.append(("box", 0))
+        roots[0] = 99
+        assert compile_formulas([f]) == expected
+        ops.clear()
+        roots.clear()
+        assert compile_formulas([f]) == expected
+
+
+def test_compiled_formulas_pickle_and_copy_to_the_interned_node(monkeypatch):
+    f = parse("<>[]p -> []compiled_r")
+    expected = compile_formulas([f])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(f, protocol)) is f
+    assert copy.deepcopy(f) is f and copy.copy(f) is f
+    assert copy.deepcopy([f, compile_formulas([f])]) == [f, expected]
+    walks = count_compile_walks(monkeypatch)
+    assert compile_formulas([f]) == expected and walks == []
 
 
 # -- scheme instantiation ---------------------------------------------------------
