@@ -16,6 +16,7 @@ import traceback
 
 from .algebra import format_rational
 from .decider import (
+    MODES,
     Refuted,
     SearchConfig,
     Unknown,
@@ -59,7 +60,7 @@ def _build_parser() -> _Parser:
 
     def add_search_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--logic", default="k45", choices=[l.value for l in LogicId])
-        p.add_argument("--mode", default="hybrid", choices=["exhaustive", "random", "hybrid"])
+        p.add_argument("--mode", default="hybrid", choices=MODES)
         p.add_argument("--budget", type=int, default=10_000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-worlds", type=int, default=None)

@@ -46,11 +46,23 @@ MODES = ("exhaustive", "random", "hybrid")
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search settings; building one with a bad value raises ValueError."""
+
     mode: str = "hybrid"
     budget: int = 10_000
     seed: int = 0
     max_worlds: int | None = None
     max_truth: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"unknown search mode {self.mode!r}")
+        if self.budget < 0:
+            raise ValueError("budget must be nonnegative")
+        if self.max_worlds is not None and self.max_worlds < 1:
+            raise ValueError("max_worlds must be at least 1")
+        if self.max_truth is not None and self.max_truth < 2:
+            raise ValueError("max_truth must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -78,17 +90,6 @@ Verdict = Valid | Refuted | Unknown
 def bound_for(f: Formula) -> int:
     """Ceiling on |W| + |T| that a complete countermodel sweep must reach."""
     return 2 * (complexity_ell(f) + 2)
-
-
-def _check_config(cfg: SearchConfig) -> None:
-    if cfg.mode not in MODES:
-        raise ValueError(f"unknown search mode {cfg.mode!r}")
-    if cfg.budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if cfg.max_worlds is not None and cfg.max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
-    if cfg.max_truth is not None and cfg.max_truth < 2:
-        raise ValueError("max_truth must be at least 2")
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +146,8 @@ def _sweep_size(
     are idempotent, so a duplicate never changes a value: a model with a
     duplicated row refutes only if the model without the copy does, and
     that model lies in the earlier size (|W| - 1, |T|).  A duplicate can
-    therefore never be the first hit of a sweep that visits sizes in
-    _size_order, and dropping them changes no refutation it reports.
+    therefore never be the first hit of a sweep that visits sizes by
+    increasing |W| + |T|, and dropping them changes no refutation it reports.
     """
     width = 1 + len(names)
     k_grid = n_worlds * width + n_truth
@@ -196,21 +197,6 @@ def _first_refutation(
         if code != top:
             return idx, code
     return None
-
-
-def _size_order(bound: int, cfg: SearchConfig) -> list[tuple[int, int]]:
-    """Every size (|W|, |T|) within the bound and the caps, in the order a
-    whole-bound sweep visits them."""
-    sizes = []
-    for n in range(1, bound - 1):
-        if cfg.max_worlds is not None and n > cfg.max_worlds:
-            continue
-        for m in range(2, bound - n + 1):
-            if cfg.max_truth is not None and m > cfg.max_truth:
-                continue
-            sizes.append((n, m))
-    sizes.sort(key=lambda nm: (nm[0] + nm[1], nm[0]))
-    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +388,10 @@ def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
     next truth value, one per diamond above 0 whose term stays above the
     previous one, and under KD45 one world with pi = 1; the witnesses keep
     every modal value, so every value at a kept world stays.  Neither step
-    grows |W| or |T|, so the countermodel of the first size that a sweep
-    in _size_order order would reach is of this kind, and world types with
-    K <= m interior levels and at most m + 1 (m + 2) rows find that size.
+    grows |W| or |T|, so the countermodel of the first size that a sweep of
+    all sizes by increasing |W| + |T|, then |W|, would reach is of this kind,
+    and world types with K <= m interior levels and at most m + 1 (m + 2)
+    rows find that size.
     Valid reports the whole bound 2(l + 2) and the number of complete
     order types examined.
     """
@@ -609,7 +596,6 @@ def random_search(
     default 5-world cap runs full 256-sample batches of at most 1280 worlds,
     a few hundred KiB.
     """
-    _check_config(cfg)
     rng = random.Random(cfg.seed)
     ops, (root,), names = compile_formulas([f])
     bound = bound_for(f)
@@ -649,7 +635,6 @@ def decide(f: Formula, logic: LogicId, cfg: SearchConfig = SearchConfig()) -> Ve
     models and report Unknown when none refutes.  hybrid: random first,
     then exhaustive.
     """
-    _check_config(cfg)
     if cfg.mode in ("random", "hybrid"):
         found = random_search(f, logic, cfg)
         if found is not None:

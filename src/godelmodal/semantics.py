@@ -108,6 +108,9 @@ class PiGModel:
         missing = [w for w in ws if w not in pi_map]
         if missing:
             raise ValueError(f"pi not defined at {missing[0]!r}")
+        if len(pi_map) > len(ws):  # every world is a key, so some key is no world
+            unknown = next(w for w in pi_map if w not in ws)
+            raise ValueError(f"pi mentions unknown world {unknown!r}")
         object.__setattr__(self, "worlds", ws)
         object.__setattr__(self, "pi", {w: pi_map[w] for w in ws})
         object.__setattr__(self, "valuation", _checked_rows(valuation, ws, "valuation"))
@@ -205,8 +208,7 @@ def evaluate_compiled(
     vals, a dict from op index to values that holds every value the span
     reads from before start.  The result is vals.
     """
-    single = len(blocks) == 1
-    n = len(blocks[0][0][0]) if single else sum(len(rows[0]) for rows, _ in blocks)
+    n = sum(len(rows[0]) for rows, _ in blocks)
     start, stop = span or (0, len(ops))
     if vals is None:
         vals = [None] * len(ops)
@@ -224,15 +226,11 @@ def evaluate_compiled(
             body = vals[op[1]]
             box = tag == "box"
             out = []
-            rest = None if single else iter(body)  # the blocks' values in turn
+            rest = iter(body)  # the blocks' values in turn
             for rows, truth in blocks:
                 k = len(rows[0])
-                if single:
-                    part = body
-                elif len(rows) == 1:
-                    part = rest  # zip(row, rest) takes just this block's k values
-                else:
-                    part = list(islice(rest, k))
+                # zip(row, rest) takes just the k values of a shared row's block
+                part = rest if len(rows) == 1 else list(islice(rest, k))
                 # the least (greatest) of each row's modal_terms, found in
                 # one pass without building them, which is cheaper on small
                 # models
@@ -253,10 +251,7 @@ def evaluate_compiled(
                     out.append(c)
                 if len(rows) < k:
                     # a shared row's value holds at every world of its block
-                    if single:
-                        out *= k
-                    else:
-                        out += [c] * (k - 1)
+                    out += [c] * (k - 1)
         vals[i] = out
     return vals
 

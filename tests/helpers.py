@@ -54,11 +54,9 @@ from godelmodal.decider import (
     Refuted,
     SearchConfig,
     Valid,
-    _check_config,
     _decode,
     _first_refutation,
     _materialize,
-    _size_order,
     bound_for,
 )
 from godelmodal.semantics import eval_pigf
@@ -620,7 +618,7 @@ def _sorted_row_models(
     with a duplicated row refutes only if the model without the copy does,
     and that model lies in the earlier size (|W| - 1, |T|).  A duplicate
     can therefore never be the first hit of a sweep that visits sizes in
-    _size_order, and dropping them changes no refutation it reports.
+    size_order, and dropping them changes no refutation it reports.
     """
     size = len(alphabet)
     suffix = [0] * (size + 1)
@@ -679,6 +677,21 @@ def oracle_sweep_size(
                 yield rows, t_ranks, t_codes, top_code, k_grid
 
 
+def size_order(bound: int, cfg: SearchConfig) -> list[tuple[int, int]]:
+    """Every size (|W|, |T|) within the bound and the caps, in the order a
+    whole-bound sweep visits them."""
+    sizes = []
+    for n in range(1, bound - 1):
+        if cfg.max_worlds is not None and n > cfg.max_worlds:
+            continue
+        for m in range(2, bound - n + 1):
+            if cfg.max_truth is not None and m > cfg.max_truth:
+                continue
+            sizes.append((n, m))
+    sizes.sort(key=lambda nm: (nm[0] + nm[1], nm[0]))
+    return sizes
+
+
 def oracle_exhaustive(f: Formula, logic, cfg):
     """Exhaustive mode as a sweep of every canonical model of every size
     within the bound and the caps, smallest sizes first: the first model
@@ -690,7 +703,7 @@ def oracle_exhaustive(f: Formula, logic, cfg):
     bound = bound_for(f)
     ops, (root,), names = compile_formulas([f])
     checked = 0
-    for n_worlds, n_truth in _size_order(bound, cfg):
+    for n_worlds, n_truth in size_order(bound, cfg):
         for rows, t_ranks, t_codes, top_code, k_grid in oracle_sweep_size(
             n_worlds, n_truth, names, logic
         ):
@@ -761,7 +774,6 @@ def oracle_random_search(
 ) -> tuple[tuple[PiGFModel, str, Fraction] | None, int]:
     """The first countermodel among cfg.budget samples, or None, and the
     number of samples drawn."""
-    _check_config(cfg)
     rng = random.Random(cfg.seed)
     bound = bound_for(f)
     ops, (root,), names = compile_formulas([f])

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,12 +47,36 @@ def test_parse_rational_accepts_fractions_and_integers():
     assert parse_rational("2/4") == Fraction(1, 2)
     assert parse_rational("1") == ONE
     assert parse_rational(" 0 ") == ZERO
+    # the other forms the README lists for model files
+    for text, value in [
+        ("-0", ZERO),
+        ("0.25", Fraction(1, 4)),
+        ("5e-1", Fraction(1, 2)),
+        ("0.5", Fraction(1, 2)),
+        ("1E+0", ONE),
+        (" 1/1 ", ONE),
+    ]:
+        assert parse_rational(text) == value
+    # the largest exponent and denominator still read, and print
+    tiny = parse_rational("1e-4299")
+    assert tiny == Fraction(1, 10**4299)
+    assert parse_rational(format_rational(tiny)) == tiny
+    assert parse_rational("1" + "0" * 4299 + "e-4299") == ONE
 
 
-@pytest.mark.parametrize("bad", ["x", "", "1/0", "3/2", "-1/4", "5"])
+@pytest.mark.parametrize(
+    "bad",
+    # the last six Fraction would read, but computing 10**e for a huge
+    # exponent takes minutes, and a denominator of more than 4300 digits
+    # cannot be printed
+    ["x", "", "1/0", "3/2", "-1/4", "5",
+     "1e-999999999", "1e-70000000", "0e999999999", "1e-5000", "1e-4300", "5e-4301"],
+)
 def test_parse_rational_rejects_garbage_and_out_of_range(bad):
+    start = time.perf_counter()
     with pytest.raises(ValueError):
         parse_rational(bad)
+    assert time.perf_counter() - start < 1
 
 
 def test_format_rational_lowest_terms():

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -444,6 +445,25 @@ def test_bad_model_literal_is_located(capsys, tmp_path, doc, where):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == f"error: {where}: rational '7/2' outside [0, 1]\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"worlds": ["a"], "pi": {"a": "1e-999999999"}}, "pi['a']: bad rational literal '1e-999999999'"),
+        ({"worlds": ["a"], "pi": {"a": "1"}, "valuation": {"a": {"p": "1e-5000"}}}, "valuation['a']['p']: bad rational literal '1e-5000'"),
+        ({"worlds": ["a"], "pi": {"a": "1", "b": "1"}}, "pi mentions unknown world 'b'"),
+    ],
+    ids=["huge-exponent", "unprintable", "unknown-pi-world"],
+)
+def test_hostile_model_file_is_one_line_usage_error(capsys, tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("eval", "--model", str(path), "p"), ("frame", "--model", str(path))):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from godelmodal import (
     verdict_to_json,
 )
 from godelmodal import decider
-from godelmodal.decider import _materialize, _size_order, _sweep_size
+from godelmodal.decider import _materialize, _sweep_size
 from godelmodal.syntax import corpus
 from helpers import (
     oracle_exhaustive,
@@ -39,6 +39,7 @@ from helpers import (
     random_formula,
     random_formula_bounded,
     random_pigf,
+    size_order,
 )
 
 DNEG = parse("[]~~p -> ~~[]p")
@@ -144,7 +145,7 @@ def test_enumerate_rejects_bad_dimensions():
     with pytest.raises(ValueError):
         decide(DNEG, LogicId.K45, SearchConfig(mode="exhaustive", max_truth=1))
     for cfg in (SearchConfig(), SearchConfig(max_worlds=1, max_truth=2)):
-        sizes = _size_order(bound_for(DNEG), cfg)
+        sizes = size_order(bound_for(DNEG), cfg)
         assert sizes and all(n >= 1 and m >= 2 for n, m in sizes)
 
 
@@ -348,14 +349,17 @@ def test_decide_exhaustive_is_deterministic():
 
 
 def test_decide_rejects_bad_config():
-    with pytest.raises(ValueError):
-        decide(DNEG, LogicId.K45, SearchConfig(mode="telepathy"))
-    with pytest.raises(ValueError):
-        decide(DNEG, LogicId.K45, SearchConfig(budget=-1))
-    with pytest.raises(ValueError):
-        decide(DNEG, LogicId.K45, SearchConfig(max_worlds=0))
-    with pytest.raises(ValueError):
-        decide(DNEG, LogicId.K45, SearchConfig(max_truth=1))
+    for fields, message in [
+        ({"mode": "telepathy"}, "unknown search mode 'telepathy'"),
+        ({"budget": -1}, "budget must be nonnegative"),
+        ({"max_worlds": 0}, "max_worlds must be at least 1"),
+        ({"max_truth": 1}, "max_truth must be at least 2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decide(DNEG, LogicId.K45, SearchConfig(**fields))
+        # a bad config is refused when it is built, before any search
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SearchConfig(**fields)
 
 
 # -- randomized search -----------------------------------------------------------------

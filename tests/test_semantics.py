@@ -94,6 +94,12 @@ def test_model_validation():
         PiGModel(["a"], {"a": ONE}, {"zz": {"p": ONE}})  # unknown world
     with pytest.raises(ValueError):
         RelationalModel(["a"], {"a": {"zz": ONE}})
+    # pi at an unknown world is refused, not dropped; a world without pi is
+    # still named first
+    with pytest.raises(ValueError, match=r"^pi mentions unknown world 'b'$"):
+        PiGModel(["a"], {"a": ONE, "b": ONE})
+    with pytest.raises(ValueError, match=r"^pi not defined at 'a'$"):
+        PiGModel(["a"], {"b": ONE})
 
 
 def test_missing_variables_default_to_zero():
@@ -258,9 +264,10 @@ def test_modal_values_are_the_extremes_of_the_modal_terms():
 def test_blocks_evaluate_as_their_models_do_one_by_one():
     # models laid end to end in the columns, possibilistic (one shared row)
     # and relational (one row per world), rounded or exact, give each model
-    # the values it has alone
+    # the values the recursive oracle gives it alone, code c read as c/9
     rng = random.Random(6)
-    ops, (root,), names = compile_formulas([parse("[](p -> <>q) & (<>p | ~[]q) -> <>[]p")])
+    f = parse("[](p -> <>q) & (<>p | ~[]q) -> <>[]p")
+    ops, (root,), names = compile_formulas([f])
     for _ in range(300):
         blocks, columns, alone = [], [[], []], []
         for _ in range(rng.randint(1, 5)):
@@ -274,7 +281,12 @@ def test_blocks_evaluate_as_their_models_do_one_by_one():
             blocks.append((rows, truth))
             for column, values in zip(columns, own):
                 column += values
-            alone += evaluate_compiled(ops, own, [(rows, truth)], 0, 9)[root]
+            worlds = range(k)
+            valuation = {w: {p: Fraction(own[i][w], 9) for i, p in enumerate(names)} for w in worlds}
+            full = rows if len(rows) == k else rows * k  # R(w, .) for every world
+            access = lambda w, u: Fraction(full[w][u], 9)
+            levels = None if truth is None else [Fraction(t, 9) for t in truth]
+            alone += [9 * oracle_eval(worlds, access, valuation, w, f, levels) for w in worlds]
         assert evaluate_compiled(ops, columns, blocks, 0, 9)[root] == alone
 
 
@@ -552,6 +564,9 @@ def test_model_json_class_selection_and_errors():
         {**doc, "truth_set": {"0": "1"}},
         {**rel_doc, "R": ["a"]},
         {**rel_doc, "R": {"a": ["1"]}},
+        {**doc, "pi": {"a": "1", "b": "1"}},  # pi at an unknown world
+        {**doc, "valuation": {"a": {"p": "1e-999999999"}}},  # a hostile exponent
+        {**doc, "valuation": {"a": {"p": "1e-5000"}}},  # too long to print
     ]
     for bad in bad_docs:
         with pytest.raises(ValueError):
@@ -663,3 +678,4 @@ def test_each_distinct_literal_is_parsed_once(monkeypatch):
     with pytest.raises(ValueError, match=r"^valuation\['b'\]\['q'\]: rational '7/2' outside \[0, 1\]$"):
         model_from_json(doc)
     assert seen.count("7/2") == 1
+
