@@ -15,11 +15,12 @@ _MAX_DIGITS = 4300
 _TOO_LONG = 10**_MAX_DIGITS
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str, *, unit: bool = True) -> Fraction:
     """Parse a value in [0, 1] as Fraction reads the stripped text: "n/d"
     (lowest terms not required on input), an integer, a decimal or an
     exponent.  The range check reads the numerator and the denominator,
-    which is always positive, so no Fraction comparison runs.
+    which is always positive, so no Fraction comparison runs; with unit
+    False it is left to the caller.
 
     An exponent beyond 4300 in absolute value is a bad literal, refused
     before Fraction computes 10**e (6.6 s at e = 7 * 10**6 on a 2-vCPU
@@ -35,11 +36,20 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
     numerator, denominator = value.as_integer_ratio()
-    if not 0 <= numerator <= denominator:
+    if unit and not 0 <= numerator <= denominator:
         raise ValueError(f"rational {text!r} outside [0, 1]")
     if denominator >= _TOO_LONG:
         raise ValueError(f"bad rational literal {text!r}")
     return value
+
+
+def _rational(raw: object) -> Fraction:
+    """A constructor argument as a Fraction: a Fraction as it is, a string
+    through parse_rational's grammar and bounds, anything else through
+    Fraction.  The caller checks the range."""
+    if type(raw) is Fraction:
+        return raw
+    return parse_rational(raw, unit=False) if isinstance(raw, str) else Fraction(raw)
 
 
 def format_rational(value: Fraction) -> str:
@@ -58,7 +68,7 @@ class TruthSet:
     def __init__(self, values: Iterable[Fraction | int | str]) -> None:
         # Fraction members are kept as they are; the checks read numerators
         # and denominators (always positive), so no Fraction comparison runs
-        vals = sorted({v if type(v) is Fraction else Fraction(v) for v in values})
+        vals = sorted({_rational(v) for v in values})
         if vals and (vals[0].numerator < 0 or vals[-1].numerator > vals[-1].denominator):
             raise ValueError("truth set values must lie in [0, 1]")
         if not vals or vals[0].numerator != 0 or vals[-1].numerator != vals[-1].denominator:
@@ -100,7 +110,7 @@ class OrderEmbedding:
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
 
     def __init__(self, breakpoints: Iterable[tuple[Fraction | int | str, Fraction | int | str]]) -> None:
-        pts = tuple((Fraction(x), Fraction(y)) for x, y in breakpoints)
+        pts = tuple((_rational(x), _rational(y)) for x, y in breakpoints)
         if len(pts) < 2 or pts[0] != (ZERO, ZERO) or pts[-1] != (ONE, ONE):
             raise ValueError("breakpoints must run from (0, 0) to (1, 1)")
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):

@@ -21,14 +21,13 @@ from .decider import (
     SearchConfig,
     Unknown,
     Valid,
+    _countermodel,
     decide,
     random_search,
-    shrink,
     verdict_to_json,
 )
 from .semantics import (
     UnknownWorldError,
-    eval_pigf,
     evaluate,
     frame_report,
     model_from_json,
@@ -119,10 +118,8 @@ def _run_check(args: argparse.Namespace, minimize: bool) -> int:
         max_worlds=args.max_worlds,
         max_truth=args.max_truth,
     )
-    verdict = decide(formula, logic, cfg)
-    if minimize and isinstance(verdict, Refuted):
-        model, world = shrink(verdict.countermodel, verdict.world, formula, logic)
-        verdict = Refuted(model, world, eval_pigf(model, world, formula))
+    # countermodel shrinks on the search's codes, and builds only the model it prints
+    verdict = (_countermodel if minimize else decide)(formula, logic, cfg)
     _print_json(verdict_to_json(verdict))
     if isinstance(verdict, Valid):
         return EXIT_OK

@@ -18,13 +18,18 @@ come in batches that double from 1 to 256 models.  A batch is drawn
 straight into shared code columns, one block per model, and evaluated in
 one pass of the op list; the draws read the seeded stream exactly as
 sampling one model at a time does, so the first countermodel is the same.
+
+Both searches find a countermodel in code form, a _Hit, and build its exact
+model only for the verdict.  The countermodel path (_countermodel, behind
+CLI countermodel) shrinks the hit on its codes as well, so it builds one
+exact model, the shrunk one it prints, and evaluates nothing exactly.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
@@ -103,6 +108,28 @@ def bound_for(f: Formula) -> int:
 # by T, which makes each order type appear exactly once.
 
 
+@dataclass(frozen=True)
+class _Hit:
+    """A countermodel in code form, as a search finds it and shrinking keeps
+    it.  rows[i] holds world i's codes: pi, then one per variable of names,
+    the formula's in compiled order.  truth holds the sorted truth set codes,
+    0 and top among them.  Code 0 stands for 0, top for 1 and an interior
+    code c for c / k_grid, so code order is value order.  world is the index
+    of the refuting world and code its value there, below top.  worlds names
+    the worlds, w1, w2, ... if None.  swept marks a hit of the integer sweep,
+    which _refuted checks against exact evaluation."""
+
+    names: tuple[str, ...]
+    rows: Sequence[Sequence[int]]
+    truth: Sequence[int]
+    top: int
+    k_grid: int
+    world: int
+    code: int
+    swept: bool = False
+    worlds: Sequence[str] | None = None
+
+
 def _decode(code: int, top_code: int, k_grid: int) -> Fraction:
     if code == 0:
         return ZERO
@@ -117,8 +144,10 @@ def _materialize(
     t_ranks: Sequence[int],
     top_code: int,
     k_grid: int,
+    worlds: Sequence[str] | None = None,
 ) -> PiGFModel:
-    worlds = tuple(f"w{i + 1}" for i in range(len(rows)))
+    if worlds is None:
+        worlds = tuple(f"w{i + 1}" for i in range(len(rows)))
     pi = {w: _decode(row[0], top_code, k_grid) for w, row in zip(worlds, rows)}
     valuation = {
         w: {p: _decode(row[1 + i], top_code, k_grid) for i, p in enumerate(names)}
@@ -128,6 +157,20 @@ def _materialize(
         [ZERO, ONE] + [Fraction(r, k_grid) for r in t_ranks]
     )
     return PiGFModel(PiGModel(worlds, pi, valuation), truth)
+
+
+def _refuted(f: Formula, hit: _Hit) -> Refuted:
+    """The verdict of a countermodel in code form: its one exact model, the
+    refuting world and the decoded value.  A swept hit's value is checked
+    against exact evaluation, which must agree with the integer one."""
+    model = _materialize(hit.names, hit.rows, hit.truth[1:-1], hit.top, hit.k_grid, hit.worlds)
+    world = model.worlds[hit.world]
+    value = _decode(hit.code, hit.top, hit.k_grid)
+    if hit.swept:
+        exact = eval_pigf(model, world, f)
+        if exact != value or exact >= ONE:
+            raise RuntimeError(f"integer sweep and exact evaluation disagree on {model!r}")
+    return Refuted(model, world, value)
 
 
 def _sweep_size(
@@ -375,9 +418,10 @@ def _world_types(
     return best, examined
 
 
-def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
+def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Valid | _Hit:
     """Decide f exactly within the caps by world types, then sweep the one
-    size (|W|, |T|) that holds a whole-bound sweep's first countermodel.
+    size (|W|, |T|) that holds a whole-bound sweep's first countermodel,
+    returned in code form and marked swept.
 
     Let m be the number of modal ops.  Filtration caps: any rounded
     countermodel shrinks to one with |W| <= m + 1 (m + 2 under KD45) and
@@ -418,19 +462,10 @@ def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
             best = (n_worlds, k + 2)
     if best is None:
         return Valid(bound, examined)
-    for rows, t_ranks, t_codes, top_code, k_grid in _sweep_size(*best, names, logic):
+    for rows, _, t_codes, top_code, k_grid in _sweep_size(*best, names, logic):
         hit = _first_refutation(ops, root, rows, t_codes, top_code)
         if hit is not None:
-            idx, code = hit
-            model = _materialize(names, rows, t_ranks, top_code, k_grid)
-            world = model.worlds[idx]
-            value = eval_pigf(model, world, f)
-            # the integer evaluation must mirror the exact one
-            if value != _decode(code, top_code, k_grid) or value >= ONE:
-                raise RuntimeError(
-                    f"integer sweep and exact evaluation disagree on {model!r}"
-                )
-            return Refuted(model, world, value)
+            return _Hit(names, rows, t_codes, top_code, k_grid, *hit, swept=True)
     raise RuntimeError(f"world types found a countermodel of size {best}, the sweep none")
 
 
@@ -578,7 +613,16 @@ def random_search(
     f: Formula, logic: LogicId, cfg: SearchConfig
 ) -> tuple[PiGFModel, str, Fraction] | None:
     """Sample cfg.budget models within the size bound; return the first
-    countermodel found, or None.  Deterministic in cfg.seed.
+    countermodel found, or None.  Deterministic in cfg.seed."""
+    hit = _random_hit(f, logic, cfg)
+    if hit is None:
+        return None
+    found = _refuted(f, hit)
+    return found.countermodel, found.world, found.value
+
+
+def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
+    """random_search's first countermodel, in code form on the 1/120 grid.
 
     Samples are drawn and evaluated in batches of 1, 2, 4, ... up to _BATCH
     samples, each batch in one evaluate_compiled call over all its models;
@@ -618,8 +662,7 @@ def random_search(
                     break
                 start += n
             sample = list(zip(rows[0], *(column[start:start + n] for column in columns)))
-            model = _materialize(names, sample, truth[1:-1], _GRID, _GRID)
-            return model, model.worlds[hit - start], _decode(values[hit], _GRID, _GRID)
+            return _Hit(names, sample, truth, _GRID, _GRID, hit - start, values[hit])
         left -= count
         size = min(2 * size, most)
     return None
@@ -640,20 +683,52 @@ def decide(f: Formula, logic: LogicId, cfg: SearchConfig = SearchConfig()) -> Ve
         if found is not None:
             return Refuted(*found)
         if cfg.mode == "random":
-            return Unknown(
-                f"no countermodel among {cfg.budget} sampled models", cfg.budget
-            )
-    return _exhaustive(f, logic, cfg)
+            return _unsampled(cfg)
+    found = _exhaustive(f, logic, cfg)
+    return found if isinstance(found, Valid) else _refuted(f, found)
+
+
+def _unsampled(cfg: SearchConfig) -> Unknown:
+    return Unknown(f"no countermodel among {cfg.budget} sampled models", cfg.budget)
+
+
+def _countermodel(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
+    """decide, with any countermodel shrunk as shrink would shrink its exact
+    model, but on the codes the search found it in: the result is the one
+    exact model built, with the worlds' original names, and its value is
+    decoded from the shrinking's last evaluation."""
+    hit = None if cfg.mode == "exhaustive" else _random_hit(f, logic, cfg)
+    if hit is None:
+        if cfg.mode == "random":
+            return _unsampled(cfg)
+        hit = _exhaustive(f, logic, cfg)
+        if isinstance(hit, Valid):
+            return hit
+    ops, (root,), _ = compile_formulas([f])
+    rows = [list(row) for row in hit.rows]
+    snaps = [range(len(rows[0]))] * len(rows)  # every world values every variable
+    live, truth, anchor, code = _shrink_codes(
+        ops, root, rows, snaps, list(hit.truth), hit.top, logic, hit.world, hit.code
+    )
+    small = replace(
+        hit,
+        rows=[rows[i] for i in live],
+        truth=truth,
+        world=live.index(anchor),
+        code=code,
+        worlds=[f"w{i + 1}" for i in live],
+    )
+    return _refuted(f, small)
 
 
 # ---------------------------------------------------------------------------
 # countermodel minimization
 #
-# shrink works on rank codes: code i is the i-th smallest value of the input
-# (0, 1, the truth set, pi and the valuation).  It only ever writes 0, 1 or a
-# member of the current truth set, all of them in that table, and evaluation
-# with truth set rounding depends only on the order of values, so checking a
-# candidate on codes accepts exactly the models the exact check would.
+# _shrink_codes shrinks a countermodel given as code rows.  The countermodel
+# path hands it a search's hit as found, on the 1/120 grid or a sweep's
+# k_grid; shrink encodes an exact model as rank codes first (code i is the
+# i-th smallest value of 0, 1, the truth set, pi and the valuation) and
+# decodes the result.  Either way the model stays on codes until the end.
 
 
 def _snap_key(code: int, truth: Sequence[int], top: int) -> tuple[int, int]:
@@ -668,13 +743,96 @@ def _snap_key(code: int, truth: Sequence[int], top: int) -> tuple[int, int]:
     return (rank, code)
 
 
+def _shrink_codes(
+    ops: list[tuple],
+    root: int,
+    rows: list[list[int]],
+    snaps: Sequence[Sequence[int]],
+    truth: list[int],
+    top: int,
+    logic: LogicId,
+    anchor: int,
+    code: int,
+) -> tuple[list[int], list[int], int, int]:
+    """Greedily minimize a countermodel given as code rows: drop
+    worlds, coarsen the truth set, snap values toward endpoints and truth
+    set members.  rows[i] holds world i's pi code, then its variable codes,
+    the formula's first in compiled order; rows are snapped in place, each
+    at the positions snaps[i] in that order.  truth holds the sorted truth
+    set codes, 0 and top among them, and anchor is a refuting world whose
+    value code is code.  Rows that break the logic's constraint on pi raise
+    ValueError.
+
+    Returns the kept worlds' indices in order, the kept truth codes, the
+    refuting world and its value code.  Both come from the last accepted
+    evaluation, whose model the result is, since a rejected candidate
+    changes nothing; with none accepted they are anchor and code.
+
+    Any coding whose order is the order of the values gives the same
+    result, which is why a search's hit and shrink's rank codes agree.
+    Evaluation with truth set rounding compares values and returns 0, top,
+    one of its inputs or a truth set member, so it maps along the coding.
+    Shrinking writes only 0, top or a truth set member, found by bisection,
+    which compares; it ranks candidates by _snap_key, which compares and
+    tests membership, ties included.  So every decision is the same, and
+    every kept code is the coding of the exact shrink's value.
+    """
+
+    def refuting(worlds: list[int], t_codes: list[int]) -> tuple[int, int] | None:
+        hit = _first_refutation(ops, root, [rows[w] for w in worlds], t_codes, top)
+        return None if hit is None else (worlds[hit[0]], hit[1])
+
+    def lawful(worlds: list[int]) -> bool:
+        if logic is LogicId.KD45:
+            return any(rows[w][0] == top for w in worlds)
+        if logic is LogicId.S5:
+            return all(rows[w][0] == top for w in worlds)
+        return True
+
+    live = list(range(len(rows)))
+    if not lawful(live):
+        raise ValueError("model violates the logic's frame constraint")
+    changed = True
+    while changed:
+        changed = False
+        for w in list(live):
+            if len(live) == 1:
+                break
+            kept = [v for v in live if v != w]
+            hit = refuting(kept, truth) if lawful(kept) else None
+            if hit is not None:
+                live, (anchor, code), changed = kept, hit, True
+        for t in truth[1:-1]:
+            coarser = [c for c in truth if c != t]
+            hit = refuting(live, coarser)
+            if hit is not None:
+                truth, (anchor, code), changed = coarser, hit, True
+        for w in live:
+            row = rows[w]
+            for i in snaps[w]:
+                old = row[i]
+                down = truth[bisect_right(truth, old) - 1]
+                up = truth[bisect_left(truth, old)]
+                for new in (0, top, down, up):
+                    if _snap_key(new, truth, top) >= _snap_key(old, truth, top):
+                        continue
+                    row[i] = new
+                    hit = refuting(live, truth) if lawful(live) else None
+                    if hit is not None:
+                        (anchor, code), changed = hit, True
+                        break
+                    row[i] = old
+    return live, truth, anchor, code
+
+
 def shrink(
     model: PiGFModel, world: str, f: Formula, logic: LogicId
 ) -> tuple[PiGFModel, str]:
     """Greedily minimize a countermodel: drop worlds, coarsen the truth set,
     snap values toward endpoints and truth set members.  The result still
     refutes f, satisfies the logic's constraint, and is never larger.  Kept
-    worlds keep their names and the variables of their valuation rows."""
+    worlds keep their names and the variables of their valuation rows.
+    This is _shrink_codes on the model's rank codes."""
     ops, (root,), names = compile_formulas([f])
     if world not in model.worlds:
         raise UnknownWorldError(f"unknown world {world!r}")
@@ -688,67 +846,26 @@ def shrink(
     )
     code = {v: i for i, v in enumerate(table)}
     top = len(table) - 1
-    rows = {
-        w: [code[model.pi[w]], *(code[model.value(w, p)] for p in columns)]
+    rows = [
+        [code[model.pi[w]], *(code[model.value(w, p)] for p in columns)]
         for w in model.worlds
-    }
+    ]
     truth = [code[t] for t in model.truth_set]
-
-    def refuting(worlds: list[str], t_codes: list[int]) -> str | None:
-        hit = _first_refutation(ops, root, [rows[w] for w in worlds], t_codes, top)
-        return None if hit is None else worlds[hit[0]]
-
-    def lawful(worlds: list[str]) -> bool:
-        if logic is LogicId.KD45:
-            return any(rows[w][0] == top for w in worlds)
-        if logic is LogicId.S5:
-            return all(rows[w][0] == top for w in worlds)
-        return True
-
-    live = list(model.worlds)
-    codes = list(zip(*rows.values()))
-    at_world = evaluate_compiled(ops, codes[1:], [(codes[:1], truth)], 0, top)[root]
-    if at_world[live.index(world)] == top:
+    anchor = model.worlds.index(world)
+    codes = list(zip(*rows))
+    at_world = evaluate_compiled(ops, codes[1:], [(codes[:1], truth)], 0, top)[root][anchor]
+    if at_world == top:
         raise ValueError("shrink needs a countermodel")
-    if not lawful(live):
-        raise ValueError("model violates the logic's frame constraint")
-    anchor = world
-    changed = True
-    while changed:
-        changed = False
-        for w in list(live):
-            if len(live) == 1:
-                break
-            kept = [v for v in live if v != w]
-            hit = refuting(kept, truth) if lawful(kept) else None
-            if hit is not None:
-                live, anchor, changed = kept, hit, True
-        for t in truth[1:-1]:
-            coarser = [c for c in truth if c != t]
-            hit = refuting(live, coarser)
-            if hit is not None:
-                truth, anchor, changed = coarser, hit, True
-        for w in live:
-            row = rows[w]
-            for i in [0, *(column[p] for p in sorted(valuation.get(w, {})))]:
-                old = row[i]
-                down = truth[bisect_right(truth, old) - 1]
-                up = truth[bisect_left(truth, old)]
-                for new in (0, top, down, up):
-                    if _snap_key(new, truth, top) >= _snap_key(old, truth, top):
-                        continue
-                    row[i] = new
-                    hit = refuting(live, truth) if lawful(live) else None
-                    if hit is not None:
-                        anchor, changed = hit, True
-                        break
-                    row[i] = old
+    # snap pi, then the variables of the world's valuation row by name
+    snaps = [[0, *(column[p] for p in sorted(valuation.get(w, {})))] for w in model.worlds]
+    live, truth, anchor, _ = _shrink_codes(ops, root, rows, snaps, truth, top, logic, anchor, at_world)
+    kept = [model.worlds[i] for i in live]
     small = PiGModel(
-        live,
-        {w: table[rows[w][0]] for w in live},
-        {w: {p: table[rows[w][column[p]]] for p in valuation[w]} for w in live if w in valuation},
+        kept,
+        {w: table[rows[i][0]] for w, i in zip(kept, live)},
+        {w: {p: table[rows[i][column[p]]] for p in valuation[w]} for w, i in zip(kept, live) if w in valuation},
     )
-    return PiGFModel(small, TruthSet(table[c] for c in truth)), anchor
+    return PiGFModel(small, TruthSet(table[c] for c in truth)), model.worlds[anchor]
 
 
 def verdict_to_json(verdict: Verdict) -> dict:

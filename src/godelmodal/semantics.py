@@ -47,6 +47,7 @@ from .algebra import (
     parse_rational,
     OrderEmbedding,
     _embedding,
+    _rational,
 )
 from .syntax import BOT, Formula, compile_formulas
 
@@ -60,7 +61,7 @@ def _coerce_values(mapping: Mapping[str, object], what: str) -> dict[str, Fracti
     # Fraction comparison
     out = {}
     for key, raw in mapping.items():
-        value = raw if type(raw) is Fraction else Fraction(raw)
+        value = _rational(raw)
         if not 0 <= value.numerator <= value.denominator:
             raise ValueError(f"{what} value {value} outside [0, 1]")
         out[str(key)] = value

@@ -8,13 +8,16 @@ genuinely independent reference behaviour.  The model boundary oracles keep
 the model file reader and transport that the package had before each literal
 and value was read once; they build the package's own model classes.
 oracle_compile_formulas is the compiler as it was before a one-root compile
-was kept on its root node.
+was kept on its root node.  oracle_shrink and oracle_countermodel are shrink
+and the countermodel command as they were before countermodels stayed on
+integer codes; they reuse the package's integer evaluation and decide.
 """
 
 from __future__ import annotations
 
+import json
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence
@@ -58,8 +61,10 @@ from godelmodal.decider import (
     _first_refutation,
     _materialize,
     bound_for,
+    decide,
+    verdict_to_json,
 )
-from godelmodal.semantics import eval_pigf
+from godelmodal.semantics import UnknownWorldError, eval_pigf, evaluate_compiled
 from godelmodal.syntax import _TAGS, _children, _postorder, _tokenize, compile_formulas
 
 # --------------------------------------------------------------------------
@@ -789,3 +794,118 @@ def oracle_random_search(
             model = _materialize(names, rows, anchors, _GRID, _GRID)
             return (model, model.worlds[idx], _decode(code, _GRID, _GRID)), index + 1
     return None, cfg.budget
+
+
+# --------------------------------------------------------------------------
+# Shrinking on exact models
+# --------------------------------------------------------------------------
+# shrink as it was before it became an encoding around the code-level core,
+# copied verbatim, and the countermodel command as it was composed then:
+# decide, shrink the exact countermodel, evaluate the shrunk one exactly.
+# CLI countermodel, which shrinks on the search's codes, must print the same.
+
+
+def _oracle_snap_key(code: int, truth: Sequence[int], top: int) -> tuple[int, int]:
+    # prefer endpoints, then truth set members, then anything else; ties go
+    # to the smaller value, which makes snapping terminate
+    if code == 0 or code == top:
+        rank = 0
+    elif code in truth:
+        rank = 1
+    else:
+        rank = 2
+    return (rank, code)
+
+
+def oracle_shrink(
+    model: PiGFModel, world: str, f: Formula, logic: LogicId
+) -> tuple[PiGFModel, str]:
+    """Greedily minimize a countermodel: drop worlds, coarsen the truth set,
+    snap values toward endpoints and truth set members.  The result still
+    refutes f, satisfies the logic's constraint, and is never larger.  Kept
+    worlds keep their names and the variables of their valuation rows."""
+    ops, (root,), names = compile_formulas([f])
+    if world not in model.worlds:
+        raise UnknownWorldError(f"unknown world {world!r}")
+    valuation = model.base.valuation
+    # one column per variable: the formula's first, in compiled order
+    columns = [*names, *sorted({p for row in valuation.values() for p in row} - set(names))]
+    column = {p: 1 + i for i, p in enumerate(columns)}
+    table = sorted(
+        {ZERO, ONE, *model.truth_set, *model.pi.values()}
+        | {v for row in valuation.values() for v in row.values()}
+    )
+    code = {v: i for i, v in enumerate(table)}
+    top = len(table) - 1
+    rows = {
+        w: [code[model.pi[w]], *(code[model.value(w, p)] for p in columns)]
+        for w in model.worlds
+    }
+    truth = [code[t] for t in model.truth_set]
+
+    def refuting(worlds: list[str], t_codes: list[int]) -> str | None:
+        hit = _first_refutation(ops, root, [rows[w] for w in worlds], t_codes, top)
+        return None if hit is None else worlds[hit[0]]
+
+    def lawful(worlds: list[str]) -> bool:
+        if logic is LogicId.KD45:
+            return any(rows[w][0] == top for w in worlds)
+        if logic is LogicId.S5:
+            return all(rows[w][0] == top for w in worlds)
+        return True
+
+    live = list(model.worlds)
+    codes = list(zip(*rows.values()))
+    at_world = evaluate_compiled(ops, codes[1:], [(codes[:1], truth)], 0, top)[root]
+    if at_world[live.index(world)] == top:
+        raise ValueError("shrink needs a countermodel")
+    if not lawful(live):
+        raise ValueError("model violates the logic's frame constraint")
+    anchor = world
+    changed = True
+    while changed:
+        changed = False
+        for w in list(live):
+            if len(live) == 1:
+                break
+            kept = [v for v in live if v != w]
+            hit = refuting(kept, truth) if lawful(kept) else None
+            if hit is not None:
+                live, anchor, changed = kept, hit, True
+        for t in truth[1:-1]:
+            coarser = [c for c in truth if c != t]
+            hit = refuting(live, coarser)
+            if hit is not None:
+                truth, anchor, changed = coarser, hit, True
+        for w in live:
+            row = rows[w]
+            for i in [0, *(column[p] for p in sorted(valuation.get(w, {})))]:
+                old = row[i]
+                down = truth[bisect_right(truth, old) - 1]
+                up = truth[bisect_left(truth, old)]
+                for new in (0, top, down, up):
+                    if _oracle_snap_key(new, truth, top) >= _oracle_snap_key(old, truth, top):
+                        continue
+                    row[i] = new
+                    hit = refuting(live, truth) if lawful(live) else None
+                    if hit is not None:
+                        anchor, changed = hit, True
+                        break
+                    row[i] = old
+    small = PiGModel(
+        live,
+        {w: table[rows[w][0]] for w in live},
+        {w: {p: table[rows[w][column[p]]] for p in valuation[w]} for w in live if w in valuation},
+    )
+    return PiGFModel(small, TruthSet(table[c] for c in truth)), anchor
+
+
+def oracle_countermodel(f: Formula, logic: LogicId, cfg: SearchConfig) -> tuple[int, str]:
+    """The exit code and stdout of CLI countermodel, composed as before."""
+    verdict = decide(f, logic, cfg)
+    if isinstance(verdict, Refuted):
+        model, world = oracle_shrink(verdict.countermodel, verdict.world, f, logic)
+        verdict = Refuted(model, world, eval_pigf(model, world, f))
+    doc = verdict_to_json(verdict)
+    code = {"valid": 0, "refuted": 1, "unknown": 2}[doc["verdict"]]
+    return code, json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"

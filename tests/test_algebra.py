@@ -10,6 +10,7 @@ from godelmodal import (
     ZERO,
     OrderEmbedding,
     PiGModel,
+    RelationalModel,
     TruthSet,
     apply_embedding,
     evaluate,
@@ -77,6 +78,29 @@ def test_parse_rational_rejects_garbage_and_out_of_range(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda text: PiGModel(["a"], {"a": text}),
+        lambda text: PiGModel(["a"], {"a": ONE}, {"a": {"p": text}}),
+        lambda text: RelationalModel(["a"], {"a": {"a": text}}),
+        lambda text: TruthSet(["0", "1", text]),
+        lambda text: OrderEmbedding([("0", "0"), (text, "1/2"), ("1", "1")]),
+        lambda text: OrderEmbedding([(ZERO, ZERO), ("1/2", text), (ONE, ONE)]),
+    ],
+    ids=["pi", "valuation", "R", "truth set", "embedding input", "embedding output"],
+)
+def test_constructors_read_strings_as_bounded_literals(build):
+    # Fraction alone would spend minutes on the exponent, and a
+    # "1e-5000" member could be built but never printed.
+    for text in ("1e-999999999", "1e-5000", "x"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^bad rational literal '{text}'$"):
+            build(text)
+        assert time.perf_counter() - start < 1
+    build("1e-4299")  # the smallest exponent still read
 
 
 def test_format_rational_lowest_terms():

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -10,9 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from godelmodal import RelationalModel, model_to_json, semantics
+from godelmodal import LogicId, RelationalModel, SearchConfig, decider, model_to_json, parse, render, semantics
 from godelmodal.cli import run
-from helpers import count_compile_walks, oracle_frame_report, random_sparse_relational
+from helpers import (
+    count_compile_walks,
+    oracle_countermodel,
+    oracle_frame_report,
+    random_formula_bounded,
+    random_sparse_relational,
+)
 
 M0_DOC = {
     "worlds": ["a"],
@@ -196,15 +203,18 @@ def test_check_defaults_to_base_logic(capsys):
     assert json.loads(out)["verdict"] == "refuted"
 
 
-def test_check_output_revalidates_through_eval(capsys, tmp_path):
-    code, out, err = invoke(capsys, "check", "--logic", "k45", "--mode", "exhaustive", "[]~~p -> ~~[]p")
+@pytest.mark.parametrize("formula", ["[]~~p -> ~~[]p", "[]p | ~[]p"])
+@pytest.mark.parametrize("mode", ["random", "hybrid", "exhaustive"])
+@pytest.mark.parametrize("command", ["check", "countermodel"])
+def test_check_output_revalidates_through_eval(capsys, tmp_path, command, mode, formula):
+    # countermodel decodes its printed value from integer codes; eval computes
+    # it exactly (the second formula's value is interior)
+    code, out, err = invoke(capsys, command, "--logic", "k45", "--mode", mode, formula)
     assert code == 1
     doc = json.loads(out)
     path = tmp_path / "cm.json"
     path.write_text(json.dumps(doc["model"]))
-    code, out, err = invoke(
-        capsys, "eval", "--model", str(path), "--world", doc["world"], "[]~~p -> ~~[]p"
-    )
+    code, out, err = invoke(capsys, "eval", "--model", str(path), "--world", doc["world"], formula)
     assert (code, out.strip()) == (0, doc["value"])
 
 
@@ -256,14 +266,82 @@ def test_countermodel_golden_shrunk_output(capsys, logic, formula, expected):
 
 
 def test_countermodel_compiles_its_formula_once(capsys, monkeypatch):
-    # the search, shrink and the final evaluation share one compile
-    from godelmodal import decider
-
+    # the search and shrinking share one compile
     walks = count_compile_walks(monkeypatch)
     monkeypatch.setattr(decider, "_exhaustive", None)  # the random search must hit
     code, out, err = invoke(capsys, "countermodel", "--logic", "k45", "--seed", "0", "once_q -> [](once_q & once_p)")
     assert (code, json.loads(out)["verdict"]) == (1, "refuted")
     assert walks == [1]
+
+
+def test_countermodel_builds_one_model_and_evaluates_nothing(capsys, monkeypatch):
+    # A random hit is shrunk on its codes: the printed model is the one exact
+    # model built, and its value is decoded, not evaluated again.
+    built, evaluated = [], []
+    init, evaluate = semantics.PiGFModel.__init__, semantics.evaluate
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_evaluate(*args):
+        evaluated.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(semantics.PiGFModel, "__init__", counting_init)
+    monkeypatch.setattr(semantics, "evaluate", counting_evaluate)
+    monkeypatch.setattr(decider, "_exhaustive", None)  # the random search must hit
+    code, out, err = invoke(capsys, "countermodel", "--logic", "k45", "--seed", "0", "q -> [](q & p)")
+    assert (code, len(built), len(evaluated)) == (1, 1, 0)
+    assert model_to_json(built[0]) == json.loads(out)["model"]
+
+
+def test_countermodel_exhaustive_cross_check_raises_on_disagreement(capsys, monkeypatch):
+    # The shrunk sweep hit is checked against exact evaluation; a wrong
+    # decoding is an internal error (also under python -O), not a bogus model.
+    monkeypatch.setattr(decider, "_decode", lambda code, top_code, k_grid: Fraction(1, 7))
+    code, out, err = invoke(capsys, "countermodel", "--mode", "exhaustive", "[]~~p -> ~~[]p")
+    assert (code, out) == (4, "")
+    assert "integer sweep and exact evaluation disagree" in err
+
+
+def test_countermodel_matches_the_exact_shrink_oracle():
+    # CLI countermodel shrinks the search's codes; before, it decided, shrank
+    # the exact model and evaluated the result again.  Stdout must not
+    # change.  Tiny budgets make hybrid searches fall back to the sweep.
+    rng = random.Random(16)
+    caps = [(None, None), (1, 3), (2, 3), (3, 4), (2, 2)]
+    cases = []
+    for n in range(720):
+        f = random_formula_bounded(rng, names=("p", "q", "r"), max_ell=10, require_var=True)
+        logic = rng.choice(list(LogicId))
+        max_worlds, max_truth = rng.choice(caps)
+        mode = ("random", "hybrid", "exhaustive")[n % 3]
+        cfg = SearchConfig(mode, rng.choice([1, 4, 30]), rng.randrange(4), max_worlds, max_truth)
+        cases.append((f, logic, cfg))
+    # rare shrinkings whose last accepted step coarsens the truth set and
+    # so moves the refuting value
+    for text, logic, cfg in [
+        ("q -> r -> []r", LogicId.S5, SearchConfig("random", 30, 1, 2, 4)),
+        ("p -> []p", LogicId.KD45, SearchConfig("random", 4, 3, 1, 4)),
+        ("<>(p -> []p)", LogicId.KD45, SearchConfig("hybrid", 4, 0, 4, 6)),
+    ]:
+        cases.append((parse(text), logic, cfg))
+    kinds = Counter()
+    for f, logic, cfg in cases:
+        argv = ["countermodel", "--logic", logic.value, "--mode", cfg.mode,
+                "--budget", str(cfg.budget), "--seed", str(cfg.seed)]
+        if cfg.max_worlds is not None:
+            argv += ["--max-worlds", str(cfg.max_worlds), "--max-truth", str(cfg.max_truth)]
+        code, out, err = run_captured(*argv, render(f))
+        assert (code, out, err) == (*oracle_countermodel(f, logic, cfg), ""), argv
+        mode = cfg.mode
+        if mode == "hybrid" and decider._random_hit(f, logic, cfg) is None:
+            mode = "fallback"
+        kinds[mode, code] += 1
+    print(sorted(kinds.items()))
+    assert kinds["fallback", 1] >= 20 and kinds["exhaustive", 1] >= 150
+    assert kinds["random", 1] >= 150 and kinds["hybrid", 1] >= 150
 
 
 # -- corpus ---------------------------------------------------------------------------
@@ -505,8 +583,6 @@ def test_deeply_nested_model_file_is_usage_error(capsys, tmp_path):
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     # A failing cross-check in the sweep is a bug, never a verdict.
-    from godelmodal import decider
-
     monkeypatch.setattr(decider, "_decode", lambda code, top_code, k_grid: Fraction(1, 7))
     code, out, err = invoke(capsys, "check", "--mode", "exhaustive", "[]~~p -> ~~[]p")
     assert (code, out) == (4, "")

@@ -35,6 +35,7 @@ from helpers import (
     oracle_exhaustive,
     oracle_random_search,
     oracle_sample,
+    oracle_shrink,
     oracle_sweep_size,
     random_formula,
     random_formula_bounded,
@@ -593,6 +594,42 @@ def test_shrink_keeps_logic_constraint():
             if logic is LogicId.S5:
                 assert all(small.pi[w] == ONE for w in small.worlds)
             assert eval_pigf(small, anchor, f) < ONE
+
+
+def test_shrink_matches_the_exact_model_oracle():
+    # shrink encodes an exact model as rank codes for the code-level core.
+    # Off-grid values, a variable r that formulas over p, q never read,
+    # partial valuation rows and worlds without one must all come out as
+    # the exact shrink left them, from a refuting world that need not be
+    # the first.
+    rng = random.Random(999)
+    values = [ZERO, ONE, Fraction(1, 7), Fraction(3, 11), Fraction(5, 13), Fraction(2, 3)]
+    kinds = Counter()
+    while kinds["models"] < 300:
+        logic = rng.choice(list(LogicId))
+        f = random_formula_bounded(rng, max_ell=8)
+        worlds = [f"u{i}" for i in range(rng.randint(1, 4))]
+        pi = {w: ONE if logic is LogicId.S5 else rng.choice(values) for w in worlds}
+        if logic is LogicId.KD45:
+            pi[rng.choice(worlds)] = ONE
+        valuation = {
+            w: {p: rng.choice(values) for p in ("p", "q", "r") if rng.random() < 0.8}
+            for w in worlds
+            if rng.random() < 0.85
+        }
+        truth = TruthSet([ZERO, ONE, *rng.sample(values[2:], rng.randint(0, 3))])
+        model = PiGFModel(PiGModel(worlds, pi, valuation), truth)
+        refuting = [w for w in worlds if eval_pigf(model, w, f) < ONE]
+        if not refuting:
+            continue
+        world = rng.choice(refuting)
+        assert shrink(model, world, f, logic) == oracle_shrink(model, world, f, logic), (f, model, world)
+        kinds["models"] += 1
+        kinds["rowless"] += len(valuation) < len(worlds)
+        kinds["unread r"] += any("r" in row for row in valuation.values())
+        kinds["not first"] += world != refuting[0]
+    print(dict(kinds))
+    assert min(kinds.values()) >= 50, kinds
 
 
 # -- verdict serialization ---------------------------------------------------------------
