@@ -52,6 +52,34 @@ def _rational(raw: object) -> Fraction:
     return parse_rational(raw, unit=False) if isinstance(raw, str) else Fraction(raw)
 
 
+def _rank_codes(values: Iterable[Fraction]) -> tuple[list[Fraction], dict[tuple[int, int], int]]:
+    """Rank-code values in [0, 1]: the sorted table of the distinct values
+    with 0 and 1 (code i stands for table[i], so code 0 is 0 and the last
+    code is 1), and a map from each value's as_integer_ratio() to its code.
+    Integer pairs hash in C; a Fraction hashes in Python.
+
+    The coding is an order embedding into the integers, so anything that
+    reads only the order of values (min, max, the order test of Godel
+    implication, rounding into a truth set) decides on codes what it
+    decides on the Fractions.
+
+    No value ever becomes a float: a float is only the sort key.  For
+    integers n and d, n / d is correctly rounded, and rounding to nearest is
+    monotone, so x < y gives float(x) <= float(y) and the float order is
+    the exact order except among equal floats.  If two values have equal
+    floats, which makes them neighbours, all are sorted again exactly, as
+    1/3 and 10**40 / (3 * 10**40 + 1) are, or 0 and 1e-4299, whose float
+    is 0.0."""
+    exact = {value.as_integer_ratio(): value for value in values}
+    exact[0, 1] = ZERO
+    exact[1, 1] = ONE
+    keys = {pair: pair[0] / pair[1] for pair in exact}
+    pairs = sorted(keys, key=keys.__getitem__)
+    if len(set(keys.values())) < len(pairs):
+        pairs.sort(key=exact.__getitem__)
+    return [exact[pair] for pair in pairs], {pair: i for i, pair in enumerate(pairs)}
+
+
 def format_rational(value: Fraction) -> str:
     """Render a rational as "n/d" in lowest terms, or "0"/"1"-style bare integers."""
     if value.denominator == 1:

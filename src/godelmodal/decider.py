@@ -31,10 +31,10 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
 
-from .algebra import ONE, ZERO, TruthSet, format_rational
+from .algebra import ONE, ZERO, TruthSet, _rank_codes, format_rational
 from .semantics import (
     PiGFModel,
     PiGModel,
@@ -840,17 +840,16 @@ def shrink(
     # one column per variable: the formula's first, in compiled order
     columns = [*names, *sorted({p for row in valuation.values() for p in row} - set(names))]
     column = {p: 1 + i for i, p in enumerate(columns)}
-    table = sorted(
-        {ZERO, ONE, *model.truth_set, *model.pi.values()}
-        | {v for row in valuation.values() for v in row.values()}
+    table, code = _rank_codes(
+        chain(model.truth_set, model.pi.values(), *(row.values() for row in valuation.values()))
     )
-    code = {v: i for i, v in enumerate(table)}
+    ratio = Fraction.as_integer_ratio
     top = len(table) - 1
     rows = [
-        [code[model.pi[w]], *(code[model.value(w, p)] for p in columns)]
+        [code[ratio(model.pi[w])], *(code[ratio(model.value(w, p))] for p in columns)]
         for w in model.worlds
     ]
-    truth = [code[t] for t in model.truth_set]
+    truth = [code[ratio(t)] for t in model.truth_set]
     anchor = model.worlds.index(world)
     codes = list(zip(*rows))
     at_world = evaluate_compiled(ops, codes[1:], [(codes[:1], truth)], 0, top)[root][anchor]

@@ -18,17 +18,22 @@ and diamond values do not depend on the world, so a possibilistic block
 has one shared accessibility row (pi); a relational block has one row per
 world.  Several blocks laid end to end in the columns are evaluated in one
 pass: propositional ops run once over all their worlds, modal ops reduce
-and round block by block.  The same evaluator runs on integer codes of the
-values in the decider's searches: the random search evaluates a batch of
-sampled models in one call, and the world-type search one span of ops
-between modal ops at a time.
+and round block by block.
+
+The evaluator only ever reads the order of values, so it runs on integer
+codes.  Exact evaluation (evaluate, the eval_* functions, filtrate) codes a
+model's values by rank with algebra._rank_codes, an order embedding into
+the integers, and decodes only the values it returns, which are exactly
+the Fractions' values.  The decider's searches evaluate their own codes: the
+random search a batch of sampled models in one call, and the world-type
+search one span of ops between modal ops at a time.
 modal_terms gives each world's term of a box or diamond value, from which
 filtrate and the decider pick witness worlds.
 
 frame_report reads a possibilistic model's frame properties off pi in
 closed form, and checks a relational model's on the rank codes of its
-accessibility values (code i is the i-th smallest value), never comparing
-Fractions inside its triple loop.
+accessibility values, from the same coder, never comparing Fractions
+inside its triple loop.  decider.shrink codes an exact model through it too.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -47,6 +52,7 @@ from .algebra import (
     parse_rational,
     OrderEmbedding,
     _embedding,
+    _rank_codes,
     _rational,
 )
 from .syntax import BOT, Formula, compile_formulas
@@ -261,26 +267,34 @@ def model_values(
     model: PiGModel | PiGFModel | RelationalModel,
     ops: list[tuple],
     names: Sequence[str],
-    truth: Sequence[Fraction] | None = None,
-) -> list[list[Fraction]]:
-    """evaluate_compiled on a model's exact values: pi is the one shared row
-    of a possibilistic model, R(w, .) the row of w in a relational one."""
+) -> tuple[list[list[int]], list[list[int]], list[Fraction]]:
+    """evaluate_compiled on a model's rank codes: pi is the one shared row
+    of a possibilistic model, R(w, .) the row of w in a relational one, and
+    a PiGFModel rounds into the codes of its truth set.  Returns every op's
+    values and the rows, as codes, and the table that decodes them: code c
+    stands for table[c]."""
     ws = model.worlds
-    if isinstance(model, RelationalModel):
-        rows = [[model.rel(w, w2) for w2 in ws] for w in ws]
-    else:
-        rows = [[model.pi[w] for w in ws]]
-    columns = [[model.value(w, p) for w in ws] for p in names]
-    return evaluate_compiled(ops, columns, [(rows, truth)], ZERO, ONE)
+    base = model.base if isinstance(model, PiGFModel) else model
+    truth = model.truth_set.values if isinstance(model, PiGFModel) else ()
+    given = [base.R.get(w, {}) for w in ws] if isinstance(model, RelationalModel) else [base.pi]
+    valuation = [base.valuation.get(w, {}) for w in ws]
+    table, code = _rank_codes(chain(truth, *(row.values() for row in given + valuation)))
+    ratio = Fraction.as_integer_ratio
+    rows = [[code[ratio(row.get(u, ZERO))] for u in ws] for row in given]
+    columns = [[code[ratio(row.get(p, ZERO))] for row in valuation] for p in names]
+    truth_codes = [code[ratio(t)] for t in truth] if truth else None
+    vals = evaluate_compiled(ops, columns, [(rows, truth_codes)], 0, len(table) - 1)
+    return vals, rows, table
 
 
 def evaluate(model, formula: Formula) -> list[Fraction]:
     """The value of formula at every world, in world order.  A PiGFModel
     rounds box values down and diamond values up into its truth set; the
-    other classes evaluate exactly."""
+    other classes evaluate exactly.  Evaluation runs on rank codes, and
+    only the values returned are decoded."""
     ops, (root,), names = compile_formulas([formula])
-    truth = model.truth_set.values if isinstance(model, PiGFModel) else None
-    return model_values(model, ops, names, truth)[root]
+    vals, _, table = model_values(model, ops, names)
+    return [table[c] for c in vals[root]]
 
 
 def _value_at(model, world: str, formula: Formula) -> Fraction:
@@ -337,12 +351,8 @@ def frame_report(model: PiGModel | PiGFModel | RelationalModel) -> FrameReport:
     if not isinstance(model, RelationalModel):
         serial = is_normalized(model)
         return FrameReport(True, True, serial, (), (), () if serial else ws)
-    # values are keyed by numerator and denominator: integer pairs hash and
-    # compare in C, Fractions in Python
+    table, code = _rank_codes(x for row in model.R.values() for x in row.values())
     ratio = Fraction.as_integer_ratio
-    distinct = {ratio(x): x for row in model.R.values() for x in row.values()}
-    table = sorted({ZERO, ONE, *distinct.values()})
-    code = {ratio(x): i for i, x in enumerate(table)}
     top = len(table) - 1
     index = {w: i for i, w in enumerate(ws)}
     rows = [[0] * len(ws) for _ in ws]
@@ -398,23 +408,22 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
     ops, _, names = compile_formulas(list(sigma))
     if len(ops) != len(sigma):
         raise ValueError("fragment is not closed under subformulas")
-    vals = model_values(model, ops, names)
+    vals, (row,), table = model_values(model, ops, names)
+    top = len(table) - 1
     x_index = model.worlds.index(x)
     modal = [
         (op[0], vals[i][x_index], vals[op[1]])
         for i, op in enumerate(ops)
         if op[0] in ("box", "dia")
     ]
-    truth_set = TruthSet({v for _, v, _ in modal} | {ZERO, ONE})
-    alphas = truth_set.values
-    row = [model.pi[w] for w in model.worlds]
+    alphas = sorted({v for _, v, _ in modal} | {0, top})
     kept = {x}
     for tag, v, body in modal:
         i = alphas.index(v)
-        terms = modal_terms(tag, row, body, ONE)
-        if tag == "box" and v < ONE:
+        terms = modal_terms(tag, row, body, top)
+        if tag == "box" and v < top:
             witness = next(j for j, t in enumerate(terms) if t < alphas[i + 1])
-        elif tag == "dia" and v > ZERO:
+        elif tag == "dia" and v > 0:
             witness = next(j for j, t in enumerate(terms) if t > alphas[i - 1])
         else:
             continue
@@ -422,7 +431,7 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
     small_worlds = tuple(w for w in model.worlds if w in kept)
     pi = {w: model.pi[w] for w in small_worlds}
     valuation = {w: dict(model.valuation.get(w, {})) for w in small_worlds}
-    return PiGFModel(PiGModel(small_worlds, pi, valuation), truth_set)
+    return PiGFModel(PiGModel(small_worlds, pi, valuation), TruthSet(table[c] for c in alphas))
 
 
 def transport(model: PiGFModel, h: OrderEmbedding) -> PiGFModel:

@@ -329,6 +329,24 @@ def random_value(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(0, d), d)
 
 
+# Values whose floats tie with another value's: 1/3 and two values within
+# 10**-30 of it, a value whose float is 0.0, and two whose float is 1.0.
+# Sorted by float alone, with ties kept in insertion order, they misorder.
+FLOAT_TIES = (
+    Fraction(1, 3),
+    Fraction(10**40, 3 * 10**40 + 1),
+    Fraction(1, 3) + Fraction(1, 10**30),
+    Fraction(1, 10**4299),
+    Fraction(10**30 - 1, 10**30),
+    Fraction(10**4299 - 1, 10**4299),
+)
+
+
+def random_tied_value(rng: random.Random) -> Fraction:
+    """A value of FLOAT_TIES half of the time, else random_value's."""
+    return rng.choice(FLOAT_TIES) if rng.random() < 0.5 else random_value(rng)
+
+
 def random_truth_set(rng: random.Random, max_interior: int = 3) -> TruthSet:
     interior = set()
     for _ in range(rng.randint(0, max_interior)):

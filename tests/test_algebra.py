@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from godelmodal import (
     round_down,
     round_up,
 )
+from godelmodal.algebra import _rank_codes
+from helpers import FLOAT_TIES, random_tied_value
 
 
 def rationals01():
@@ -101,6 +104,19 @@ def test_constructors_read_strings_as_bounded_literals(build):
             build(text)
         assert time.perf_counter() - start < 1
     build("1e-4299")  # the smallest exponent still read
+
+
+def test_rank_codes_order_values_exactly_through_float_ties():
+    # the float sort key ties 1/3 with its near neighbours, 0 with 1e-4299
+    # and 1 with values just below it; only the exact re-sort orders them
+    assert 1 / 3 == float(FLOAT_TIES[1]) == float(FLOAT_TIES[2])
+    assert float(FLOAT_TIES[3]) == 0.0 and float(FLOAT_TIES[4]) == float(FLOAT_TIES[5]) == 1.0
+    rng = random.Random(1818)
+    for _ in range(300):
+        values = [random_tied_value(rng) for _ in range(rng.randint(0, 8))]
+        table, code = _rank_codes(values)
+        assert table == sorted({ZERO, ONE, *values})
+        assert all(table[code[v.as_integer_ratio()]] == v for v in values)
 
 
 def test_format_rational_lowest_terms():

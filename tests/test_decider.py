@@ -18,13 +18,16 @@ from godelmodal import (
     Valid,
     bound_for,
     decide,
+    embed_pig,
     eval_pigf,
+    evaluate,
     is_normalized,
     model_to_json,
     parse,
     random_pigf_model,
     random_search,
     shrink,
+    subformulas,
     variables,
     verdict_to_json,
 )
@@ -507,6 +510,44 @@ def test_decide_catches_random_refutations():
         )
         assert isinstance(verdict, Refuted), f"missed refutation of {f}"
         assert eval_pigf(verdict.countermodel, verdict.world, f) == verdict.value < ONE
+
+
+# -- countermodels under the relational semantics ---------------------------------
+
+
+def test_embedded_countermodels_under_the_relational_semantics():
+    # embed_pig of every Refuted countermodel, evaluated by the rank-coded
+    # relational path, must agree with the rank-coded possibilistic one at
+    # every world.  eval_rel evaluates exactly, while a verdict's value is
+    # rounded into the countermodel's truth set, so the refuting world has
+    # the verdict's value under eval_rel wherever the truth set rounds no
+    # subformula's value.  Elsewhere it need not: p -> []p at one world with
+    # pi = 1, p = 1/4 and T = {0, 1} is refuted with value 0, and eval_rel
+    # gives 1; those countermodels are counted.
+    rng = random.Random(4545)
+    kinds = Counter()
+    for i in range(1500):
+        f = random_formula_bounded(rng, max_ell=6)
+        logic = rng.choice(list(LogicId))
+        cfg = SearchConfig(mode=("exhaustive", "random", "hybrid")[i % 3], budget=200, seed=i)
+        verdict = decide(f, logic, cfg)
+        if not isinstance(verdict, Refuted):
+            continue
+        model = verdict.countermodel
+        exact = evaluate(embed_pig(model.base), f)
+        assert exact == evaluate(model.base, f), (f, model)
+        value = exact[model.worlds.index(verdict.world)]
+        kinds[logic.value] += 1
+        if all(evaluate(model, g) == evaluate(model.base, g) for g in subformulas(f)):
+            kinds["unrounded"] += 1
+            assert value == verdict.value < ONE, (f, logic, model, verdict.world)
+        else:
+            kinds["rounded"] += 1
+            kinds["other value"] += value != verdict.value
+            kinds["not refuting"] += value == ONE
+    print(dict(kinds))
+    assert min(kinds[logic.value] for logic in LogicId) >= 200, kinds
+    assert kinds["unrounded"] >= 500 and kinds["rounded"] >= 20, kinds
 
 
 # -- shrinking ------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from helpers import (
     random_pigf,
     random_relational,
     random_sparse_relational,
+    random_tied_value,
     random_truth_set,
     random_value,
 )
@@ -242,6 +243,54 @@ def test_evaluators_agree_with_independent_oracle():
         # the one-pass table holds every world's value, rounded for a PiGFModel
         for model, one in ((pig, eval_pig), (pigf, eval_pigf), (rel, eval_rel)):
             assert evaluate(model, f) == [one(model, w, f) for w in model.worlds]
+
+
+def test_rank_coded_evaluation_matches_the_oracle_through_float_ties():
+    # Exact evaluation runs on rank codes sorted by a float key.  Values
+    # whose floats tie (1/3 and its near neighbours, 0 and 1e-4299, 1 and
+    # values just below it) in pi, R, the valuation and the truth set must
+    # still evaluate as the Fractions do.
+    rng = random.Random(1717)
+    for _ in range(300):
+        f = random_formula_bounded(rng, max_ell=10)
+        worlds = [f"w{i + 1}" for i in range(rng.randint(1, 4))]
+        valuation = {w: {p: random_tied_value(rng) for p in ("p", "q")} for w in worlds}
+        pig = PiGModel(worlds, {w: random_tied_value(rng) for w in worlds}, valuation)
+        truth = TruthSet([ZERO, ONE, *(random_tied_value(rng) for _ in range(rng.randint(0, 3)))])
+        pigf = PiGFModel(pig, truth)
+        rel = RelationalModel(worlds, {w: {u: random_tied_value(rng) for u in worlds} for w in worlds}, valuation)
+        pi_access = lambda w, u: pig.pi[u]
+        for model, access, t in ((pig, pi_access, None), (pigf, pi_access, list(truth)), (rel, rel.rel, None)):
+            expected = [oracle_eval(worlds, access, valuation, w, f, t) for w in worlds]
+            assert evaluate(model, f) == expected, (f, model)
+
+
+def test_exact_evaluation_compares_no_fractions_per_world(monkeypatch):
+    # evaluate and filtrate evaluate on rank codes; with distinct values the
+    # coding sorts by float keys alone, so only filtrate's truth set may
+    # compare Fractions, never once per world and op
+    rng = random.Random(4040)
+    worlds = [f"w{i}" for i in range(40)]
+    values = iter(rng.sample([Fraction(k, 10007) for k in range(1, 10007)], 1800))
+    valuation = {w: {"p": next(values), "q": next(values)} for w in worlds}
+    pig = PiGModel(worlds, {w: next(values) for w in worlds}, valuation)
+    pigf = PiGFModel(pig, TruthSet([ZERO, ONE, next(values), next(values)]))
+    rel = RelationalModel(worlds, {w: {u: next(values) for u in worlds} for w in worlds}, valuation)
+    f = parse("[](p -> <>q) & (<>p | ~[]q) -> [](q <-> <>~p)")
+    ops = len(compile_formulas([f])[0])
+    calls = []
+    expected = [evaluate(m, f) for m in (pig, pigf, rel)]
+    small = filtrate(pig, subformulas(f), "w7")
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        original = getattr(Fraction, name)
+        monkeypatch.setattr(
+            Fraction, name, lambda a, b, original=original: calls.append(1) or original(a, b)
+        )
+    got = [evaluate(m, f) for m in (pig, pigf, rel)]
+    again = filtrate(pig, subformulas(f), "w7")
+    monkeypatch.undo()
+    assert got == expected and again == small
+    assert len(calls) < ops, len(calls)
 
 
 # -- frame properties -------------------------------------------------------------
