@@ -27,7 +27,7 @@ from .decider import (
     verdict_to_json,
 )
 from .semantics import (
-    UnknownWorldError,
+    _check_world,
     evaluate,
     frame_report,
     model_from_json,
@@ -131,8 +131,8 @@ def _run_check(args: argparse.Namespace, minimize: bool) -> int:
 def _run_eval(args: argparse.Namespace) -> int:
     formula = parse(args.formula)
     model = _load_model(args.model)
-    if args.world is not None and args.world not in model.worlds:
-        raise UnknownWorldError(f"unknown world {args.world!r}")
+    if args.world is not None:
+        _check_world(model.worlds, args.world)
     for world, value in zip(model.worlds, evaluate(model, formula)):
         if args.world is None:
             print(f"{world}\t{format_rational(value)}")

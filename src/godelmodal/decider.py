@@ -31,18 +31,19 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
 
-from .algebra import ONE, ZERO, TruthSet, _rank_codes, format_rational
+from .algebra import ONE, ZERO, TruthSet, format_rational
 from .semantics import (
     PiGFModel,
     PiGModel,
-    UnknownWorldError,
+    _check_world,
     eval_pigf,
     evaluate_compiled,
     modal_terms,
     model_to_json,
+    model_values,
 )
 from .syntax import Formula, LogicId, compile_formulas, complexity_ell
 
@@ -235,7 +236,7 @@ def _first_refutation(
     """The first world whose root code is below top, with that code, in a
     model given as integer code rows (pi, then one code per variable)."""
     columns = list(zip(*rows))
-    values = evaluate_compiled(ops, columns[1:], [(columns[:1], t_codes)], 0, top)[root]
+    values = evaluate_compiled(ops, columns[1:], [(columns[:1], t_codes)], top)[root]
     for idx, code in enumerate(values):
         if code != top:
             return idx, code
@@ -351,7 +352,7 @@ def _world_types(
     last_read = {a: i for i, op in enumerate(ops) if op[0] != "var" for a in op[1:]}
     last_read[root] = len(ops)
     cuts = [*modal, len(ops)]
-    vals = evaluate_compiled(ops, columns, [([pi], None)], 0, top, span=(0, cuts[0]), vals={})
+    vals = evaluate_compiled(ops, columns, [([pi], None)], top, span=(0, cuts[0]), vals={})
     need = _NORMAL if logic is LogicId.KD45 else 0
     masks = [need if p == top else 0 for p in pi]
 
@@ -403,7 +404,7 @@ def _world_types(
             child_columns = [[col[r] for r in keep] for col in columns]
             child = {k: [vals[k][r] for r in keep] for k in carried}
             child[i] = [j * step] * len(keep)
-            evaluate_compiled(ops, child_columns, [([child_pi], None)], 0, top, span=span, vals=child)
+            evaluate_compiled(ops, child_columns, [([child_pi], None)], top, span=span, vals=child)
             if not complete:
                 children.append((d + 1, child, child_columns, child_pi, marks, marked, grown))
                 continue
@@ -652,7 +653,7 @@ def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
         columns, blocks = _draw(
             rng, count, len(names), logic, worlds_cap, cfg.max_truth or 6, bound
         )
-        values = evaluate_compiled(ops, columns, blocks, 0, _GRID)[root]
+        values = evaluate_compiled(ops, columns, blocks, _GRID)[root]
         if values.count(_GRID) < len(values):
             hit = next(i for i, v in enumerate(values) if v != _GRID)
             start = 0
@@ -706,9 +707,8 @@ def _countermodel(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
             return hit
     ops, (root,), _ = compile_formulas([f])
     rows = [list(row) for row in hit.rows]
-    snaps = [range(len(rows[0]))] * len(rows)  # every world values every variable
     live, truth, anchor, code = _shrink_codes(
-        ops, root, rows, snaps, list(hit.truth), hit.top, logic, hit.world, hit.code
+        ops, root, rows, list(hit.truth), hit.top, logic, hit.world, hit.code
     )
     small = replace(
         hit,
@@ -726,9 +726,10 @@ def _countermodel(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
 #
 # _shrink_codes shrinks a countermodel given as code rows.  The countermodel
 # path hands it a search's hit as found, on the 1/120 grid or a sweep's
-# k_grid; shrink encodes an exact model as rank codes first (code i is the
-# i-th smallest value of 0, 1, the truth set, pi and the valuation) and
-# decodes the result.  Either way the model stays on codes until the end.
+# k_grid; shrink takes an exact model's rank codes from
+# semantics.model_values (pi, the truth set, and a column for every variable
+# of the valuation, the formula's first) and decodes the result.  Either
+# way the model stays on codes until the end.
 
 
 def _snap_key(code: int, truth: Sequence[int], top: int) -> tuple[int, int]:
@@ -747,7 +748,6 @@ def _shrink_codes(
     ops: list[tuple],
     root: int,
     rows: list[list[int]],
-    snaps: Sequence[Sequence[int]],
     truth: list[int],
     top: int,
     logic: LogicId,
@@ -757,8 +757,8 @@ def _shrink_codes(
     """Greedily minimize a countermodel given as code rows: drop
     worlds, coarsen the truth set, snap values toward endpoints and truth
     set members.  rows[i] holds world i's pi code, then its variable codes,
-    the formula's first in compiled order; rows are snapped in place, each
-    at the positions snaps[i] in that order.  truth holds the sorted truth
+    the formula's first in compiled order; each live row is snapped in
+    place, position by position.  truth holds the sorted truth
     set codes, 0 and top among them, and anchor is a refuting world whose
     value code is code.  Rows that break the logic's constraint on pi raise
     ValueError.
@@ -809,7 +809,7 @@ def _shrink_codes(
                 truth, (anchor, code), changed = coarser, hit, True
         for w in live:
             row = rows[w]
-            for i in snaps[w]:
+            for i in range(len(row)):
                 old = row[i]
                 down = truth[bisect_right(truth, old) - 1]
                 up = truth[bisect_left(truth, old)]
@@ -832,32 +832,21 @@ def shrink(
     snap values toward endpoints and truth set members.  The result still
     refutes f, satisfies the logic's constraint, and is never larger.  Kept
     worlds keep their names and the variables of their valuation rows.
-    This is _shrink_codes on the model's rank codes."""
+    This is _shrink_codes on the rank codes from semantics.model_values."""
     ops, (root,), names = compile_formulas([f])
-    if world not in model.worlds:
-        raise UnknownWorldError(f"unknown world {world!r}")
+    _check_world(model.worlds, world)
     valuation = model.base.valuation
     # one column per variable: the formula's first, in compiled order
     columns = [*names, *sorted({p for row in valuation.values() for p in row} - set(names))]
-    column = {p: 1 + i for i, p in enumerate(columns)}
-    table, code = _rank_codes(
-        chain(model.truth_set, model.pi.values(), *(row.values() for row in valuation.values()))
-    )
-    ratio = Fraction.as_integer_ratio
+    vals, (pi,), codes, truth, table = model_values(model, ops, columns)
     top = len(table) - 1
-    rows = [
-        [code[ratio(model.pi[w])], *(code[ratio(model.value(w, p))] for p in columns)]
-        for w in model.worlds
-    ]
-    truth = [code[ratio(t)] for t in model.truth_set]
     anchor = model.worlds.index(world)
-    codes = list(zip(*rows))
-    at_world = evaluate_compiled(ops, codes[1:], [(codes[:1], truth)], 0, top)[root][anchor]
+    at_world = vals[root][anchor]
     if at_world == top:
         raise ValueError("shrink needs a countermodel")
-    # snap pi, then the variables of the world's valuation row by name
-    snaps = [[0, *(column[p] for p in sorted(valuation.get(w, {})))] for w in model.worlds]
-    live, truth, anchor, _ = _shrink_codes(ops, root, rows, snaps, truth, top, logic, anchor, at_world)
+    rows = [list(row) for row in zip(pi, *codes)]
+    live, truth, anchor, _ = _shrink_codes(ops, root, rows, truth, top, logic, anchor, at_world)
+    column = {p: 1 + i for i, p in enumerate(columns)}
     kept = [model.worlds[i] for i in live]
     small = PiGModel(
         kept,

@@ -21,19 +21,21 @@ pass: propositional ops run once over all their worlds, modal ops reduce
 and round block by block.
 
 The evaluator only ever reads the order of values, so it runs on integer
-codes.  Exact evaluation (evaluate, the eval_* functions, filtrate) codes a
-model's values by rank with algebra._rank_codes, an order embedding into
-the integers, and decodes only the values it returns, which are exactly
-the Fractions' values.  The decider's searches evaluate their own codes: the
-random search a batch of sampled models in one call, and the world-type
-search one span of ops between modal ops at a time.
+codes.  model_values is the one place an exact model becomes codes: it
+codes the accessibility rows, the truth set and the columns of the
+variables asked for by rank with algebra._rank_codes, an order embedding
+into the integers, and evaluates them.  evaluate (so the eval_* functions)
+and filtrate decode only the values they return, which are exactly the
+Fractions' values; frame_report takes a relational model's rows from it,
+and decider.shrink its whole coded model.  The decider's searches evaluate
+their own codes: the random search a batch of sampled models in one call,
+and the world-type search one span of ops between modal ops at a time.
 modal_terms gives each world's term of a box or diamond value, from which
 filtrate and the decider pick witness worlds.
 
 frame_report reads a possibilistic model's frame properties off pi in
-closed form, and checks a relational model's on the rank codes of its
-accessibility values, from the same coder, never comparing Fractions
-inside its triple loop.  decider.shrink codes an exact model through it too.
+closed form, and checks a relational model's on the codes of its
+accessibility values, never comparing Fractions inside its triple loop.
 """
 
 from __future__ import annotations
@@ -191,15 +193,15 @@ def evaluate_compiled(
     ops: list[tuple],
     columns: Sequence[Sequence],
     blocks: Sequence[tuple[Sequence[Sequence], Sequence | None]],
-    zero,
-    top,
+    top: int,
     span: tuple[int, int] | None = None,
     vals: dict[int, list] | None = None,
 ) -> list[list] | dict[int, list]:
     """Values of every compiled op at every world, in world order.
 
-    The domain is any totally ordered set with bottom zero and top top:
-    exact rationals, or integer codes of them.  blocks holds one pair
+    The domain is integer codes with bottom 0 and top top, in the order of
+    the values they code: a model's rank codes from model_values, or the
+    decider's own codes.  blocks holds one pair
     (rows, truth) per model, and the models' worlds lie end to end in
     columns: columns[i] holds the values of variable names[i] at every world
     of every block.  A block's world count is len(rows[0]).  rows holds its
@@ -228,7 +230,7 @@ def evaluate_compiled(
         elif tag == "var":
             out = columns[op[1]]
         elif tag == "bot":
-            out = [zero] * n
+            out = [0] * n
         else:
             body = vals[op[1]]
             box = tag == "box"
@@ -249,7 +251,7 @@ def evaluate_compiled(
                                 c = x
                         c = c if truth is None else truth[bisect_right(truth, c) - 1]
                     else:
-                        c = zero
+                        c = 0
                         for p, x in zip(row, part):
                             v = p if p < x else x
                             if v > c:
@@ -267,24 +269,27 @@ def model_values(
     model: PiGModel | PiGFModel | RelationalModel,
     ops: list[tuple],
     names: Sequence[str],
-) -> tuple[list[list[int]], list[list[int]], list[Fraction]]:
-    """evaluate_compiled on a model's rank codes: pi is the one shared row
-    of a possibilistic model, R(w, .) the row of w in a relational one, and
-    a PiGFModel rounds into the codes of its truth set.  Returns every op's
-    values and the rows, as codes, and the table that decodes them: code c
-    stands for table[c]."""
+) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[int] | None, list[Fraction]]:
+    """evaluate_compiled on a model's rank codes, the one place an exact
+    model becomes codes: pi is the one shared row of a possibilistic model,
+    R(w, .) the row of w in a relational one, columns[i] holds variable
+    names[i] at every world, and a PiGFModel rounds into the codes of its
+    truth set.  Only those values are coded.  Returns every op's values,
+    the rows, the columns and the truth codes (None without a truth set),
+    and the table that decodes them: code c stands for table[c]."""
     ws = model.worlds
     base = model.base if isinstance(model, PiGFModel) else model
     truth = model.truth_set.values if isinstance(model, PiGFModel) else ()
     given = [base.R.get(w, {}) for w in ws] if isinstance(model, RelationalModel) else [base.pi]
     valuation = [base.valuation.get(w, {}) for w in ws]
-    table, code = _rank_codes(chain(truth, *(row.values() for row in given + valuation)))
+    read = [[row.get(p, ZERO) for row in valuation] for p in names]
+    table, code = _rank_codes(chain(truth, *(row.values() for row in given), *read))
     ratio = Fraction.as_integer_ratio
     rows = [[code[ratio(row.get(u, ZERO))] for u in ws] for row in given]
-    columns = [[code[ratio(row.get(p, ZERO))] for row in valuation] for p in names]
+    columns = [[code[ratio(x)] for x in column] for column in read]
     truth_codes = [code[ratio(t)] for t in truth] if truth else None
-    vals = evaluate_compiled(ops, columns, [(rows, truth_codes)], 0, len(table) - 1)
-    return vals, rows, table
+    vals = evaluate_compiled(ops, columns, [(rows, truth_codes)], len(table) - 1)
+    return vals, rows, columns, truth_codes, table
 
 
 def evaluate(model, formula: Formula) -> list[Fraction]:
@@ -293,7 +298,7 @@ def evaluate(model, formula: Formula) -> list[Fraction]:
     other classes evaluate exactly.  Evaluation runs on rank codes, and
     only the values returned are decoded."""
     ops, (root,), names = compile_formulas([formula])
-    vals, _, table = model_values(model, ops, names)
+    vals, *_, table = model_values(model, ops, names)
     return [table[c] for c in vals[root]]
 
 
@@ -351,15 +356,8 @@ def frame_report(model: PiGModel | PiGFModel | RelationalModel) -> FrameReport:
     if not isinstance(model, RelationalModel):
         serial = is_normalized(model)
         return FrameReport(True, True, serial, (), (), () if serial else ws)
-    table, code = _rank_codes(x for row in model.R.values() for x in row.values())
-    ratio = Fraction.as_integer_ratio
+    _, rows, _, _, table = model_values(model, [], ())
     top = len(table) - 1
-    index = {w: i for i, w in enumerate(ws)}
-    rows = [[0] * len(ws) for _ in ws]
-    for w, row in model.R.items():
-        codes = rows[index[w]]
-        for u, x in row.items():
-            codes[index[u]] = code[ratio(x)]
     trans = []
     eucl = []
     for w, row_w in zip(ws, rows):
@@ -408,7 +406,7 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
     ops, _, names = compile_formulas(list(sigma))
     if len(ops) != len(sigma):
         raise ValueError("fragment is not closed under subformulas")
-    vals, (row,), table = model_values(model, ops, names)
+    vals, (row,), _, _, table = model_values(model, ops, names)
     top = len(table) - 1
     x_index = model.worlds.index(x)
     modal = [

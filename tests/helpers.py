@@ -874,7 +874,7 @@ def oracle_shrink(
 
     live = list(model.worlds)
     codes = list(zip(*rows.values()))
-    at_world = evaluate_compiled(ops, codes[1:], [(codes[:1], truth)], 0, top)[root]
+    at_world = evaluate_compiled(ops, codes[1:], [(codes[:1], truth)], top)[root]
     if at_world[live.index(world)] == top:
         raise ValueError("shrink needs a countermodel")
     if not lawful(live):

@@ -673,6 +673,29 @@ def test_shrink_matches_the_exact_model_oracle():
     assert min(kinds.values()) >= 50, kinds
 
 
+def test_shrink_snaps_an_unread_variable_and_moves_the_anchor():
+    # In S5 both worlds refute <>p -> []p with value 0, and no world can go
+    # and no value can snap except r, which the formula never reads.  That
+    # snap is the one accepted evaluation, so it alone moves the anchor from
+    # the given world u1 to the first refuting one.  A shrink that skipped
+    # unread variables would return u1; random models almost never tell.
+    model = PiGFModel(
+        PiGModel(
+            ["u0", "u1"],
+            {"u0": ONE, "u1": ONE},
+            {"u0": {"p": ONE, "r": Fraction(1, 3)}, "u1": {"p": ZERO}},
+        ),
+        TruthSet([ZERO, ONE]),
+    )
+    f = parse("<>p -> []p")
+    small, anchor = shrink(model, "u1", f, LogicId.S5)
+    assert anchor == "u0"
+    assert small.worlds == ("u0", "u1")
+    assert small.base.valuation == {"u0": {"p": ONE, "r": ZERO}, "u1": {"p": ZERO}}
+    assert small.truth_set == model.truth_set
+    assert (small, anchor) == oracle_shrink(model, "u1", f, LogicId.S5)
+
+
 # -- verdict serialization ---------------------------------------------------------------
 
 

@@ -305,7 +305,7 @@ def test_modal_values_are_the_extremes_of_the_modal_terms():
         row = [rng.randint(0, 9) for _ in range(n)]
         body = [rng.randint(0, 9) for _ in range(n)]
         ops = [("var", 0), ("box", 0), ("dia", 0)]
-        _, box, dia = evaluate_compiled(ops, [body], [([row], None)], 0, 9)
+        _, box, dia = evaluate_compiled(ops, [body], [([row], None)], 9)
         assert box == [min(modal_terms("box", row, body, 9))] * n
         assert dia == [max(modal_terms("dia", row, body, 9))] * n
 
@@ -336,7 +336,7 @@ def test_blocks_evaluate_as_their_models_do_one_by_one():
             access = lambda w, u: Fraction(full[w][u], 9)
             levels = None if truth is None else [Fraction(t, 9) for t in truth]
             alone += [9 * oracle_eval(worlds, access, valuation, w, f, levels) for w in worlds]
-        assert evaluate_compiled(ops, columns, blocks, 0, 9)[root] == alone
+        assert evaluate_compiled(ops, columns, blocks, 9)[root] == alone
 
 
 def test_evaluation_resumes_from_known_values():
@@ -345,7 +345,7 @@ def test_evaluation_resumes_from_known_values():
     f = parse("[](p -> <>q) & (<>p | ~[]q)")
     ops, (root,), names = compile_formulas([f])
     columns = [[0, 3, 9], [9, 1, 0]]
-    full = evaluate_compiled(ops, columns, [([[9, 4, 0]], None)], 0, 9)
+    full = evaluate_compiled(ops, columns, [([[9, 4, 0]], None)], 9)
     written = []
 
     class Recording(dict):
@@ -358,7 +358,7 @@ def test_evaluation_resumes_from_known_values():
         known = {a: full[a] for a in read}
         written.clear()
         span = (cut, len(ops))
-        vals = evaluate_compiled(ops, columns, [([[9, 4, 0]], None)], 0, 9, span=span, vals=Recording(known))
+        vals = evaluate_compiled(ops, columns, [([[9, 4, 0]], None)], 9, span=span, vals=Recording(known))
         assert [vals[i] for i in range(*span)] == full[cut:]
         assert written == list(range(*span))
         assert {a: vals[a] for a in read} == known
