@@ -339,9 +339,16 @@ def _world_types(
     vector of a model of at most limit worlds.  A complete order type needs one
     more requirement: some world whose value of the formula is below 1.
 
+    A complete order type is counted as examined before that cover test,
+    which it must pass too, and evaluated only if it passes.  A stacked
+    prefix is tested again when popped only if limit fell since it was
+    pushed.
+
     A state holds, by op index, its worlds' values of the ops a later op
     still reads, which keeps it small on deep formulas; a child adds its
     modal op's level, and evaluate_compiled extends it to the next modal op.
+    A child copies only the variable columns that a later var op reads, and
+    below the last modal op no pi row, since the last span reads none.
     """
     width = 1 + n_vars
     step = width + 1
@@ -351,6 +358,8 @@ def _world_types(
     # the last op that reads each op's values; a var op's argument is a column
     last_read = {a: i for i, op in enumerate(ops) if op[0] != "var" for a in op[1:]}
     last_read[root] = len(ops)
+    # per modal op, the variables a var op after it still reads
+    live = [{op[1] for op in ops[i + 1 :] if op[0] == "var"} for i in modal]
     cuts = [*modal, len(ops)]
     vals = evaluate_compiled(ops, columns, [([pi], None)], top, span=(0, cuts[0]), vals={})
     need = _NORMAL if logic is LogicId.KD45 else 0
@@ -364,10 +373,10 @@ def _world_types(
     if not modal:
         return settle(vals, masks, need), 1
     best, examined = None, 0
-    stack = [(0, vals, columns, pi, masks, need, 0)]
+    stack = [(0, vals, columns, pi, masks, need, 0, limit + 1)]  # the root is tested
     while stack:
-        d, vals, columns, pi, masks, need, used = stack.pop()
-        if _cover_size(set(masks), need, limit) is None:
+        d, vals, columns, pi, masks, need, used, pushed = stack.pop()
+        if limit < pushed and _cover_size(set(masks), need, limit) is None:
             continue  # limit fell since this prefix was stacked
         i = modal[d]
         tag, body = ops[i]
@@ -396,19 +405,23 @@ def _world_types(
                 continue  # too few ops left to use every interior level
             asked = j <= k_levels if tag == "box" else j > 0
             marked = need | bit if asked else need
-            # prune before building the values, unless they are needed to
-            # tell which worlds refute
-            if not keep or (not complete and _cover_size(set(marks), marked, limit) is None):
+            if not keep:
                 continue
-            child_pi = [pi[r] for r in keep]
-            child_columns = [[col[r] for r in keep] for col in columns]
+            if complete:
+                examined += 1
+            # prune before building the values; a complete type that cannot
+            # cover marked cannot cover it with a refuting world either
+            if _cover_size(set(marks), marked, limit) is None:
+                continue
+            # the last span reads no row, only its length
+            child_pi = keep if complete else [pi[r] for r in keep]
+            child_columns = {v: [columns[v][r] for r in keep] for v in live[d]}
             child = {k: [vals[k][r] for r in keep] for k in carried}
             child[i] = [j * step] * len(keep)
             evaluate_compiled(ops, child_columns, [([child_pi], None)], top, span=span, vals=child)
             if not complete:
-                children.append((d + 1, child, child_columns, child_pi, marks, marked, grown))
+                children.append((d + 1, child, child_columns, child_pi, marks, marked, grown, limit))
                 continue
-            examined += 1
             size = settle(child, marks, marked)
             if size is not None:
                 best, limit = size, size - 1

@@ -85,10 +85,10 @@ def _checked_worlds(worlds) -> tuple[str, ...]:
     return ws
 
 
-def _checked_rows(rows, ws: tuple[str, ...], what: str) -> dict[str, dict[str, Fraction]]:
+def _checked_rows(rows, known: set[str], what: str) -> dict[str, dict[str, Fraction]]:
     out = {}
     for w, row in (rows or {}).items():
-        if str(w) not in ws:
+        if str(w) not in known:
             raise ValueError(f"{what} mentions unknown world {w!r}")
         out[str(w)] = _coerce_values(row, what)
     return out
@@ -113,16 +113,17 @@ class PiGModel:
         valuation: Mapping[str, Mapping[str, object]] | None = None,
     ) -> None:
         ws = _checked_worlds(worlds)
+        known = set(ws)
         pi_map = _coerce_values(pi, "pi")
         missing = [w for w in ws if w not in pi_map]
         if missing:
             raise ValueError(f"pi not defined at {missing[0]!r}")
         if len(pi_map) > len(ws):  # every world is a key, so some key is no world
-            unknown = next(w for w in pi_map if w not in ws)
+            unknown = next(w for w in pi_map if w not in known)
             raise ValueError(f"pi mentions unknown world {unknown!r}")
         object.__setattr__(self, "worlds", ws)
         object.__setattr__(self, "pi", {w: pi_map[w] for w in ws})
-        object.__setattr__(self, "valuation", _checked_rows(valuation, ws, "valuation"))
+        object.__setattr__(self, "valuation", _checked_rows(valuation, known, "valuation"))
 
     def value(self, world: str, variable: str) -> Fraction:
         return self.valuation.get(world, {}).get(variable, ZERO)
@@ -157,14 +158,15 @@ class RelationalModel:
 
     def __init__(self, worlds, R, valuation=None) -> None:
         ws = _checked_worlds(worlds)
-        rel = _checked_rows(R, ws, "R")
+        known = set(ws)
+        rel = _checked_rows(R, known, "R")
         for row in rel.values():
             for w2 in row:
-                if w2 not in ws:
+                if w2 not in known:
                     raise ValueError(f"R mentions unknown world {w2!r}")
         object.__setattr__(self, "worlds", ws)
         object.__setattr__(self, "R", rel)
-        object.__setattr__(self, "valuation", _checked_rows(valuation, ws, "valuation"))
+        object.__setattr__(self, "valuation", _checked_rows(valuation, known, "valuation"))
 
     def rel(self, w: str, w2: str) -> Fraction:
         return self.R.get(w, {}).get(w2, ZERO)

@@ -1,10 +1,12 @@
 """Shared test utilities: random generators and independent oracles.
 
 Everything here except oracle_sweep_size, oracle_exhaustive,
-oracle_random_search, oracle_compile_formulas and the model boundary oracles
-is deliberately written from first principles (plain recursion, no reuse of
-the library's evaluator internals) so that tests compare the package against
-genuinely independent reference behaviour.  The model boundary oracles keep
+oracle_world_types, oracle_random_search, oracle_compile_formulas and the
+model boundary oracles is deliberately written from first principles (plain
+recursion, no reuse of the library's evaluator internals) so that tests
+compare the package against genuinely independent reference behaviour.
+oracle_world_types is the world-type search as it was before it skipped
+work its answer never reads; it reuses the decider's rows and cover test.  The model boundary oracles keep
 the model file reader and transport that the package had before each literal
 and value was read once; they build the package's own model classes.
 oracle_compile_formulas is the compiler as it was before a one-root compile
@@ -54,17 +56,21 @@ from godelmodal import syntax
 from godelmodal.decider import (
     _DENOMS,
     _GRID,
+    _NORMAL,
+    _REFUTED,
     Refuted,
     SearchConfig,
     Valid,
     _decode,
     _first_refutation,
+    _cover_size,
     _materialize,
+    _world_rows,
     bound_for,
     decide,
     verdict_to_json,
 )
-from godelmodal.semantics import UnknownWorldError, eval_pigf, evaluate_compiled
+from godelmodal.semantics import UnknownWorldError, eval_pigf, evaluate_compiled, modal_terms
 from godelmodal.syntax import _TAGS, _children, _postorder, _tokenize, compile_formulas
 
 # --------------------------------------------------------------------------
@@ -745,6 +751,114 @@ def oracle_exhaustive(f: Formula, logic, cfg):
                     )
                 return Refuted(model, world, value)
     return Valid(bound, checked)
+
+
+# --------------------------------------------------------------------------
+# World-type search before it skipped unread work
+# --------------------------------------------------------------------------
+# decider._world_types as it was before complete order types were cover-tested
+# before evaluation, children copied only live columns and popped prefixes
+# were tested again only after limit fell.  It must return the same
+# (best, examined) on every input.
+
+
+def oracle_world_types(
+    ops: list[tuple], root: int, n_vars: int, logic: LogicId, k_levels: int, limit: int
+) -> tuple[int | None, int]:
+    """The fewest worlds, if at most limit, of a countermodel whose truth
+    set has exactly k_levels interior members, all of them modal values; and
+    the number of complete order types examined.
+
+    A depth-first search gives the modal ops, in postorder, levels 0..K+1,
+    using every interior level.  Level c of a box asks every world for
+    pi -> b >= c (universal) and, if c < 1, some world for pi -> b below
+    the next level (existential); a diamond asks for min(pi, b) <= c and,
+    if c > 0, for some world above the previous level.  Worlds failing a
+    universal condition are dropped.  A prefix survives while at most limit
+    of the remaining rows together meet every existential requirement so
+    far, plus pi = 1 under KD45; the rows only shrink down the search, so
+    this pruning is sound, and every surviving prefix is the true value
+    vector of a model of at most limit worlds.  A complete order type needs one
+    more requirement: some world whose value of the formula is below 1.
+
+    A state holds, by op index, its worlds' values of the ops a later op
+    still reads, which keeps it small on deep formulas; a child adds its
+    modal op's level, and evaluate_compiled extends it to the next modal op.
+    """
+    width = 1 + n_vars
+    step = width + 1
+    top = (k_levels + 1) * step
+    pi, *columns = _world_rows(k_levels, width, logic)
+    modal = [i for i, op in enumerate(ops) if op[0] in ("box", "dia")]
+    # the last op that reads each op's values; a var op's argument is a column
+    last_read = {a: i for i, op in enumerate(ops) if op[0] != "var" for a in op[1:]}
+    last_read[root] = len(ops)
+    cuts = [*modal, len(ops)]
+    vals = evaluate_compiled(ops, columns, [([pi], None)], top, span=(0, cuts[0]), vals={})
+    need = _NORMAL if logic is LogicId.KD45 else 0
+    masks = [need if p == top else 0 for p in pi]
+
+    def settle(vals: dict[int, list[int]], masks: list[int], need: int) -> int | None:
+        # a complete order type also needs a world that refutes the formula
+        masks = [x | _REFUTED if v < top else x for x, v in zip(masks, vals[root])]
+        return _cover_size(set(masks), need | _REFUTED, limit)
+
+    if not modal:
+        return settle(vals, masks, need), 1
+    best, examined = None, 0
+    stack = [(0, vals, columns, pi, masks, need, 0)]
+    while stack:
+        d, vals, columns, pi, masks, need, used = stack.pop()
+        if _cover_size(set(masks), need, limit) is None:
+            continue  # limit fell since this prefix was stacked
+        i = modal[d]
+        tag, body = ops[i]
+        span = (i + 1, cuts[d + 1])
+        carried = [k for k in vals if last_read[k] > i]  # still read after op i
+        complete = d + 1 == len(modal)
+        # A box at level j keeps the worlds whose term lies at or above
+        # level j, and those below level j + 1 witness it.  Negated terms
+        # turn a diamond into the same test.  Levels are visited so that
+        # the kept worlds only grow.
+        sign = 1 if tag == "box" else -1
+        groups: dict[int, list[int]] = {}
+        for r, t in enumerate(modal_terms(tag, pi, vals[body], top)):
+            groups.setdefault(sign * t // step, []).append(r)
+        bit = 4 << d
+        keep: list[int] = []
+        plain: list[int] = []  # the masks of the worlds kept so far
+        children = []
+        for j in range(k_levels + 1, -1, -1) if tag == "box" else range(k_levels + 2):
+            group = groups.get(sign * j, [])
+            marks = plain + [masks[r] | bit for r in group]
+            keep = keep + group
+            plain = plain + [masks[r] for r in group]
+            grown = used | (1 << j) if 0 < j <= k_levels else used
+            if k_levels - grown.bit_count() > len(modal) - d - 1:
+                continue  # too few ops left to use every interior level
+            asked = j <= k_levels if tag == "box" else j > 0
+            marked = need | bit if asked else need
+            # prune before building the values, unless they are needed to
+            # tell which worlds refute
+            if not keep or (not complete and _cover_size(set(marks), marked, limit) is None):
+                continue
+            child_pi = [pi[r] for r in keep]
+            child_columns = [[col[r] for r in keep] for col in columns]
+            child = {k: [vals[k][r] for r in keep] for k in carried}
+            child[i] = [j * step] * len(keep)
+            evaluate_compiled(ops, child_columns, [([child_pi], None)], top, span=span, vals=child)
+            if not complete:
+                children.append((d + 1, child, child_columns, child_pi, marks, marked, grown))
+                continue
+            examined += 1
+            size = settle(child, marks, marked)
+            if size is not None:
+                best, limit = size, size - 1
+                if not limit:
+                    return best, examined
+        # explore level 0 first
+        stack.extend(children if tag == "box" else reversed(children))
+    return best, examined
 
 
 # --------------------------------------------------------------------------

@@ -33,13 +33,15 @@ from godelmodal import (
 )
 from godelmodal import decider
 from godelmodal.decider import _materialize, _sweep_size
-from godelmodal.syntax import corpus
+from godelmodal.syntax import SCHEMES, compile_formulas, corpus
 from helpers import (
     oracle_exhaustive,
+    oracle_instantiate,
     oracle_random_search,
     oracle_sample,
     oracle_shrink,
     oracle_sweep_size,
+    oracle_world_types,
     random_formula,
     random_formula_bounded,
     random_pigf,
@@ -315,6 +317,51 @@ def test_world_types_match_the_whole_bound_sweep():
             assert doc["bound"] == verdict_to_json(want)["bound"] and doc["models_checked"] >= 1
         kinds[doc["verdict"]] += 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_world_types_match_the_search_that_read_everything():
+    # (best, examined) of one world-type search against the search before it
+    # skipped complete order types that cannot cover, unread columns and
+    # rows, and tests of popped prefixes whose limit has not fallen: random
+    # formulas, and substitution instances of the schemes in a logic where
+    # they are valid, so that searches which exhaust every order type are
+    # well represented
+    rng = random.Random(20)
+    logics = list(LogicId)
+    answers = Counter()
+    for n in range(2400):
+        if n % 3:
+            f = random_formula_bounded(rng, ("p", "q", "r"), max_ell=rng.randint(4, 10))
+            logic = rng.choice(logics)
+        else:
+            scheme = rng.choice(SCHEMES)
+            subst = {x: random_formula_bounded(rng, ("p", "q", "r"), max_ell=3) for x in "XY"}
+            f = oracle_instantiate(scheme.template, subst)
+            logic = rng.choice(logics[logics.index(scheme.source_logic) :])
+        ops, (root,), names = compile_formulas([f])
+        m = sum(op[0] in ("box", "dia") for op in ops)
+        args = (ops, root, len(names), logic, rng.randint(0, min(m, 3)), rng.randint(1, 4))
+        got = decider._world_types(*args)
+        assert got == oracle_world_types(*args), (f, logic, args[4:])
+        answers["none" if got[0] is None else "size"] += 1
+    assert answers["none"] >= 600 and answers["size"] >= 600, answers
+
+
+def test_world_types_skip_complete_types_that_cannot_cover(monkeypatch):
+    # A complete order type whose worlds cannot meet the existential
+    # requirements within the limit is counted, but never evaluated
+    calls = []
+    evaluate = decider.evaluate_compiled
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(decider, "evaluate_compiled", counting)
+    f = parse("([]p -> <>q) | []((p -> q) -> q)")
+    verdict = decide(f, LogicId.KD45, SearchConfig("exhaustive", max_worlds=1, max_truth=5))
+    assert verdict.models_checked == 51
+    assert len(calls) == 70
 
 
 @pytest.mark.parametrize(

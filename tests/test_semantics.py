@@ -103,6 +103,23 @@ def test_model_validation():
         PiGModel(["a"], {"b": ONE})
 
 
+def test_constructors_name_the_first_unknown_world():
+    # rows are checked before R's entries, each in the order given
+    unknown = [
+        (lambda: PiGModel(["a"], {"a": ONE}, {"a": {}, "zz": {}, "yy": {}}), "valuation", "zz"),
+        (lambda: RelationalModel(["a"], {"a": {"a": ONE, "zz": ONE, "yy": ONE}}), "R", "zz"),
+        (lambda: RelationalModel(["a"], {"a": {"zz": ONE}, "yy": {}}), "R", "yy"),
+        (lambda: RelationalModel(["a"], {"a": {"zz": ONE}}, {"yy": {}}), "R", "zz"),
+        (lambda: RelationalModel(["a"], {"a": {}}, {"a": {}, "yy": {}}), "valuation", "yy"),
+    ]
+    for build, what, world in unknown:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == f"{what} mentions unknown world {world!r}"
+    # row keys are read as world names
+    assert RelationalModel(["1"], {1: {"1": ONE}}, {1: {"p": ONE}}).R == {"1": {"1": ONE}}
+
+
 def test_missing_variables_default_to_zero():
     m = PiGModel(["a"], {"a": ONE})
     assert eval_pig(m, "a", parse("p")) == ZERO
