@@ -25,14 +25,18 @@ def parse_rational(text: str, *, unit: bool = True) -> Fraction:
     An exponent beyond 4300 in absolute value is a bad literal, refused
     before Fraction computes 10**e (6.6 s at e = 7 * 10**6 on a 2-vCPU
     Xeon), and so is a denominator of more than 4300 digits, which
-    format_rational could not print: "1e-4299" is read, "1e-4300" is not."""
+    format_rational could not print: "1e-4299" is read, "1e-4300" is not.
+    A short "n" or "n/d" in ASCII digits is read as the two integers
+    Fraction's grammar reads there, without its regex."""
+    num, slash, den = text.partition("/")
     try:
         if "e" in text or "E" in text:
             # at most 4 significant digits, so int() never reads a long string
             digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
             if len(digits.lstrip("0")) > 4 or int(digits) > _MAX_DIGITS:
                 raise ValueError("exponent out of bounds")
-        value = Fraction(text.strip())
+        plain = len(text) < 20 and text.isascii() and num.isdigit() and (den.isdigit() or not slash)
+        value = Fraction(int(num), int(den or 1)) if plain else Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
     numerator, denominator = value.as_integer_ratio()
@@ -148,12 +152,16 @@ class OrderEmbedding:
 
 
 def _embedding(h: OrderEmbedding) -> Callable[[Fraction], Fraction]:
-    """h as a function on [0, 1]: the breakpoint list is built once, and each
-    distinct value is range-checked and interpolated once.  Values are keyed
-    by numerator and denominator, which hash in C."""
+    """h as a function on [0, 1]: each segment's line y = (a x + b) / c is
+    put in integers once, and each distinct value x = n / d, keyed by n and
+    d, is range-checked and mapped once, to Fraction(a n + b d, c d)."""
     pts = h.breakpoints
-    xs = [x for x, _ in pts]
-    last = len(pts) - 1
+    inner = [x for x, _ in pts[1:-1]]
+    lines = []
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        (sn, sd), (bn, bd) = slope.as_integer_ratio(), (y0 - slope * x0).as_integer_ratio()
+        lines.append((sn * bd, bn * sd, sd * bd))
     images: dict[tuple[int, int], Fraction] = {}
 
     def image(v: Fraction) -> Fraction:
@@ -163,13 +171,8 @@ def _embedding(h: OrderEmbedding) -> Callable[[Fraction], Fraction]:
             n, d = key
             if not 0 <= n <= d:
                 raise ValueError(f"value {v} outside [0, 1]")
-            i = bisect_right(xs, v) - 1
-            if i == last:
-                y = pts[-1][1]
-            else:
-                (x0, y0), (x1, y1) = pts[i], pts[i + 1]
-                y = y0 + (y1 - y0) * (v - x0) / (x1 - x0)
-            images[key] = y
+            a, b, c = lines[bisect_right(inner, v)]
+            y = images[key] = Fraction(a * n + b * d, c * d)
         return y
 
     return image

@@ -39,6 +39,7 @@ from .semantics import (
     PiGFModel,
     PiGModel,
     _check_world,
+    _model,
     eval_pigf,
     evaluate_compiled,
     modal_terms,
@@ -154,10 +155,8 @@ def _materialize(
         w: {p: _decode(row[1 + i], top_code, k_grid) for i, p in enumerate(names)}
         for w, row in zip(worlds, rows)
     }
-    truth = TruthSet(
-        [ZERO, ONE] + [Fraction(r, k_grid) for r in t_ranks]
-    )
-    return PiGFModel(PiGModel(worlds, pi, valuation), truth)
+    truth = TruthSet([ZERO, ONE] + [Fraction(r, k_grid) for r in t_ranks])
+    return PiGFModel(_model(PiGModel, worlds, pi, valuation), truth)
 
 
 def _refuted(f: Formula, hit: _Hit) -> Refuted:
@@ -779,7 +778,9 @@ def _shrink_codes(
     Returns the kept worlds' indices in order, the kept truth codes, the
     refuting world and its value code.  Both come from the last accepted
     evaluation, whose model the result is, since a rejected candidate
-    changes nothing; with none accepted they are anchor and code.
+    changes nothing; with none accepted they are anchor and code.  A snap
+    where no var op reads is kept unevaluated, and one evaluation at the
+    end stands in for all such snaps; it marks no pass as changed.
 
     Any coding whose order is the order of the values gives the same
     result, which is why a search's hit and shrink's rank codes agree.
@@ -805,6 +806,8 @@ def _shrink_codes(
     live = list(range(len(rows)))
     if not lawful(live):
         raise ValueError("model violates the logic's frame constraint")
+    unread = set(range(1, len(rows[0]))) - {1 + op[1] for op in ops if op[0] == "var"}
+    snapped = False
     changed = True
     while changed:
         changed = False
@@ -830,11 +833,16 @@ def _shrink_codes(
                     if _snap_key(new, truth, top) >= _snap_key(old, truth, top):
                         continue
                     row[i] = new
+                    if i in unread:
+                        snapped = True
+                        break
                     hit = refuting(live, truth) if lawful(live) else None
                     if hit is not None:
                         (anchor, code), changed = hit, True
                         break
                     row[i] = old
+    if snapped:
+        anchor, code = refuting(live, truth)
     return live, truth, anchor, code
 
 
@@ -861,7 +869,8 @@ def shrink(
     live, truth, anchor, _ = _shrink_codes(ops, root, rows, truth, top, logic, anchor, at_world)
     column = {p: 1 + i for i, p in enumerate(columns)}
     kept = [model.worlds[i] for i in live]
-    small = PiGModel(
+    small = _model(
+        PiGModel,
         kept,
         {w: table[rows[i][0]] for w, i in zip(kept, live)},
         {w: {p: table[rows[i][column[p]]] for p in valuation[w]} for w, i in zip(kept, live) if w in valuation},

@@ -85,13 +85,22 @@ def _checked_worlds(worlds) -> tuple[str, ...]:
     return ws
 
 
-def _checked_rows(rows, known: set[str], what: str) -> dict[str, dict[str, Fraction]]:
+def _checked_rows(rows, known: set[str], what: str, coerce) -> dict[str, dict[str, Fraction]]:
     out = {}
     for w, row in (rows or {}).items():
         if str(w) not in known:
             raise ValueError(f"{what} mentions unknown world {w!r}")
-        out[str(w)] = _coerce_values(row, what)
+        out[str(w)] = coerce(row, what)
     return out
+
+
+def _model(cls, worlds, rows, valuation):
+    """A PiGModel (rows is pi) or RelationalModel (rows is R) of Fractions
+    in [0, 1] under str keys, as the reader and the package build them: the
+    constructor's world checks, in its order, with no value coerced again."""
+    model = object.__new__(cls)
+    model._fill(worlds, rows, valuation, lambda row, what: row)
+    return model
 
 
 @dataclass(frozen=True)
@@ -112,18 +121,20 @@ class PiGModel:
         pi: Mapping[str, object],
         valuation: Mapping[str, Mapping[str, object]] | None = None,
     ) -> None:
+        self._fill(worlds, pi, valuation, _coerce_values)
+
+    def _fill(self, worlds, pi, valuation, coerce) -> None:
         ws = _checked_worlds(worlds)
         known = set(ws)
-        pi_map = _coerce_values(pi, "pi")
+        pi_map = coerce(pi, "pi")
         missing = [w for w in ws if w not in pi_map]
         if missing:
             raise ValueError(f"pi not defined at {missing[0]!r}")
         if len(pi_map) > len(ws):  # every world is a key, so some key is no world
-            unknown = next(w for w in pi_map if w not in known)
-            raise ValueError(f"pi mentions unknown world {unknown!r}")
+            raise ValueError(f"pi mentions unknown world {next(w for w in pi_map if w not in known)!r}")
         object.__setattr__(self, "worlds", ws)
         object.__setattr__(self, "pi", {w: pi_map[w] for w in ws})
-        object.__setattr__(self, "valuation", _checked_rows(valuation, known, "valuation"))
+        object.__setattr__(self, "valuation", _checked_rows(valuation, known, "valuation", coerce))
 
     def value(self, world: str, variable: str) -> Fraction:
         return self.valuation.get(world, {}).get(variable, ZERO)
@@ -157,16 +168,18 @@ class RelationalModel:
     valuation: Mapping[str, Mapping[str, Fraction]]
 
     def __init__(self, worlds, R, valuation=None) -> None:
+        self._fill(worlds, R, valuation, _coerce_values)
+
+    def _fill(self, worlds, R, valuation, coerce) -> None:
         ws = _checked_worlds(worlds)
         known = set(ws)
-        rel = _checked_rows(R, known, "R")
+        rel = _checked_rows(R, known, "R", coerce)
         for row in rel.values():
-            for w2 in row:
-                if w2 not in known:
-                    raise ValueError(f"R mentions unknown world {w2!r}")
+            if not known.issuperset(row):
+                raise ValueError(f"R mentions unknown world {next(u for u in row if u not in known)!r}")
         object.__setattr__(self, "worlds", ws)
         object.__setattr__(self, "R", rel)
-        object.__setattr__(self, "valuation", _checked_rows(valuation, known, "valuation"))
+        object.__setattr__(self, "valuation", _checked_rows(valuation, known, "valuation", coerce))
 
     def rel(self, w: str, w2: str) -> Fraction:
         return self.R.get(w, {}).get(w2, ZERO)
@@ -278,18 +291,22 @@ def model_values(
     names[i] at every world, and a PiGFModel rounds into the codes of its
     truth set.  Only those values are coded.  Returns every op's values,
     the rows, the columns and the truth codes (None without a truth set),
-    and the table that decodes them: code c stands for table[c]."""
+    and the table that decodes them: code c stands for table[c].  Each
+    distinct value object is coded once, then looked up by its id(): a
+    model read from a file holds one Fraction per distinct literal."""
     ws = model.worlds
     base = model.base if isinstance(model, PiGFModel) else model
     truth = model.truth_set.values if isinstance(model, PiGFModel) else ()
     given = [base.R.get(w, {}) for w in ws] if isinstance(model, RelationalModel) else [base.pi]
+    given = [[row.get(u, ZERO) for u in ws] for row in given]
     valuation = [base.valuation.get(w, {}) for w in ws]
     read = [[row.get(p, ZERO) for row in valuation] for p in names]
-    table, code = _rank_codes(chain(truth, *(row.values() for row in given), *read))
-    ratio = Fraction.as_integer_ratio
-    rows = [[code[ratio(row.get(u, ZERO))] for u in ws] for row in given]
-    columns = [[code[ratio(x)] for x in column] for column in read]
-    truth_codes = [code[ratio(t)] for t in truth] if truth else None
+    objects = {id(x): x for x in chain(truth, *given, *read)}
+    table, code = _rank_codes(objects.values())
+    code_of = {i: code[x.as_integer_ratio()] for i, x in objects.items()}.__getitem__
+    rows = [list(map(code_of, map(id, row))) for row in given]
+    columns = [list(map(code_of, map(id, column))) for column in read]
+    truth_codes = list(map(code_of, map(id, truth))) if truth else None
     vals = evaluate_compiled(ops, columns, [(rows, truth_codes)], len(table) - 1)
     return vals, rows, columns, truth_codes, table
 
@@ -431,28 +448,23 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
     small_worlds = tuple(w for w in model.worlds if w in kept)
     pi = {w: model.pi[w] for w in small_worlds}
     valuation = {w: dict(model.valuation.get(w, {})) for w in small_worlds}
-    return PiGFModel(PiGModel(small_worlds, pi, valuation), TruthSet(table[c] for c in alphas))
+    return PiGFModel(_model(PiGModel, small_worlds, pi, valuation), TruthSet(table[c] for c in alphas))
 
 
 def transport(model: PiGFModel, h: OrderEmbedding) -> PiGFModel:
     """Push pi and the valuation through an order embedding that fixes the
     truth set pointwise; raises ValueError if h moves a truth set member.
 
-    h is prepared once for the whole model, so its breakpoint list is built
-    once and each distinct value is interpolated once."""
+    h is prepared once for the whole model, so each segment's line is put
+    in integers once and each distinct value is interpolated once."""
     image = _embedding(h)
     moved = [t for t in model.truth_set if image(t) != t]
     if moved:
-        raise ValueError(
-            f"embedding moves truth set member {format_rational(moved[0])}"
-        )
+        raise ValueError(f"embedding moves truth set member {format_rational(moved[0])}")
     base = model.base
-    pi = {w: image(base.pi[w]) for w in base.worlds}
-    valuation = {
-        w: {p: image(v) for p, v in row.items()}
-        for w, row in base.valuation.items()
-    }
-    return PiGFModel(PiGModel(base.worlds, pi, valuation), model.truth_set)
+    pi = {w: image(v) for w, v in base.pi.items()}
+    valuation = {w: {p: image(v) for p, v in row.items()} for w, row in base.valuation.items()}
+    return PiGFModel(_model(PiGModel, base.worlds, pi, valuation), model.truth_set)
 
 
 def _rows_to_json(rows: Mapping[str, Mapping[str, Fraction]], worlds: tuple[str, ...]) -> dict:
@@ -480,34 +492,32 @@ def _object(value: object, what: str) -> dict:
     return value
 
 
-def _rational_rows(value: object, what: str, rational) -> dict:
-    return {
-        w: {str(k): rational(v, what, w, k) for k, v in _object(row, f"{what} row").items()}
-        for w, row in _object(value, f"'{what}'").items()
-    }
-
-
 def model_from_json(doc: object) -> PiGModel | PiGFModel | RelationalModel:
     """Parse the JSON file structure; the keys present select the model class.
 
     A value is read as parse_rational(str(v)): a string "n/d", an integer,
     a decimal or an exponent as Fraction reads them, or a JSON number.  Each
-    distinct literal text is parsed once per call, and a bad one raises
-    before anything is kept, so every occurrence of it fails alike.  The
-    error names where the literal sits, e.g. "valuation['b']['p']: ", at its
-    first occurrence in the order valuation, R, pi, truth_set."""
+    distinct literal text is parsed once per call, in document order, and
+    shared by its other occurrences, so the model is built without checking
+    a value again.  An error names where the bad literal first sits, in the
+    order valuation, R, pi, truth_set, e.g. "valuation['b']['p']: "."""
     literals: dict[str, Fraction] = {}
 
-    def rational(v: object, what: str, key: object, column: object = None) -> Fraction:
-        text = str(v)
-        value = literals.get(text)
-        if value is None:
-            try:
-                value = literals[text] = parse_rational(text)
-            except ValueError as exc:
-                where = f"{what}[{key!r}]" if column is None else f"{what}[{key!r}][{column!r}]"
-                raise ValueError(f"{where}: {exc}") from exc
+    def parsed(text: str, what: str, *keys: object) -> Fraction:
+        try:
+            value = literals[text] = parse_rational(text)
+        except ValueError as exc:
+            raise ValueError(what + "".join(f"[{key!r}]" for key in keys) + f": {exc}") from exc
         return value
+
+    def row(values: dict, what: str, *keys: object) -> dict[str, Fraction]:
+        return {
+            str(k): literals[t] if (t := str(v)) in literals else parsed(t, what, *keys, k)
+            for k, v in values.items()
+        }
+
+    def rows(value: object, what: str) -> dict:
+        return {w: row(_object(r, f"{what} row"), what, w) for w, r in _object(value, f"'{what}'").items()}
 
     doc = _object(doc, "model document")
     if "worlds" not in doc:
@@ -515,18 +525,16 @@ def model_from_json(doc: object) -> PiGModel | PiGFModel | RelationalModel:
     worlds = doc["worlds"]
     if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
         raise ValueError("'worlds' must be a list of strings")
-    valuation = _rational_rows(doc.get("valuation", {}), "valuation", rational)
+    valuation = rows(doc.get("valuation", {}), "valuation")
     if "R" in doc:
         if "pi" in doc or "truth_set" in doc:
             raise ValueError("relational model must not carry 'pi' or 'truth_set'")
-        return RelationalModel(worlds, _rational_rows(doc["R"], "R", rational), valuation)
+        return _model(RelationalModel, worlds, rows(doc["R"], "R"), valuation)
     if "pi" not in doc:
         raise ValueError("model document lacks 'pi' or 'R'")
-    pi = {w: rational(v, "pi", w) for w, v in _object(doc["pi"], "'pi'").items()}
-    base = PiGModel(worlds, pi, valuation)
+    base = _model(PiGModel, worlds, row(_object(doc["pi"], "'pi'"), "pi"), valuation)
     if "truth_set" in doc:
         if not isinstance(doc["truth_set"], list):
             raise ValueError("'truth_set' must be a list")
-        members = enumerate(doc["truth_set"])
-        return PiGFModel(base, TruthSet(rational(t, "truth_set", i) for i, t in members))
+        return PiGFModel(base, TruthSet(row(dict(enumerate(doc["truth_set"])), "truth_set").values()))
     return base

@@ -13,6 +13,8 @@ oracle_compile_formulas is the compiler as it was before a one-root compile
 was kept on its root node.  oracle_shrink and oracle_countermodel are shrink
 and the countermodel command as they were before countermodels stayed on
 integer codes; they reuse the package's integer evaluation and decide.
+oracle_shrink_codes is the package's shrink on codes as it was before snaps
+of unread variables went unevaluated.
 """
 
 from __future__ import annotations
@@ -1030,6 +1032,93 @@ def oracle_shrink(
         {w: {p: table[rows[w][column[p]]] for p in valuation[w]} for w in live if w in valuation},
     )
     return PiGFModel(small, TruthSet(table[c] for c in truth)), anchor
+
+
+# _shrink_codes as it was before a snap of a position that no var op reads
+# was kept without an evaluation, copied verbatim (with _oracle_snap_key for
+# the package's equal _snap_key): every such snap is evaluated, accepted, and
+# marks the pass as changed.
+
+
+def oracle_shrink_codes(
+    ops: list[tuple],
+    root: int,
+    rows: list[list[int]],
+    truth: list[int],
+    top: int,
+    logic: LogicId,
+    anchor: int,
+    code: int,
+) -> tuple[list[int], list[int], int, int]:
+    """Greedily minimize a countermodel given as code rows: drop
+    worlds, coarsen the truth set, snap values toward endpoints and truth
+    set members.  rows[i] holds world i's pi code, then its variable codes,
+    the formula's first in compiled order; each live row is snapped in
+    place, position by position.  truth holds the sorted truth
+    set codes, 0 and top among them, and anchor is a refuting world whose
+    value code is code.  Rows that break the logic's constraint on pi raise
+    ValueError.
+
+    Returns the kept worlds' indices in order, the kept truth codes, the
+    refuting world and its value code.  Both come from the last accepted
+    evaluation, whose model the result is, since a rejected candidate
+    changes nothing; with none accepted they are anchor and code.
+
+    Any coding whose order is the order of the values gives the same
+    result, which is why a search's hit and shrink's rank codes agree.
+    Evaluation with truth set rounding compares values and returns 0, top,
+    one of its inputs or a truth set member, so it maps along the coding.
+    Shrinking writes only 0, top or a truth set member, found by bisection,
+    which compares; it ranks candidates by _snap_key, which compares and
+    tests membership, ties included.  So every decision is the same, and
+    every kept code is the coding of the exact shrink's value.
+    """
+
+    def refuting(worlds: list[int], t_codes: list[int]) -> tuple[int, int] | None:
+        hit = _first_refutation(ops, root, [rows[w] for w in worlds], t_codes, top)
+        return None if hit is None else (worlds[hit[0]], hit[1])
+
+    def lawful(worlds: list[int]) -> bool:
+        if logic is LogicId.KD45:
+            return any(rows[w][0] == top for w in worlds)
+        if logic is LogicId.S5:
+            return all(rows[w][0] == top for w in worlds)
+        return True
+
+    live = list(range(len(rows)))
+    if not lawful(live):
+        raise ValueError("model violates the logic's frame constraint")
+    changed = True
+    while changed:
+        changed = False
+        for w in list(live):
+            if len(live) == 1:
+                break
+            kept = [v for v in live if v != w]
+            hit = refuting(kept, truth) if lawful(kept) else None
+            if hit is not None:
+                live, (anchor, code), changed = kept, hit, True
+        for t in truth[1:-1]:
+            coarser = [c for c in truth if c != t]
+            hit = refuting(live, coarser)
+            if hit is not None:
+                truth, (anchor, code), changed = coarser, hit, True
+        for w in live:
+            row = rows[w]
+            for i in range(len(row)):
+                old = row[i]
+                down = truth[bisect_right(truth, old) - 1]
+                up = truth[bisect_left(truth, old)]
+                for new in (0, top, down, up):
+                    if _oracle_snap_key(new, truth, top) >= _oracle_snap_key(old, truth, top):
+                        continue
+                    row[i] = new
+                    hit = refuting(live, truth) if lawful(live) else None
+                    if hit is not None:
+                        (anchor, code), changed = hit, True
+                        break
+                    row[i] = old
+    return live, truth, anchor, code
 
 
 def oracle_countermodel(f: Formula, logic: LogicId, cfg: SearchConfig) -> tuple[int, str]:

@@ -22,7 +22,7 @@ from godelmodal import (
     round_up,
 )
 from godelmodal.algebra import _rank_codes
-from helpers import FLOAT_TIES, random_tied_value
+from helpers import FLOAT_TIES, oracle_parse_rational, random_tied_value
 
 
 def rationals01():
@@ -81,6 +81,47 @@ def test_parse_rational_rejects_garbage_and_out_of_range(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
     assert time.perf_counter() - start < 1
+
+
+def _parsed(read, text: str) -> tuple:
+    try:
+        return "value", read(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _oracle_unit(text: str, unit: bool) -> Fraction:
+    # oracle_parse_rational, and with unit False Fraction's value where it
+    # finds the literal out of range
+    try:
+        return oracle_parse_rational(text)
+    except ValueError as exc:
+        if unit or "outside" not in str(exc):
+            raise
+        return Fraction(text.strip())
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_plain_literals_read_as_fraction_reads_them(unit):
+    # parse_rational reads a short "n" or "n/d" in ASCII digits as integers,
+    # without Fraction's regex; every text on either side of that path must
+    # give Fraction's value or the same message: leading zeros, lowest terms
+    # not given, 0/0 and out of range; 19 characters (read as integers), 20
+    # and 4301 digits (read by Fraction); a space, a sign and an underscore;
+    # "²", which str.isdigit admits and int refuses, and Arabic-Indic
+    # digits, which Fraction reads
+    long = "1" * 4301
+    texts = [
+        "007/010", "2/4", "0/0", "3/2", "0", "1", "5", "1/", "/2", "1/2/3",
+        "0" * 18 + "1", "0" * 19 + "1", "1/" + "0" * 16 + "2", "1/" + "0" * 17 + "2",
+        "9" * 19, "9" * 20, long, "1/" + long, "0" * 4300 + "1",
+        " 1/2", "1/2 ", "-0", "+1", "1_0/20", "²", "1/²", "١/٢", "١",
+    ]
+    for text in texts:
+        got = _parsed(lambda t: parse_rational(t, unit=unit), text)
+        assert got == _parsed(lambda t: _oracle_unit(t, unit), text), text
+    assert parse_rational("007/010", unit=unit) == Fraction(7, 10)
+    assert parse_rational("١/٢", unit=unit) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize(

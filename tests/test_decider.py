@@ -33,6 +33,7 @@ from godelmodal import (
 )
 from godelmodal import decider
 from godelmodal.decider import _materialize, _sweep_size
+from godelmodal.semantics import evaluate_compiled
 from godelmodal.syntax import SCHEMES, compile_formulas, corpus
 from helpers import (
     oracle_exhaustive,
@@ -40,6 +41,7 @@ from helpers import (
     oracle_random_search,
     oracle_sample,
     oracle_shrink,
+    oracle_shrink_codes,
     oracle_sweep_size,
     oracle_world_types,
     random_formula,
@@ -49,6 +51,7 @@ from helpers import (
 )
 
 DNEG = parse("[]~~p -> ~~[]p")
+HALF = Fraction(1, 2)
 
 
 def first_refutation(model: PiGFModel, f) -> tuple[str, Fraction] | None:
@@ -345,6 +348,11 @@ def test_world_types_match_the_search_that_read_everything():
         assert got == oracle_world_types(*args), (f, logic, args[4:])
         answers["none" if got[0] is None else "size"] += 1
     assert answers["none"] >= 600 and answers["size"] >= 600, answers
+    # none of those reaches the re-test of a popped prefix once the limit
+    # has fallen; here it prunes, and without it 88 order types are examined
+    ops, (root,), names = compile_formulas([parse("<>([]q -> <>(p & r)) -> [](<>q -> []p)")])
+    args = (ops, root, len(names), LogicId.KD45, 2, 2)
+    assert decider._world_types(*args) == oracle_world_types(*args) == (1, 86)
 
 
 def test_world_types_skip_complete_types_that_cannot_cover(monkeypatch):
@@ -741,6 +749,83 @@ def test_shrink_snaps_an_unread_variable_and_moves_the_anchor():
     assert small.base.valuation == {"u0": {"p": ONE, "r": ZERO}, "u1": {"p": ZERO}}
     assert small.truth_set == model.truth_set
     assert (small, anchor) == oracle_shrink(model, "u1", f, LogicId.S5)
+
+
+
+def test_shrink_codes_match_the_shrink_that_evaluated_unread_snaps():
+    # A snap of a column that no var op reads is kept without an evaluation,
+    # and one evaluation at the end names the first refuting world.  The
+    # result and every row must be what the shrink that evaluated each such
+    # snap gave.  Each model has 1-3 unread columns and starts from a
+    # refuting world that is not the first, which only an accepted
+    # evaluation moves; random models almost never leave that to the final
+    # evaluation alone, which test_shrink_snaps_an_unread_variable_and_moves_the_anchor
+    # pins.
+    rng = random.Random(2121)
+    kinds = Counter()
+    while kinds["models"] < 400:
+        logic = rng.choice(list(LogicId))
+        f = random_formula_bounded(rng, max_ell=8)
+        ops, (root,), names = compile_formulas([f])
+        top = rng.randint(2, 6)
+        width = 1 + len(names) + rng.randint(1, 3)
+        rows = [[rng.randint(0, top) for _ in range(width)] for _ in range(rng.randint(2, 4))]
+        for row in rows if logic is LogicId.S5 else rng.sample(rows, logic is LogicId.KD45):
+            row[0] = top
+        truth = sorted({0, top, *rng.sample(range(1, top), rng.randint(0, top - 1))})
+        columns = [[row[1 + i] for row in rows] for i in range(len(names))]
+        values = evaluate_compiled(ops, columns, [([[row[0] for row in rows]], truth)], top)[root]
+        refuting = [w for w, v in enumerate(values) if v < top]
+        if len(refuting) < 2:
+            continue
+        anchor = rng.choice(refuting[1:])
+        got_rows, want_rows = [list(row) for row in rows], [list(row) for row in rows]
+        args = (list(truth), top, logic, anchor, values[anchor])
+        got = decider._shrink_codes(ops, root, got_rows, *args)
+        want = oracle_shrink_codes(ops, root, want_rows, *args)
+        assert (got, got_rows) == (want, want_rows), (f, logic, rows, truth, anchor)
+        kinds["models"] += 1
+        kinds["unread snapped"] += any(
+            row[i] != got_rows[w][i] for w, row in enumerate(rows) for i in range(1 + len(names), width)
+        )
+        kinds["anchor moved"] += got[2] != anchor
+        kinds["anchor kept"] += got[2] == anchor
+    print(dict(kinds))
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_shrink_evaluates_unread_snaps_at_most_once(monkeypatch):
+    # A snap of a variable the formula never reads takes no evaluation and
+    # no further pass; the snaps may add the one evaluation that names the
+    # first refuting world.  p -> q on three worlds took 8 evaluations, and
+    # 11 with three unread variables.  In the S5 model of
+    # test_shrink_snaps_an_unread_variable_and_moves_the_anchor nothing else
+    # is accepted, so a pass marked as changed by the snaps alone would
+    # cost a second pass.  The result stays the exact shrink's.
+    calls = []
+    first_refutation = decider._first_refutation
+    monkeypatch.setattr(
+        decider, "_first_refutation", lambda *args: calls.append(1) or first_refutation(*args)
+    )
+    third = Fraction(1, 3)
+    cases = [
+        (
+            "p -> q", LogicId.K45, "w3", [ZERO, HALF, ONE],
+            {"w1": third, "w2": ONE, "w3": HALF},
+            {"w1": {"p": ONE, "q": ZERO}, "w2": {"p": ONE, "q": 2 * third}, "w3": {"p": 2 * third, "q": HALF}},
+        ),
+        ("<>p -> []p", LogicId.S5, "u1", [ZERO, ONE], {"u0": ONE, "u1": ONE}, {"u0": {"p": ONE}, "u1": {"p": ZERO}}),
+    ]
+    counts = []
+    for text, logic, world, truth, pi, valuation in cases:
+        f = parse(text)
+        for unread in ({}, {"r": third, "s": HALF, "t": 2 * third}):
+            rows = {w: dict(row, **unread) for w, row in valuation.items()}
+            model = PiGFModel(PiGModel(list(pi), pi, rows), TruthSet(truth))
+            calls.clear()
+            assert shrink(model, world, f, logic) == oracle_shrink(model, world, f, logic)
+            counts.append(len(calls))
+    assert counts == [8, 9, 3, 4]
 
 
 # -- verdict serialization ---------------------------------------------------------------
