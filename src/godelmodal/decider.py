@@ -8,10 +8,12 @@ search over the constants' order type, with a set cover of the rows that
 meet its conditions, finds the smallest countermodel size or proves there
 is none; it is the quasimodel method of Caicedo, Metcalfe, Rodriguez and
 Rogger (Decidability of order-based modal logics, JCSS 2017) for
-world-independent modal values.  A refutation then comes from a sweep of
-that one size: the canonical models, one per order type and realized on
-an evenly spaced rational grid, in a fixed order, so it is the first
-countermodel a sweep of all sizes up to the bound 2(l + 2) would meet.
+world-independent modal values.  A row is one bit of an integer, so the
+search costs a few integer operations per op and level, none per row.  A
+refutation then comes from a sweep of that one size: the canonical models,
+one per order type and realized on an evenly spaced rational grid, in a
+fixed order, so it is the first countermodel a sweep of all sizes up to
+the bound 2(l + 2) would meet.
 
 Random mode samples models instead, and hybrid tries random first.  Samples
 come in batches that double from 1 to 256 models.  A batch is drawn
@@ -42,7 +44,6 @@ from .semantics import (
     _model,
     eval_pigf,
     evaluate_compiled,
-    modal_terms,
     model_to_json,
     model_values,
 )
@@ -245,15 +246,12 @@ def _first_refutation(
 # ---------------------------------------------------------------------------
 # world types
 #
-# Box and diamond values do not depend on the world.  Once each modal op is
-# given a constant, every world is evaluated on its own row (pi, e(p1), ...),
-# and a countermodel is a set of single-world rows that meets the modal
-# constants' conditions.  Rows are coded against K interior truth levels
-# 0 < c1 < ... < cK < 1.  With width = 1 + #variables and step = width + 1,
-# level j is code j * step, and a value strictly between levels j and j + 1
-# is code j * step + 1 + r, r its rank among the row's values in that gap.
-# Values of different worlds are only ever compared through a modal value,
-# which is a level, so one row per order type against the levels is enough.
+# Rows are coded against K interior truth levels 0 < c1 < ... < cK < 1.
+# With width = 1 + #variables and step = width + 1, level j is code
+# j * step, and a value strictly between levels j and j + 1 is code
+# j * step + 1 + r, r its rank among the row's values in that gap.  Values
+# of different worlds are only ever compared through a modal value, which
+# is a level, so one row per order type against the levels is enough.
 
 _REFUTED = 1  # requirement bits: some world refutes the formula,
 _NORMAL = 2  # some world has pi = 1 (KD45), and bit 2 + d for modal op d
@@ -272,25 +270,31 @@ def _weak_orders(n: int) -> list[tuple[int, ...]]:
     return orders
 
 
-def _world_rows(k_levels: int, width: int, logic: LogicId) -> list[list[int]]:
+def _world_table(k_levels: int, width: int, logic: LogicId) -> list[list[int]]:
     """One row per order type of a world's width values against k_levels
-    interior levels, as columns (pi, then one per variable); under S5 pi is
-    fixed at 1.
-
-    A row is a weak order of its values whose blocks, in increasing order,
+    interior levels, as columns (pi, then one per variable; under S5 pi is
+    1) of threshold bit-sets: entry c holds bit r iff row r's code is at
+    least c.  A row is a weak order of its values whose blocks, in order,
     sit in slots: slot 2j is level j, which holds at most one block, and
-    slot 2j + 1 the gap above it, where blocks take consecutive codes.
-    """
+    slot 2j + 1 the gap above it, where blocks take consecutive codes.  The
+    weak orders of one block count fill a run of rows per choice of slots."""
     step = width + 1
-    fixed = [(k_levels + 1) * step] if logic is LogicId.S5 else []
-    free = width - len(fixed)
-    # per block count, the weak orders with that many blocks, one column each
+    top = (k_levels + 1) * step
+    s5 = logic is LogicId.S5
     by_blocks: dict[int, list[tuple[int, ...]]] = {}
-    for ranks in _weak_orders(free):
+    for ranks in _weak_orders(width - s5):
         by_blocks.setdefault(len(set(ranks)), []).append(ranks)
-    columns: list[list[int]] = [[] for _ in range(width)]
+    # per free value and code, the rows where it has that code
+    columns = [[0] * (top + 1) for _ in range(width - s5)]
+    ones = [b"0" * r + b"1" + b"0" * (255 - r) for r in range(width)]
+    n = 0
     for blocks, orders in by_blocks.items():
-        picks = list(zip(*orders))
+        # a value's rows of rank r in a run: its ranks, last first, as a 0/1 numeral
+        local = [[int(bytes(pick[::-1]).translate(one), 2) for one in ones[:blocks]] for pick in zip(*orders)]
+        # one block count's runs are gathered apart, so that an or copies
+        # only their rows, and then shifted into place
+        runs = [[0] * (top + 1) for _ in columns]
+        start = n
         for slots in combinations_with_replacement(range(2 * k_levels + 3), blocks):
             codes: list[int] = []
             for i, s in enumerate(slots):
@@ -299,10 +303,17 @@ def _world_rows(k_levels: int, width: int, logic: LogicId) -> list[list[int]]:
                     break  # two blocks on one level
                 codes.append(codes[-1] + 1 if shared else s // 2 * step + s % 2)
             else:
-                columns[0].extend(fixed * len(orders))
-                for column, pick in zip(columns[len(fixed):], picks):
-                    column.extend(map(codes.__getitem__, pick))
-    return columns
+                for run, ranked in zip(runs, local):
+                    for code, rows in zip(codes, ranked):
+                        run[code] |= rows << n - start
+                n += len(orders)
+        for column, run in zip(columns, runs):
+            for c, rows in enumerate(run):
+                column[c] |= rows << start
+    for column in columns:
+        for c in range(top - 1, -1, -1):
+            column[c] |= column[c + 1]
+    return [[(1 << n) - 1] * (top + 1)] * s5 + columns
 
 
 def _cover_size(masks: set[int], need: int, limit: int) -> int | None:
@@ -317,6 +328,38 @@ def _cover_size(masks: set[int], need: int, limit: int) -> int | None:
             return None
         reach = grown
     return None
+
+
+def _imp(xs: list[int], ys: list[int]) -> list[int]:
+    # x -> y is 1 where x <= y, the rows where each threshold of x holds y's
+    le = ys[0]  # entry 0 holds every row
+    for x, y in zip(xs, ys):
+        le &= ~x | y
+    return [le | y for y in ys]
+
+
+def _span_values(ops: list[tuple], span: tuple[int, int], vals: dict, table: list) -> dict:
+    """Evaluate the modal-free ops[start:stop] into vals, which holds every
+    value the span reads, as threshold bit-sets over the rows of table."""
+    for i in range(*span):
+        op = ops[i]
+        if op[0] == "and":
+            vals[i] = [x & y for x, y in zip(vals[op[1]], vals[op[2]])]
+        elif op[0] == "imp":
+            vals[i] = _imp(vals[op[1]], vals[op[2]])
+        else:
+            vals[i] = table[1 + op[1]] if op[0] == "var" else [table[0][0]] + [0] * (len(table[0]) - 1)
+    return vals
+
+
+def _split(parts: dict[int, int], keep: int, rows: int, bit: int) -> dict[int, int]:
+    """Mask classes cut to keep, their rows in rows moved to mask | bit."""
+    out = {}
+    for mask, p in parts.items():
+        for m, q in ((mask | bit, p & keep & rows), (mask, p & keep & ~rows)):
+            if q:
+                out[m] = q
+    return out
 
 
 def _world_types(
@@ -343,91 +386,79 @@ def _world_types(
     prefix is tested again when popped only if limit fell since it was
     pushed.
 
-    A state holds, by op index, its worlds' values of the ops a later op
-    still reads, which keeps it small on deep formulas; a child adds its
-    modal op's level, and evaluate_compiled extends it to the next modal op.
-    A child copies only the variable columns that a later var op reads, and
-    below the last modal op no pi row, since the last span reads none.
+    Row r of _world_table is bit r.  A row's values do not depend on the
+    other rows, so a state shares with its parent the threshold bit-sets,
+    over every row, of the ops a later op still reads.  Its rows are mask
+    classes: a dict from the asked requirement bits met to those rows, so
+    the cover test reads only its keys.  A child cuts each class down to
+    its kept rows and splits it once on its witnesses.
     """
     width = 1 + n_vars
     step = width + 1
     top = (k_levels + 1) * step
-    pi, *columns = _world_rows(k_levels, width, logic)
+    table = _world_table(k_levels, width, logic)
+    pi, full = table[0], table[0][0]
     modal = [i for i, op in enumerate(ops) if op[0] in ("box", "dia")]
     # the last op that reads each op's values; a var op's argument is a column
     last_read = {a: i for i, op in enumerate(ops) if op[0] != "var" for a in op[1:]}
     last_read[root] = len(ops)
-    # per modal op, the variables a var op after it still reads
-    live = [{op[1] for op in ops[i + 1 :] if op[0] == "var"} for i in modal]
     cuts = [*modal, len(ops)]
-    vals = evaluate_compiled(ops, columns, [([pi], None)], top, span=(0, cuts[0]), vals={})
+    vals = _span_values(ops, (0, cuts[0]), {}, table)
     need = _NORMAL if logic is LogicId.KD45 else 0
-    masks = [need if p == top else 0 for p in pi]
+    parts = _split({0: full}, full, pi[top], _NORMAL) if need else {0: full}
 
-    def settle(vals: dict[int, list[int]], masks: list[int], need: int) -> int | None:
+    def settle(vals: dict, parts: dict[int, int], need: int) -> int | None:
         # a complete order type also needs a world that refutes the formula
-        masks = [x | _REFUTED if v < top else x for x, v in zip(masks, vals[root])]
-        return _cover_size(set(masks), need | _REFUTED, limit)
+        return _cover_size(set(_split(parts, full, ~vals[root][top], _REFUTED)), need | _REFUTED, limit)
 
     if not modal:
-        return settle(vals, masks, need), 1
+        return settle(vals, parts, need), 1
     best, examined = None, 0
-    stack = [(0, vals, columns, pi, masks, need, 0, limit + 1)]  # the root is tested
+    stack = [(0, vals, parts, need, 0, limit + 1)]  # the root is tested
     while stack:
-        d, vals, columns, pi, masks, need, used, pushed = stack.pop()
-        if limit < pushed and _cover_size(set(masks), need, limit) is None:
+        d, vals, parts, need, used, pushed = stack.pop()
+        if limit < pushed and _cover_size(set(parts), need, limit) is None:
             continue  # limit fell since this prefix was stacked
         i = modal[d]
-        tag, body = ops[i]
-        span = (i + 1, cuts[d + 1])
+        box, body = ops[i][0] == "box", ops[i][1]
         carried = [k for k in vals if last_read[k] > i]  # still read after op i
         complete = d + 1 == len(modal)
         # A box at level j keeps the worlds whose term lies at or above
-        # level j, and those below level j + 1 witness it.  Negated terms
-        # turn a diamond into the same test.  Levels are visited so that
-        # the kept worlds only grow.
-        sign = 1 if tag == "box" else -1
-        groups: dict[int, list[int]] = {}
-        for r, t in enumerate(modal_terms(tag, pi, vals[body], top)):
-            groups.setdefault(sign * t // step, []).append(r)
+        # level j, and those below level j + 1 witness it; a diamond keeps
+        # those at or below level j, and those above level j - 1 witness it.
+        # Levels are visited so that the kept worlds only grow.
+        terms = _imp(pi, vals[body]) if box else [p & b for p, b in zip(pi, vals[body])]
+        terms += [0]  # no term reaches past top
         bit = 4 << d
-        keep: list[int] = []
-        plain: list[int] = []  # the masks of the worlds kept so far
         children = []
-        for j in range(k_levels + 1, -1, -1) if tag == "box" else range(k_levels + 2):
-            group = groups.get(sign * j, [])
-            marks = plain + [masks[r] | bit for r in group]
-            keep = keep + group
-            plain = plain + [masks[r] for r in group]
+        for j in range(k_levels + 1, -1, -1) if box else range(k_levels + 2):
             grown = used | (1 << j) if 0 < j <= k_levels else used
             if k_levels - grown.bit_count() > len(modal) - d - 1:
                 continue  # too few ops left to use every interior level
-            asked = j <= k_levels if tag == "box" else j > 0
+            asked = j <= k_levels if box else j > 0
+            witnesses = 0 if not asked else ~terms[(j + 1) * step] if box else terms[(j - 1) * step + 1]
             marked = need | bit if asked else need
-            if not keep:
+            split = _split(parts, terms[j * step] if box else ~terms[j * step + 1], witnesses, bit)
+            if not split:
                 continue
-            if complete:
-                examined += 1
+            examined += complete
             # prune before building the values; a complete type that cannot
             # cover marked cannot cover it with a refuting world either
-            if _cover_size(set(marks), marked, limit) is None:
+            if _cover_size(set(split), marked, limit) is None:
                 continue
-            # the last span reads no row, only its length
-            child_pi = keep if complete else [pi[r] for r in keep]
-            child_columns = {v: [columns[v][r] for r in keep] for v in live[d]}
-            child = {k: [vals[k][r] for r in keep] for k in carried}
-            child[i] = [j * step] * len(keep)
-            evaluate_compiled(ops, child_columns, [([child_pi], None)], top, span=span, vals=child)
+            child = {k: vals[k] for k in carried}
+            child[i] = [full] * (j * step + 1) + [0] * (top - j * step)
+            _span_values(ops, (i + 1, cuts[d + 1]), child, table)
             if not complete:
-                children.append((d + 1, child, child_columns, child_pi, marks, marked, grown, limit))
+                children.append((d + 1, child, split, marked, grown, limit))
                 continue
-            size = settle(child, marks, marked)
+            size = settle(child, split, marked)
             if size is not None:
                 best, limit = size, size - 1
                 if not limit:
                     return best, examined
         # explore level 0 first
-        stack.extend(children if tag == "box" else reversed(children))
+        stack.extend(children if box else reversed(children))
     return best, examined
 
 

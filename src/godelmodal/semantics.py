@@ -27,11 +27,10 @@ variables asked for by rank with algebra._rank_codes, an order embedding
 into the integers, and evaluates them.  evaluate (so the eval_* functions)
 and filtrate decode only the values they return, which are exactly the
 Fractions' values; frame_report takes a relational model's rows from it,
-and decider.shrink its whole coded model.  The decider's searches evaluate
-their own codes: the random search a batch of sampled models in one call,
-and the world-type search one span of ops between modal ops at a time.
-modal_terms gives each world's term of a box or diamond value, from which
-filtrate and the decider pick witness worlds.
+and decider.shrink its whole coded model.  The decider's random search
+evaluates a batch of its own sampled codes in one call; its world-type
+search has a bit-set evaluator of its own.  filtrate picks witness worlds
+from modal_terms, each world's term of a box or diamond value.
 
 frame_report reads a possibilistic model's frame properties off pi in
 closed form, and checks a relational model's on the codes of its

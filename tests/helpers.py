@@ -6,7 +6,9 @@ model boundary oracles is deliberately written from first principles (plain
 recursion, no reuse of the library's evaluator internals) so that tests
 compare the package against genuinely independent reference behaviour.
 oracle_world_types is the world-type search as it was before it skipped
-work its answer never reads; it reuses the decider's rows and cover test.  The model boundary oracles keep
+work its answer never reads and before rows became bits; it reads the
+list-form table _world_rows, kept here, and reuses the decider's cover
+test.  The model boundary oracles keep
 the model file reader and transport that the package had before each literal
 and value was read once; they build the package's own model classes.
 oracle_compile_formulas is the compiler as it was before a one-root compile
@@ -23,7 +25,7 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
 
 from godelmodal import (
@@ -67,7 +69,7 @@ from godelmodal.decider import (
     _first_refutation,
     _cover_size,
     _materialize,
-    _world_rows,
+    _weak_orders,
     bound_for,
     decide,
     verdict_to_json,
@@ -483,14 +485,17 @@ def oracle_eval(worlds, access, valuation, world, formula, truth=None) -> Fracti
     return ev(world, formula)
 
 
-def random_relational(rng: random.Random, n_worlds: int, names=("p", "q")) -> RelationalModel:
-    """Random relational model whose rows are not all equal (n_worlds >= 2)."""
+def random_relational(
+    rng: random.Random, n_worlds: int, names=("p", "q"), value=random_value, distinct_rows: bool = True
+) -> RelationalModel:
+    """Random relational model whose values come from value(rng).  With
+    distinct_rows (n_worlds >= 2) its rows are not all equal."""
     worlds = tuple(f"w{i + 1}" for i in range(n_worlds))
     while True:
-        rel = {w: {v: random_value(rng) for v in worlds} for w in worlds}
-        if len({tuple(row.values()) for row in rel.values()}) > 1:
+        rel = {w: {v: value(rng) for v in worlds} for w in worlds}
+        if not distinct_rows or len({tuple(row.values()) for row in rel.values()}) > 1:
             break
-    valuation = {w: {v: random_value(rng) for v in names} for w in worlds}
+    valuation = {w: {v: value(rng) for v in names} for w in worlds}
     return RelationalModel(worlds, rel, valuation)
 
 
@@ -758,6 +763,44 @@ def oracle_exhaustive(f: Formula, logic, cfg):
 # --------------------------------------------------------------------------
 # World-type search before it skipped unread work
 # --------------------------------------------------------------------------
+# decider's world-type table as it was before rows became bits: one list
+# per column, one code per row.  oracle_world_types reads it, and
+# decider._world_table must give its thresholds, row for row.
+
+
+def _world_rows(k_levels: int, width: int, logic: LogicId) -> list[list[int]]:
+    """One row per order type of a world's width values against k_levels
+    interior levels, as columns (pi, then one per variable); under S5 pi is
+    fixed at 1.
+
+    A row is a weak order of its values whose blocks, in increasing order,
+    sit in slots: slot 2j is level j, which holds at most one block, and
+    slot 2j + 1 the gap above it, where blocks take consecutive codes.
+    """
+    step = width + 1
+    fixed = [(k_levels + 1) * step] if logic is LogicId.S5 else []
+    free = width - len(fixed)
+    # per block count, the weak orders with that many blocks, one column each
+    by_blocks: dict[int, list[tuple[int, ...]]] = {}
+    for ranks in _weak_orders(free):
+        by_blocks.setdefault(len(set(ranks)), []).append(ranks)
+    columns: list[list[int]] = [[] for _ in range(width)]
+    for blocks, orders in by_blocks.items():
+        picks = list(zip(*orders))
+        for slots in combinations_with_replacement(range(2 * k_levels + 3), blocks):
+            codes: list[int] = []
+            for i, s in enumerate(slots):
+                shared = i > 0 and slots[i - 1] == s
+                if shared and s % 2 == 0:
+                    break  # two blocks on one level
+                codes.append(codes[-1] + 1 if shared else s // 2 * step + s % 2)
+            else:
+                columns[0].extend(fixed * len(orders))
+                for column, pick in zip(columns[len(fixed):], picks):
+                    column.extend(map(codes.__getitem__, pick))
+    return columns
+
+
 # decider._world_types as it was before complete order types were cover-tested
 # before evaluation, children copied only live columns and popped prefixes
 # were tested again only after limit fell.  It must return the same

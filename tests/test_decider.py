@@ -12,6 +12,7 @@ from godelmodal import (
     PiGFModel,
     PiGModel,
     Refuted,
+    RelationalModel,
     SearchConfig,
     TruthSet,
     Unknown,
@@ -20,7 +21,9 @@ from godelmodal import (
     decide,
     embed_pig,
     eval_pigf,
+    eval_rel,
     evaluate,
+    frame_report,
     is_normalized,
     model_to_json,
     parse,
@@ -47,7 +50,9 @@ from helpers import (
     random_formula,
     random_formula_bounded,
     random_pigf,
+    random_relational,
     size_order,
+    _world_rows,
 )
 
 DNEG = parse("[]~~p -> ~~[]p")
@@ -355,17 +360,31 @@ def test_world_types_match_the_search_that_read_everything():
     assert decider._world_types(*args) == oracle_world_types(*args) == (1, 86)
 
 
+def test_world_table_holds_the_thresholds_of_the_row_lists():
+    # entry c of a column holds bit r iff row r of the list table has a
+    # code of at least c, rows in the same order
+    for logic in LogicId:
+        for k_levels in range(4):
+            for width in range(1, 5):
+                top = (k_levels + 1) * (width + 1)
+                want = [
+                    [sum(1 << r for r, code in enumerate(column) if code >= c) for c in range(top + 1)]
+                    for column in _world_rows(k_levels, width, logic)
+                ]
+                assert decider._world_table(k_levels, width, logic) == want, (logic, k_levels, width)
+
+
 def test_world_types_skip_complete_types_that_cannot_cover(monkeypatch):
     # A complete order type whose worlds cannot meet the existential
     # requirements within the limit is counted, but never evaluated
     calls = []
-    evaluate = decider.evaluate_compiled
+    evaluate = decider._span_values
 
     def counting(*args, **kwargs):
         calls.append(1)
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(decider, "evaluate_compiled", counting)
+    monkeypatch.setattr(decider, "_span_values", counting)
     f = parse("([]p -> <>q) | []((p -> q) -> q)")
     verdict = decide(f, LogicId.KD45, SearchConfig("exhaustive", max_worlds=1, max_truth=5))
     assert verdict.models_checked == 51
@@ -603,6 +622,55 @@ def test_embedded_countermodels_under_the_relational_semantics():
     print(dict(kinds))
     assert min(kinds[logic.value] for logic in LogicId) >= 200, kinds
     assert kinds["unrounded"] >= 500 and kinds["rounded"] >= 20, kinds
+
+
+def test_no_relational_frame_of_the_logic_refutes_a_valid_verdict():
+    # The paper's K45-like logics are those of many-valued relational frames
+    # that are transitive and euclidean (and serial for KD45; S5 here takes
+    # R = 1), so a formula that such a frame refutes at some world is no
+    # theorem, and the exhaustive decision must not call it valid.  R and
+    # the valuation mostly take 0 and 1, so that frames of 3 and 4 worlds
+    # pass the frame check, and otherwise lie on the quarter grid or off it.
+    rng = random.Random(2203)
+    grids = (lambda rng: Fraction(rng.randint(1, 3), 4), lambda rng: Fraction(rng.randint(1, 11), 12))
+
+    def value(rng: random.Random, grid) -> Fraction:
+        roll = rng.random()
+        return ZERO if roll < 0.6 else ONE if roll < 0.8 else grid(rng)
+
+    decided = {}
+    kinds = Counter()
+    for logic, frames in ((LogicId.K45, 500), (LogicId.KD45, 500), (LogicId.S5, 250)):
+        while kinds[logic.value] < frames:
+            grid = rng.choice(grids)
+            # larger frames pass the frame check less often, so they are drawn more
+            n_worlds = rng.choice((1, 2, 3, 3, 4, 4, 4, 4))
+            model = random_relational(rng, n_worlds, value=lambda rng: value(rng, grid), distinct_rows=False)
+            worlds = model.worlds
+            if logic is LogicId.S5:
+                model = RelationalModel(worlds, {w: {v: ONE for v in worlds} for w in worlds}, model.valuation)
+            report = frame_report(model)
+            if not (report.transitive and report.euclidean and (report.serial or logic is not LogicId.KD45)):
+                continue
+            kinds[logic.value] += 1
+            kinds[f"{n_worlds} worlds"] += logic is not LogicId.S5
+            unequal = len({tuple(model.rel(w, v) for v in worlds) for w in worlds}) > 1
+            for _ in range(4):
+                f = random_formula_bounded(rng, max_ell=6)
+                least = min(eval_rel(model, w, f) for w in worlds)
+                if least == ONE:
+                    continue
+                if (f, logic) not in decided:
+                    decided[f, logic] = decide(f, logic, SearchConfig("exhaustive"))
+                assert not isinstance(decided[f, logic], Valid), (f, logic, model)
+                kinds["refutations"] += 1
+                kinds["interior value"] += least > ZERO
+                kinds["unequal rows"] += unequal
+    print(dict(kinds))
+    assert kinds["refutations"] >= 3000, kinds
+    assert kinds["interior value"] >= 400 and kinds["unequal rows"] >= 500, kinds
+    # K45 and KD45 frames of 3 and 4 worlds, rare under independent entries
+    assert kinds["3 worlds"] >= 40 and kinds["4 worlds"] >= 8, kinds
 
 
 # -- shrinking ------------------------------------------------------------------------
