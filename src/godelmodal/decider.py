@@ -21,10 +21,11 @@ straight into shared code columns, one block per model, and evaluated in
 one pass of the op list; the draws read the seeded stream exactly as
 sampling one model at a time does, so the first countermodel is the same.
 
-Both searches find a countermodel in code form, a _Hit, and build its exact
-model only for the verdict.  The countermodel path (_countermodel, behind
-CLI countermodel) shrinks the hit on its codes as well, so it builds one
-exact model, the shrunk one it prints, and evaluates nothing exactly.
+Both searches find a countermodel in code form, a _Hit with its decoding
+table, and build its exact model only for the verdict.  The countermodel
+path (_countermodel, behind CLI countermodel) shrinks the hit on its codes
+as well, so it builds one exact model, the shrunk one it prints, and
+evaluates nothing exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
 
@@ -107,66 +109,60 @@ def bound_for(f: Formula) -> int:
 # value per world and variable, plus the interior members of T.  Values are
 # encoded as integer codes 0, 1..j, j+1 where j is the number of distinct
 # interior values: code 0 is 0, code j+1 is 1, interior code c realizes the
-# grid point c/K.  Every interior code must be used by a model slot or claimed
-# by T, which makes each order type appear exactly once.
+# grid point c/K, so _grid(j + 1, K) decodes them.  Every interior code must
+# be used by a model slot or claimed by T, which makes each order type appear
+# exactly once.
 
 
 @dataclass(frozen=True)
 class _Hit:
     """A countermodel in code form, as a search finds it and shrinking keeps
     it.  rows[i] holds world i's codes: pi, then one per variable of names,
-    the formula's in compiled order.  truth holds the sorted truth set codes,
-    0 and top among them.  Code 0 stands for 0, top for 1 and an interior
-    code c for c / k_grid, so code order is value order.  world is the index
-    of the refuting world and code its value there, below top.  worlds names
-    the worlds, w1, w2, ... if None.  swept marks a hit of the integer sweep,
-    which _refuted checks against exact evaluation."""
+    the formula's first in compiled order.  truth holds the sorted truth set
+    codes, 0 and len(table) - 1 among them.  Code c stands for table[c],
+    which increases, so code order is value order: a search's grid, or the
+    rank table of semantics.model_values.  world is the index of the
+    refuting world and code its value there, below the top code.  worlds
+    names the worlds, w1, w2, ... if None.  swept marks a hit of the integer
+    sweep, which _refuted checks against exact evaluation."""
 
     names: tuple[str, ...]
     rows: Sequence[Sequence[int]]
     truth: Sequence[int]
-    top: int
-    k_grid: int
+    table: Sequence[Fraction]
     world: int
     code: int
     swept: bool = False
     worlds: Sequence[str] | None = None
 
 
-def _decode(code: int, top_code: int, k_grid: int) -> Fraction:
-    if code == 0:
-        return ZERO
-    if code == top_code:
-        return ONE
-    return Fraction(code, k_grid)
+@cache
+def _grid(top: int, k_grid: int) -> tuple[Fraction, ...]:
+    """The table of a grid's codes: 0, 1/k_grid, ..., (top - 1)/k_grid, 1."""
+    return (ZERO, *(Fraction(c, k_grid) for c in range(1, top)), ONE)
 
 
 def _materialize(
     names: Sequence[str],
     rows: Sequence[Sequence[int]],
-    t_ranks: Sequence[int],
-    top_code: int,
-    k_grid: int,
+    truth: Sequence[int],
+    table: Sequence[Fraction],
     worlds: Sequence[str] | None = None,
 ) -> PiGFModel:
     if worlds is None:
         worlds = tuple(f"w{i + 1}" for i in range(len(rows)))
-    pi = {w: _decode(row[0], top_code, k_grid) for w, row in zip(worlds, rows)}
-    valuation = {
-        w: {p: _decode(row[1 + i], top_code, k_grid) for i, p in enumerate(names)}
-        for w, row in zip(worlds, rows)
-    }
-    truth = TruthSet([ZERO, ONE] + [Fraction(r, k_grid) for r in t_ranks])
-    return PiGFModel(_model(PiGModel, worlds, pi, valuation), truth)
+    pi = {w: table[row[0]] for w, row in zip(worlds, rows)}
+    valuation = {w: {p: table[c] for p, c in zip(names, row[1:])} for w, row in zip(worlds, rows)}
+    return PiGFModel(_model(PiGModel, worlds, pi, valuation), TruthSet(table[c] for c in truth))
 
 
 def _refuted(f: Formula, hit: _Hit) -> Refuted:
     """The verdict of a countermodel in code form: its one exact model, the
     refuting world and the decoded value.  A swept hit's value is checked
     against exact evaluation, which must agree with the integer one."""
-    model = _materialize(hit.names, hit.rows, hit.truth[1:-1], hit.top, hit.k_grid, hit.worlds)
+    model = _materialize(hit.names, hit.rows, hit.truth, hit.table, hit.worlds)
     world = model.worlds[hit.world]
-    value = _decode(hit.code, hit.top, hit.k_grid)
+    value = hit.table[hit.code]
     if hit.swept:
         exact = eval_pigf(model, world, f)
         if exact != value or exact >= ONE:
@@ -179,9 +175,10 @@ def _sweep_size(
     n_truth: int,
     names: tuple[str, ...],
     logic: LogicId,
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], list[int], int, int]]:
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[int], int, int]]:
     """Canonical world-sorted models of exactly these dimensions, as integer
-    code structures (rows, t_ranks, t_codes, top_code, k_grid).
+    code structures (rows, t_codes, top_code, k_grid): code c stands for
+    c / k_grid, except top_code for 1.
 
     A model's rows strictly increase in alphabet order.  Increasing rows
     identify models that only differ by a renaming of worlds, a model
@@ -223,7 +220,7 @@ def _sweep_size(
                 for i in picks:
                     cover |= masks[i]
                 if not need & ~cover:
-                    yield tuple(alphabet[i] for i in picks), t_ranks, t_codes, top_code, k_grid
+                    yield tuple(alphabet[i] for i in picks), t_codes, top_code, k_grid
 
 
 def _first_refutation(
@@ -506,10 +503,10 @@ def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Valid | _Hit:
             best = (n_worlds, k + 2)
     if best is None:
         return Valid(bound, examined)
-    for rows, _, t_codes, top_code, k_grid in _sweep_size(*best, names, logic):
+    for rows, t_codes, top_code, k_grid in _sweep_size(*best, names, logic):
         hit = _first_refutation(ops, root, rows, t_codes, top_code)
         if hit is not None:
-            return _Hit(names, rows, t_codes, top_code, k_grid, *hit, swept=True)
+            return _Hit(names, rows, t_codes, _grid(top_code, k_grid), *hit, swept=True)
     raise RuntimeError(f"world types found a countermodel of size {best}, the sweep none")
 
 
@@ -650,7 +647,7 @@ def random_pigf_model(
     if n_worlds < 1:
         raise ValueError("a model needs at least one world")
     columns, [(rows, truth)] = _draw(rng, 1, len(var_names), logic, n_worlds, n_truth)
-    return _materialize(var_names, list(zip(rows[0], *columns)), truth[1:-1], _GRID, _GRID)
+    return _materialize(var_names, list(zip(rows[0], *columns)), truth, _grid(_GRID, _GRID))
 
 
 def random_search(
@@ -706,7 +703,7 @@ def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
                     break
                 start += n
             sample = list(zip(rows[0], *(column[start:start + n] for column in columns)))
-            return _Hit(names, sample, truth, _GRID, _GRID, hit - start, values[hit])
+            return _Hit(names, sample, truth, _grid(_GRID, _GRID), hit - start, values[hit])
         left -= count
         size = min(2 * size, most)
     return None
@@ -748,28 +745,15 @@ def _countermodel(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
         hit = _exhaustive(f, logic, cfg)
         if isinstance(hit, Valid):
             return hit
-    ops, (root,), _ = compile_formulas([f])
-    rows = [list(row) for row in hit.rows]
-    live, truth, anchor, code = _shrink_codes(
-        ops, root, rows, list(hit.truth), hit.top, logic, hit.world, hit.code
-    )
-    small = replace(
-        hit,
-        rows=[rows[i] for i in live],
-        truth=truth,
-        world=live.index(anchor),
-        code=code,
-        worlds=[f"w{i + 1}" for i in live],
-    )
-    return _refuted(f, small)
+    return _refuted(f, _shrunk(f, hit, logic))
 
 
 # ---------------------------------------------------------------------------
 # countermodel minimization
 #
-# _shrink_codes shrinks a countermodel given as code rows.  The countermodel
-# path hands it a search's hit as found, on the 1/120 grid or a sweep's
-# k_grid; shrink takes an exact model's rank codes from
+# _shrunk shrinks a countermodel in code form, with _shrink_codes.  The
+# countermodel path hands it a search's hit as found, on the 1/120 grid or a
+# sweep's grid; shrink hands it an exact model's rank codes from
 # semantics.model_values (pi, the truth set, and a column for every variable
 # of the valuation, the formula's first) and decodes the result.  Either
 # way the model stays on codes until the end.
@@ -877,6 +861,19 @@ def _shrink_codes(
     return live, truth, anchor, code
 
 
+def _shrunk(f: Formula, hit: _Hit, logic: LogicId) -> _Hit:
+    """hit shrunk by _shrink_codes; the kept worlds keep their names."""
+    ops, (root,), _ = compile_formulas([f])
+    rows = [list(row) for row in hit.rows]
+    live, truth, anchor, code = _shrink_codes(
+        ops, root, rows, list(hit.truth), len(hit.table) - 1, logic, hit.world, hit.code
+    )
+    worlds = [hit.worlds[i] if hit.worlds else f"w{i + 1}" for i in live]
+    return replace(
+        hit, rows=[rows[i] for i in live], truth=truth, world=live.index(anchor), code=code, worlds=worlds
+    )
+
+
 def shrink(
     model: PiGFModel, world: str, f: Formula, logic: LogicId
 ) -> tuple[PiGFModel, str]:
@@ -884,29 +881,28 @@ def shrink(
     snap values toward endpoints and truth set members.  The result still
     refutes f, satisfies the logic's constraint, and is never larger.  Kept
     worlds keep their names and the variables of their valuation rows.
-    This is _shrink_codes on the rank codes from semantics.model_values."""
+    This is _shrunk on the rank codes from semantics.model_values."""
     ops, (root,), names = compile_formulas([f])
     _check_world(model.worlds, world)
     valuation = model.base.valuation
     # one column per variable: the formula's first, in compiled order
     columns = [*names, *sorted({p for row in valuation.values() for p in row} - set(names))]
     vals, (pi,), codes, truth, table = model_values(model, ops, columns)
-    top = len(table) - 1
     anchor = model.worlds.index(world)
     at_world = vals[root][anchor]
-    if at_world == top:
+    if at_world == len(table) - 1:
         raise ValueError("shrink needs a countermodel")
-    rows = [list(row) for row in zip(pi, *codes)]
-    live, truth, anchor, _ = _shrink_codes(ops, root, rows, truth, top, logic, anchor, at_world)
+    hit = _Hit(tuple(columns), list(zip(pi, *codes)), truth, table, anchor, at_world, worlds=model.worlds)
+    small = _shrunk(f, hit, logic)
     column = {p: 1 + i for i, p in enumerate(columns)}
-    kept = [model.worlds[i] for i in live]
-    small = _model(
+    rows = dict(zip(small.worlds, small.rows))
+    base = _model(
         PiGModel,
-        kept,
-        {w: table[rows[i][0]] for w, i in zip(kept, live)},
-        {w: {p: table[rows[i][column[p]]] for p in valuation[w]} for w, i in zip(kept, live) if w in valuation},
+        small.worlds,
+        {w: table[row[0]] for w, row in rows.items()},
+        {w: {p: table[row[column[p]]] for p in valuation[w]} for w, row in rows.items() if w in valuation},
     )
-    return PiGFModel(small, TruthSet(table[c] for c in truth)), model.worlds[anchor]
+    return PiGFModel(base, TruthSet(table[c] for c in small.truth)), small.worlds[small.world]
 
 
 def verdict_to_json(verdict: Verdict) -> dict:

@@ -208,9 +208,7 @@ def evaluate_compiled(
     columns: Sequence[Sequence],
     blocks: Sequence[tuple[Sequence[Sequence], Sequence | None]],
     top: int,
-    span: tuple[int, int] | None = None,
-    vals: dict[int, list] | None = None,
-) -> list[list] | dict[int, list]:
+) -> list[list]:
     """Values of every compiled op at every world, in world order.
 
     The domain is integer codes with bottom 0 and top top, in the order of
@@ -226,16 +224,10 @@ def evaluate_compiled(
     run once over all blocks' worlds.  A modal value, the least or greatest
     of a row's modal_terms, is computed once per row of its own block; a
     shared row's value is broadcast over its block.
-
-    Given a span (start, stop), only ops[start:stop] are evaluated, into
-    vals, a dict from op index to values that holds every value the span
-    reads from before start.  The result is vals.
     """
     n = sum(len(rows[0]) for rows, _ in blocks)
-    start, stop = span or (0, len(ops))
-    if vals is None:
-        vals = [None] * len(ops)
-    for i, op in enumerate(ops[start:stop], start):
+    vals = [None] * len(ops)
+    for i, op in enumerate(ops):
         tag = op[0]
         if tag == "imp":
             out = [top if x <= y else y for x, y in zip(vals[op[1]], vals[op[2]])]

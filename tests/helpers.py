@@ -1,22 +1,25 @@
 """Shared test utilities: random generators and independent oracles.
 
-Everything here except oracle_sweep_size, oracle_exhaustive,
-oracle_world_types, oracle_random_search, oracle_compile_formulas and the
-model boundary oracles is deliberately written from first principles (plain
-recursion, no reuse of the library's evaluator internals) so that tests
-compare the package against genuinely independent reference behaviour.
-oracle_world_types is the world-type search as it was before it skipped
-work its answer never reads and before rows became bits; it reads the
-list-form table _world_rows, kept here, and reuses the decider's cover
-test.  The model boundary oracles keep
-the model file reader and transport that the package had before each literal
-and value was read once; they build the package's own model classes.
-oracle_compile_formulas is the compiler as it was before a one-root compile
-was kept on its root node.  oracle_shrink and oracle_countermodel are shrink
-and the countermodel command as they were before countermodels stayed on
-integer codes; they reuse the package's integer evaluation and decide.
-oracle_shrink_codes is the package's shrink on codes as it was before snaps
-of unread variables went unevaluated.
+Everything here except the decoding oracle, oracle_sweep_size,
+oracle_exhaustive, oracle_world_types, oracle_random_search,
+oracle_compile_formulas and the model boundary oracles is deliberately
+written from first principles (plain recursion, no reuse of the library's
+evaluator internals) so that tests compare the package against genuinely
+independent reference behaviour.  oracle_world_types is the world-type
+search as it was before it skipped work its answer never reads and before
+rows became bits; it reads the list-form table _world_rows, kept here,
+evaluates its modal-free spans with _span_values, and reuses the decider's
+cover test.  The decoding oracle (_decode, _materialize) is the decider's
+grid decoding as it was before a countermodel in code form carried its
+table.  The model boundary oracles keep the model file reader and transport
+that the package had before each literal and value was read once; they
+build the package's own model classes.  oracle_compile_formulas is the
+compiler as it was before a one-root compile was kept on its root node.
+oracle_shrink and oracle_countermodel are shrink and the countermodel
+command as they were before countermodels stayed on integer codes; they
+reuse the package's integer evaluation and decide.  oracle_shrink_codes is
+the package's shrink on codes as it was before snaps of unread variables
+went unevaluated.
 """
 
 from __future__ import annotations
@@ -65,16 +68,14 @@ from godelmodal.decider import (
     Refuted,
     SearchConfig,
     Valid,
-    _decode,
     _first_refutation,
     _cover_size,
-    _materialize,
     _weak_orders,
     bound_for,
     decide,
     verdict_to_json,
 )
-from godelmodal.semantics import UnknownWorldError, eval_pigf, evaluate_compiled, modal_terms
+from godelmodal.semantics import UnknownWorldError, _model, eval_pigf, evaluate_compiled, modal_terms
 from godelmodal.syntax import _TAGS, _children, _postorder, _tokenize, compile_formulas
 
 # --------------------------------------------------------------------------
@@ -628,6 +629,42 @@ def oracle_transport(model: PiGFModel, h: OrderEmbedding) -> PiGFModel:
 
 
 # --------------------------------------------------------------------------
+# Decoding oracle
+# --------------------------------------------------------------------------
+# The decider's decoding as it was before a countermodel in code form
+# carried its decoding table, copied verbatim: code 0 is 0, top_code is 1 and
+# an interior code c is c / k_grid, and t_ranks are the interior truth set
+# codes.  The package's table lookup must build the same models and values.
+
+
+def _decode(code: int, top_code: int, k_grid: int) -> Fraction:
+    if code == 0:
+        return ZERO
+    if code == top_code:
+        return ONE
+    return Fraction(code, k_grid)
+
+
+def _materialize(
+    names: Sequence[str],
+    rows: Sequence[Sequence[int]],
+    t_ranks: Sequence[int],
+    top_code: int,
+    k_grid: int,
+    worlds: Sequence[str] | None = None,
+) -> PiGFModel:
+    if worlds is None:
+        worlds = tuple(f"w{i + 1}" for i in range(len(rows)))
+    pi = {w: _decode(row[0], top_code, k_grid) for w, row in zip(worlds, rows)}
+    valuation = {
+        w: {p: _decode(row[1 + i], top_code, k_grid) for i, p in enumerate(names)}
+        for w, row in zip(worlds, rows)
+    }
+    truth = TruthSet([ZERO, ONE] + [Fraction(r, k_grid) for r in t_ranks])
+    return PiGFModel(_model(PiGModel, worlds, pi, valuation), truth)
+
+
+# --------------------------------------------------------------------------
 # Whole-bound sweep oracle for exhaustive mode
 # --------------------------------------------------------------------------
 
@@ -681,9 +718,9 @@ def oracle_sweep_size(
     n_truth: int,
     names: tuple[str, ...],
     logic: LogicId,
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], list[int], int, int]]:
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[int], int, int]]:
     """Canonical world-sorted models of exactly these dimensions, as integer
-    code structures (rows, t_ranks, t_codes, top_code, k_grid)."""
+    code structures (rows, t_codes, top_code, k_grid)."""
     width = 1 + len(names)
     k_grid = n_worlds * width + n_truth
     for j in range(n_worlds * width + n_truth - 2 + 1):
@@ -710,7 +747,7 @@ def oracle_sweep_size(
                     need |= 1 << r
             t_codes = sorted({0, top_code} | in_t)
             for rows in _sorted_row_models(alphabet, masks, n_worlds, need):
-                yield rows, t_ranks, t_codes, top_code, k_grid
+                yield rows, t_codes, top_code, k_grid
 
 
 def size_order(bound: int, cfg: SearchConfig) -> list[tuple[int, int]]:
@@ -740,14 +777,14 @@ def oracle_exhaustive(f: Formula, logic, cfg):
     ops, (root,), names = compile_formulas([f])
     checked = 0
     for n_worlds, n_truth in size_order(bound, cfg):
-        for rows, t_ranks, t_codes, top_code, k_grid in oracle_sweep_size(
+        for rows, t_codes, top_code, k_grid in oracle_sweep_size(
             n_worlds, n_truth, names, logic
         ):
             checked += 1
             hit = _first_refutation(ops, root, rows, t_codes, top_code)
             if hit is not None:
                 idx, code = hit
-                model = _materialize(names, rows, t_ranks, top_code, k_grid)
+                model = _materialize(names, rows, t_codes[1:-1], top_code, k_grid)
                 world = model.worlds[idx]
                 value = eval_pigf(model, world, f)
                 # a bare assert here would vanish under python -O: this
@@ -807,6 +844,23 @@ def _world_rows(k_levels: int, width: int, logic: LogicId) -> list[list[int]]:
 # (best, examined) on every input.
 
 
+def _span_values(
+    ops: list[tuple], span: tuple[int, int], vals: dict, columns: Sequence[list[int]], top: int, n: int
+) -> dict:
+    """Evaluate the modal-free ops[start:stop] over n worlds into vals,
+    which holds every value the span reads from before start, as
+    evaluate_compiled evaluates them."""
+    for i in range(*span):
+        op = ops[i]
+        if op[0] == "imp":
+            vals[i] = [top if x <= y else y for x, y in zip(vals[op[1]], vals[op[2]])]
+        elif op[0] == "and":
+            vals[i] = [x if x < y else y for x, y in zip(vals[op[1]], vals[op[2]])]
+        else:
+            vals[i] = columns[op[1]] if op[0] == "var" else [0] * n
+    return vals
+
+
 def oracle_world_types(
     ops: list[tuple], root: int, n_vars: int, logic: LogicId, k_levels: int, limit: int
 ) -> tuple[int | None, int]:
@@ -828,7 +882,7 @@ def oracle_world_types(
 
     A state holds, by op index, its worlds' values of the ops a later op
     still reads, which keeps it small on deep formulas; a child adds its
-    modal op's level, and evaluate_compiled extends it to the next modal op.
+    modal op's level, and _span_values extends it to the next modal op.
     """
     width = 1 + n_vars
     step = width + 1
@@ -839,7 +893,7 @@ def oracle_world_types(
     last_read = {a: i for i, op in enumerate(ops) if op[0] != "var" for a in op[1:]}
     last_read[root] = len(ops)
     cuts = [*modal, len(ops)]
-    vals = evaluate_compiled(ops, columns, [([pi], None)], top, span=(0, cuts[0]), vals={})
+    vals = _span_values(ops, (0, cuts[0]), {}, columns, top, len(pi))
     need = _NORMAL if logic is LogicId.KD45 else 0
     masks = [need if p == top else 0 for p in pi]
 
@@ -891,7 +945,7 @@ def oracle_world_types(
             child_columns = [[col[r] for r in keep] for col in columns]
             child = {k: [vals[k][r] for r in keep] for k in carried}
             child[i] = [j * step] * len(keep)
-            evaluate_compiled(ops, child_columns, [([child_pi], None)], top, span=span, vals=child)
+            _span_values(ops, span, child, child_columns, top, len(keep))
             if not complete:
                 children.append((d + 1, child, child_columns, child_pi, marks, marked, grown))
                 continue

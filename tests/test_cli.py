@@ -298,8 +298,8 @@ def test_countermodel_builds_one_model_and_evaluates_nothing(capsys, monkeypatch
 
 def test_countermodel_exhaustive_cross_check_raises_on_disagreement(capsys, monkeypatch):
     # The shrunk sweep hit is checked against exact evaluation; a wrong
-    # decoding is an internal error (also under python -O), not a bogus model.
-    monkeypatch.setattr(decider, "_decode", lambda code, top_code, k_grid: Fraction(1, 7))
+    # value code is an internal error (also under python -O), not a bogus model.
+    monkeypatch.setattr(decider, "_first_refutation", lambda *args: (0, 1))
     code, out, err = invoke(capsys, "countermodel", "--mode", "exhaustive", "[]~~p -> ~~[]p")
     assert (code, out) == (4, "")
     assert "integer sweep and exact evaluation disagree" in err
@@ -583,7 +583,7 @@ def test_deeply_nested_model_file_is_usage_error(capsys, tmp_path):
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     # A failing cross-check in the sweep is a bug, never a verdict.
-    monkeypatch.setattr(decider, "_decode", lambda code, top_code, k_grid: Fraction(1, 7))
+    monkeypatch.setattr(decider, "_first_refutation", lambda *args: (0, 1))
     code, out, err = invoke(capsys, "check", "--mode", "exhaustive", "[]~~p -> ~~[]p")
     assert (code, out) == (4, "")
     assert "Traceback" in err

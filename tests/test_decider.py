@@ -35,10 +35,12 @@ from godelmodal import (
     verdict_to_json,
 )
 from godelmodal import decider
-from godelmodal.decider import _materialize, _sweep_size
+from godelmodal.decider import _grid, _sweep_size
 from godelmodal.semantics import evaluate_compiled
 from godelmodal.syntax import SCHEMES, compile_formulas, corpus
 from helpers import (
+    _decode,
+    _materialize,
     oracle_exhaustive,
     oracle_instantiate,
     oracle_random_search,
@@ -82,8 +84,8 @@ def test_bound_examples():
 def sweep_models(n_worlds, n_truth, names, logic):
     """The exhaustive sweep's models of exactly these dimensions."""
     return [
-        _materialize(names, rows, t_ranks, top_code, k_grid)
-        for rows, t_ranks, _, top_code, k_grid in _sweep_size(n_worlds, n_truth, names, logic)
+        decider._materialize(names, rows, t_codes, _grid(top_code, k_grid))
+        for rows, t_codes, top_code, k_grid in _sweep_size(n_worlds, n_truth, names, logic)
     ]
 
 
@@ -415,8 +417,8 @@ def test_world_types_without_a_swept_countermodel_raise(monkeypatch):
 
 def test_exhaustive_cross_check_raises_on_disagreement(monkeypatch):
     # The integer sweep's answer is re-checked on the exact model; a wrong
-    # decoding must raise (also under python -O), not return a bogus Refuted.
-    monkeypatch.setattr(decider, "_decode", lambda code, top_code, k_grid: Fraction(1, 7))
+    # value code must raise (also under python -O), not return a bogus Refuted.
+    monkeypatch.setattr(decider, "_first_refutation", lambda *args: (0, 1))
     with pytest.raises(RuntimeError):
         decide(DNEG, LogicId.K45, SearchConfig(mode="exhaustive"))
 
@@ -558,6 +560,39 @@ def test_random_pigf_model_draws_like_the_oracle_sampler():
         assert ours.random() == theirs.random()
     with pytest.raises(ValueError):
         random_pigf_model(random.Random(0), 0, 2, ("p",), LogicId.KD45)
+
+
+def test_hits_decode_as_the_grid_rule_decodes():
+    # A hit decodes through its table.  The grid rule it replaced (code 0 is
+    # 0, the top code 1, an interior code c is c / k_grid) must build the same
+    # model and value, on the random search's 1/120 grid and on the sweep's
+    # 1/k_grid with k_grid = |W| * (1 + #variables) + |T|, before and after
+    # shrinking.
+    rng = random.Random(23)
+    seen = Counter()
+    for i in range(300):
+        logic = LOGICS[i % 3]
+        f = random_formula(rng, ("p", "q")[: i // 3 % 3], depth=rng.randint(1, 3))
+        hits = [
+            decider._random_hit(f, logic, SearchConfig("random", 30, i)),
+            decider._exhaustive(f, logic, SearchConfig("exhaustive", max_worlds=2, max_truth=3)),
+        ]
+        for hit in hits:
+            if not isinstance(hit, decider._Hit):
+                continue
+            top = k_grid = 120
+            if hit.swept:
+                top = len(hit.table) - 1
+                k_grid = len(hit.rows) * (1 + len(hit.names)) + len(hit.truth)
+            for h in (hit, decider._shrunk(f, hit, logic)):
+                got = decider._refuted(f, h)
+                model = _materialize(h.names, h.rows, h.truth[1:-1], top, k_grid, h.worlds)
+                assert model_to_json(got.countermodel) == model_to_json(model), (f, logic)
+                assert (got.world, got.value) == (model.worlds[h.world], _decode(h.code, top, k_grid))
+                seen["swept" if hit.swept else "random"] += 1
+                seen["interior"] += any(0 < c < top for row in h.rows for c in row)
+                seen["interior value"] += 0 < h.code
+    assert min(seen.values()) > 20 and len(seen) == 4, seen
 
 
 # -- grid coverage: arbitrary rational refutations are caught under the same caps -------

@@ -356,31 +356,6 @@ def test_blocks_evaluate_as_their_models_do_one_by_one():
         assert evaluate_compiled(ops, columns, blocks, 9)[root] == alone
 
 
-def test_evaluation_resumes_from_known_values():
-    # the span [cut, len(ops)) needs only the earlier values it reads, and
-    # writes exactly its own ops
-    f = parse("[](p -> <>q) & (<>p | ~[]q)")
-    ops, (root,), names = compile_formulas([f])
-    columns = [[0, 3, 9], [9, 1, 0]]
-    full = evaluate_compiled(ops, columns, [([[9, 4, 0]], None)], 9)
-    written = []
-
-    class Recording(dict):
-        def __setitem__(self, i, values):
-            written.append(i)
-            super().__setitem__(i, values)
-
-    for cut in range(len(ops) + 1):
-        read = {a for op in ops[cut:] if op[0] != "var" for a in op[1:] if a < cut}
-        known = {a: full[a] for a in read}
-        written.clear()
-        span = (cut, len(ops))
-        vals = evaluate_compiled(ops, columns, [([[9, 4, 0]], None)], 9, span=span, vals=Recording(known))
-        assert [vals[i] for i in range(*span)] == full[cut:]
-        assert written == list(range(*span))
-        assert {a: vals[a] for a in read} == known
-
-
 def test_frame_report_total_relation():
     m = RelationalModel(["a", "b"], {w: {"a": ONE, "b": ONE} for w in "ab"})
     rep = frame_report(m)
