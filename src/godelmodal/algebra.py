@@ -154,14 +154,15 @@ class OrderEmbedding:
 def _embedding(h: OrderEmbedding) -> Callable[[Fraction], Fraction]:
     """h as a function on [0, 1]: each segment's line y = (a x + b) / c is
     put in integers once, and each distinct value x = n / d, keyed by n and
-    d, is range-checked and mapped once, to Fraction(a n + b d, c d)."""
-    pts = h.breakpoints
-    inner = [x for x, _ in pts[1:-1]]
+    d, is range-checked and mapped once, to Fraction(a n + b d, c d).  From
+    (p0/q0, r0/s0) to (p1/q1, r1/s1), with e = r1 s0 - r0 s1 and
+    f = p1 q0 - p0 q1 > 0, a = e q0 q1, b = r0 s1 f - e q1 p0, c = s0 s1 f."""
+    pts = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in h.breakpoints]
+    inner = [x for x, _ in h.breakpoints[1:-1]]
     lines = []
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        slope = (y1 - y0) / (x1 - x0)
-        (sn, sd), (bn, bd) = slope.as_integer_ratio(), (y0 - slope * x0).as_integer_ratio()
-        lines.append((sn * bd, bn * sd, sd * bd))
+    for ((p0, q0), (r0, s0)), ((p1, q1), (r1, s1)) in zip(pts, pts[1:]):
+        e, f = r1 * s0 - r0 * s1, p1 * q0 - p0 * q1
+        lines.append((e * q0 * q1, r0 * s1 * f - e * q1 * p0, s0 * s1 * f))
     images: dict[tuple[int, int], Fraction] = {}
 
     def image(v: Fraction) -> Fraction:

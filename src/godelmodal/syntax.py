@@ -15,11 +15,11 @@ hashing is O(1).
 
 | and <-> share subtrees, so a formula's tree can be exponentially larger
 than its DAG.  Nothing recurses on a formula's depth: the parser climbs
-precedence over explicit stacks, every walk over a parsed formula runs on
-one iterative postorder that visits each node once, and the printer,
-whose text spells out shared subtrees, emits it from one explicit stack.
-Precedence and associativity of the binary connectives are written once,
-in _BINARY, which the printer reads too.
+precedence over explicit stacks and records its nodes in postorder as it
+makes them, every other walk runs on that one iterative postorder, and
+the printer, whose text spells out shared subtrees, emits it from one
+explicit stack.  Precedence and associativity of the binary connectives
+are written once, in _BINARY, which the printer reads too.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Mapping, Sequence
 
 
@@ -37,8 +38,14 @@ class LogicId(Enum):
     S5 = "s5"
 
 
-# (node class, *fields) -> the live node with those fields
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# (node class, *fields) -> a weak reference to the live node with those fields
+_NODES: dict[tuple, weakref.ref] = {}
+
+
+def _forget(key: tuple, ref: weakref.ref) -> None:
+    # a dead node's entry goes, unless a newer node under its key replaced it
+    if _NODES.get(key) is ref:
+        del _NODES[key]
 
 
 class Formula:
@@ -46,7 +53,7 @@ class Formula:
     node's returns that node, and copies return it too.  Children are
     interned already, so the lookup key is shallow.  A node's fields are set
     once, when it is made; a node found live is returned as it is.
-    compile_formulas keeps a node's own compile on it as _compiled."""
+    compile_formulas and parse keep a node's own compile on it as _compiled."""
 
     __slots__ = ()
 
@@ -57,20 +64,20 @@ class Formula:
             cls._fill(probe, *args, **kwargs)
             args = tuple(getattr(probe, name) for name in cls.__match_args__)
         key = (cls, *args)
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
         if node is None:
             node = object.__new__(cls)
             cls._fill(node, *args)
-            _NODES[key] = node
+            _NODES[key] = weakref.ref(node, partial(_forget, key))
         return node
 
     def __reduce__(self):
         # a flat postorder, so that pickling does not recurse per level
-        order = _postorder([self])
-        index = {g: i for i, g in enumerate(order)}
+        index = _postorder([self])
         items = tuple(
             (Var, g.name) if type(g) is Var else (type(g), *[index[c] for c in _children(g)])
-            for g in order
+            for g in index
         )
         return _rebuild, (items,)
 
@@ -204,11 +211,19 @@ _PREC_UNARY = 5
 
 def _parse(text: str, allow_meta: bool) -> Formula:
     """Precedence climbing over an operand stack and a pending-operator
-    stack, so the nesting depth is bounded by memory, not by recursion."""
+    stack, so the nesting depth is bounded by memory, not by recursion.
+    Operands complete left to right, each node after its children, so the
+    nodes recorded as this parse makes or meets them are in _postorder's
+    order, and the root's compile is built from them (see compile_formulas)."""
     tokens = iter(_tokenize(text))
     operands: list[Formula] = []
     pending: list[str] = []  # token kinds: "lpar", unary and binary operators
     depth = 0  # "lpar" entries on pending, counted so that none is searched for
+    order: dict[Formula, int] = {}  # the recorded nodes and their positions
+
+    def push(node: Formula) -> None:
+        _postorder([node], order)  # with the nodes a desugaring made under it
+        operands.append(node)
 
     def reduce(threshold: int) -> None:
         # Apply pending operators down to the innermost "(", stopping at a
@@ -216,10 +231,10 @@ def _parse(text: str, allow_meta: bool) -> Formula:
         while pending and pending[-1] != "lpar":
             kind = pending[-1]
             if kind in _UNARY:
-                operands.append(_UNARY[kind](operands.pop()))
+                push(_UNARY[kind](operands.pop()))
             elif _BINARY[kind][0] >= threshold:
                 right = operands.pop()
-                operands.append(_BINARY[kind][2](operands.pop(), right))
+                push(_BINARY[kind][2](operands.pop(), right))
             else:
                 return
             pending.pop()
@@ -231,13 +246,13 @@ def _parse(text: str, allow_meta: bool) -> Formula:
             pending.append(kind)
             continue
         if kind == "zero":
-            operands.append(BOT)
+            push(BOT)
         elif kind == "one" or word == "top":
-            operands.append(top())
+            push(top())
         elif kind == "ident":
             if word[0].isupper() and not allow_meta:
                 raise ParseError(f"variable {word!r} must start lowercase", pos)
-            operands.append(Var(word))
+            push(Var(word))
         else:
             raise ParseError(f"expected a formula, found {word!r}" if word else "unexpected end of input", pos)
         # An operand is complete: close parentheses until a binary operator.
@@ -255,6 +270,8 @@ def _parse(text: str, allow_meta: bool) -> Formula:
                 raise ParseError("expected ')'", pos)
             elif kind == "end":
                 reduce(0)
+                if getattr(operands[0], "_compiled", None) is None:
+                    _compile(order, operands)  # the root alone
                 return operands[0]
             else:
                 raise ParseError(f"unexpected {word!r}", pos)
@@ -274,29 +291,29 @@ _TAGS = {Bot: "bot", Var: "var", And: "and", Implies: "imp", Box: "box", Dia: "d
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (And, Implies)):
+    if type(f) in (And, Implies):
         return (f.left, f.right)
-    if isinstance(f, (Box, Dia)):
+    if type(f) in (Box, Dia):
         return (f.body,)
-    if isinstance(f, (Bot, Var)):
+    if type(f) in (Var, Bot):
         return ()
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _postorder(roots: Sequence[Formula]) -> list[Formula]:
+def _postorder(roots: Sequence[Formula], order: dict[Formula, int] | None = None) -> dict[Formula, int]:
     """Every distinct node under the roots once, children before parents
-    and left before right."""
-    order: list[Formula] = []
-    seen: set[Formula] = set()
-    stack = [(r, False) for r in reversed(roots)]
-    while stack:
-        g, expanded = stack.pop()
-        if expanded:
-            order.append(g)
-        elif g not in seen:
-            seen.add(g)
-            stack.append((g, True))
-            stack.extend((c, False) for c in reversed(_children(g)))
+    and left before right, each mapped to its position.  Given an order,
+    the walk extends it and stops at the nodes it holds."""
+    order = {} if order is None else order
+    for root in roots:
+        stack = [root]
+        while stack:
+            g = stack[-1]
+            for c in reversed(_children(g)):
+                if c not in order:
+                    stack.append(c)
+            if stack[-1] is g:
+                order.setdefault(stack.pop(), len(order))
     return order
 
 
@@ -313,26 +330,28 @@ def compile_formulas(
 
     A one-root compile is kept on the root node for as long as the node
     lives, so every later compile of that node returns it without walking
-    the formula.  The kept ops hold only ints and strings, so they never
-    keep the node alive, and a formula parsed again after its node died
-    compiles again.  The memo is stored as tuples and every call returns
-    fresh lists, so a caller cannot change what the next call gets.
-    Compiles of several roots are not kept.
+    the formula; parse keeps one, from the postorder it records.  The kept
+    ops hold only ints and strings, so they never keep the node alive, and
+    a formula parsed again after its node died compiles again.  The memo is
+    stored as tuples and every call returns fresh lists, so a caller cannot
+    change what the next call gets.  Compiles of several roots are not kept.
     """
     memo = getattr(roots[0], "_compiled", None) if len(roots) == 1 else None
-    if memo is not None:
-        return list(memo[0]), [memo[1]], memo[2]
-    ops: list[tuple] = []
-    index: dict[Formula, int] = {}
-    for g in _postorder(roots):
-        if isinstance(g, Var):
-            op = ("var", g.name)
-        else:
-            op = (_TAGS[type(g)], *[index[c] for c in _children(g)])
-        index[g] = len(ops)
-        ops.append(op)
-    names = tuple(sorted(op[1] for op in ops if op[0] == "var"))
-    ops = [("var", names.index(op[1])) if op[0] == "var" else op for op in ops]
+    if memo is None:
+        return _compile(_postorder(roots), roots)
+    return list(memo[0]), [memo[1]], memo[2]
+
+
+def _compile(
+    index: dict[Formula, int], roots: Sequence[Formula]
+) -> tuple[list[tuple], list[int], tuple[str, ...]]:
+    # compile_formulas on the roots' _postorder
+    names = tuple(sorted(g.name for g in index if type(g) is Var))
+    ops = [
+        ("var", names.index(g.name)) if type(g) is Var
+        else (_TAGS[type(g)], *map(index.__getitem__, _children(g)))
+        for g in index
+    ]
     if len(roots) == 1:
         object.__setattr__(roots[0], "_compiled", (tuple(ops), index[roots[0]], names))
     return ops, [index[r] for r in roots], names

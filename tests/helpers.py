@@ -76,7 +76,7 @@ from godelmodal.decider import (
     verdict_to_json,
 )
 from godelmodal.semantics import UnknownWorldError, _model, eval_pigf, evaluate_compiled, modal_terms
-from godelmodal.syntax import _TAGS, _children, _postorder, _tokenize, compile_formulas
+from godelmodal.syntax import _TAGS, _tokenize, compile_formulas
 
 # --------------------------------------------------------------------------
 # Random formulas
@@ -244,17 +244,42 @@ def oracle_complexity_ell(f: Formula) -> int:
     return len(oracle_subformulas(f))
 
 
+def _oracle_children(g: Formula) -> tuple[Formula, ...]:
+    if isinstance(g, (And, Implies)):
+        return (g.left, g.right)
+    return (g.body,) if isinstance(g, (Box, Dia)) else ()
+
+
+def oracle_postorder(roots: Sequence[Formula]) -> list[Formula]:
+    """The distinct nodes under the roots, children before parents and left
+    before right, from a depth-first walk that marks a node when it first
+    meets it, where the package's walk stops at nodes it has recorded."""
+    order: list[Formula] = []
+    seen: set[Formula] = set()
+    stack = [(r, False) for r in reversed(roots)]
+    while stack:
+        g, expanded = stack.pop()
+        if expanded:
+            order.append(g)
+        elif g not in seen:
+            seen.add(g)
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(_oracle_children(g)))
+    return order
+
+
 def oracle_compile_formulas(
     roots: Sequence[Formula],
 ) -> tuple[list[tuple], list[int], tuple[str, ...]]:
-    """compile_formulas without its memo: every call walks the roots."""
+    """compile_formulas without its memo or the package's walk: every call
+    walks the roots."""
     ops: list[tuple] = []
     index: dict[Formula, int] = {}
-    for g in _postorder(roots):
+    for g in oracle_postorder(roots):
         if isinstance(g, Var):
             op = ("var", g.name)
         else:
-            op = (_TAGS[type(g)], *[index[c] for c in _children(g)])
+            op = (_TAGS[type(g)], *[index[c] for c in _oracle_children(g)])
         index[g] = len(ops)
         ops.append(op)
     names = tuple(sorted(op[1] for op in ops if op[0] == "var"))
@@ -263,16 +288,17 @@ def oracle_compile_formulas(
 
 
 def count_compile_walks(monkeypatch) -> list[int]:
-    """Record the number of roots of every formula walk compile_formulas
-    makes from now on; the roots themselves are not kept, so they can die."""
+    """Record the number of roots of every op list built from now on, by
+    compile_formulas or by parse; the roots themselves are not kept, so
+    they can die."""
     walks: list[int] = []
-    postorder = syntax._postorder
+    build = syntax._compile
 
-    def counting(roots):
+    def counting(order, roots):
         walks.append(len(roots))
-        return postorder(roots)
+        return build(order, roots)
 
-    monkeypatch.setattr(syntax, "_postorder", counting)
+    monkeypatch.setattr(syntax, "_compile", counting)
     return walks
 
 

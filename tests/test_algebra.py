@@ -22,7 +22,7 @@ from godelmodal import (
     round_up,
 )
 from godelmodal.algebra import _rank_codes
-from helpers import FLOAT_TIES, oracle_parse_rational, random_tied_value
+from helpers import FLOAT_TIES, oracle_apply_embedding, oracle_parse_rational, random_tied_value
 
 
 def rationals01():
@@ -292,6 +292,28 @@ def test_embedding_interpolation_example():
     assert apply_embedding(h, Fraction(3, 4)) == Fraction(7, 8)
     assert apply_embedding(h, ZERO) == ZERO
     assert apply_embedding(h, ONE) == ONE
+
+
+def test_embedding_lines_match_the_interpolation_oracle():
+    # integer lines against per-call interpolation, on breakpoints whose
+    # denominators differ within and across segments, read at every
+    # breakpoint's own x (where bisect_right picks the segment) and between
+    rng = random.Random(2424)
+    denominators = (2, 3, 5, 7, 12, 97, 1024, 10**9 + 7)
+    for _ in range(400):
+        k = rng.randint(0, 5)
+        inner = [sorted({Fraction(rng.randint(1, d - 1), d) for d in rng.choices(denominators, k=k)}) for _ in "xy"]
+        k = min(map(len, inner))
+        h = OrderEmbedding([(ZERO, ZERO), *zip(inner[0][:k], inner[1][:k]), (ONE, ONE)])
+        for x, y in h.breakpoints:
+            assert apply_embedding(h, x) == oracle_apply_embedding(h, x) == y
+        xs = [x for x, _ in h.breakpoints]
+        for x0, x1 in zip(xs, xs[1:]):
+            v = x0 + (x1 - x0) * Fraction(rng.randint(1, 998), 999)
+            assert apply_embedding(h, v) == oracle_apply_embedding(h, v)
+    for v in (Fraction(-1, 7), Fraction(8, 7)):
+        with pytest.raises(ValueError, match=rf"^value {v} outside \[0, 1\]$"):
+            apply_embedding(h, v)
 
 
 @given(rationals01(), rationals01())

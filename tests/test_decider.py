@@ -41,6 +41,7 @@ from godelmodal.syntax import SCHEMES, compile_formulas, corpus
 from helpers import (
     _decode,
     _materialize,
+    oracle_eval,
     oracle_exhaustive,
     oracle_instantiate,
     oracle_random_search,
@@ -632,7 +633,9 @@ def test_embedded_countermodels_under_the_relational_semantics():
     # the verdict's value under eval_rel wherever the truth set rounds no
     # subformula's value.  Elsewhere it need not: p -> []p at one world with
     # pi = 1, p = 1/4 and T = {0, 1} is refuted with value 0, and eval_rel
-    # gives 1; those countermodels are counted.
+    # gives 1; those countermodels are counted, and the relational oracle
+    # that rounds box values down and diamond values up into T gives the
+    # verdict's value there.
     rng = random.Random(4545)
     kinds = Counter()
     for i in range(1500):
@@ -643,7 +646,8 @@ def test_embedded_countermodels_under_the_relational_semantics():
         if not isinstance(verdict, Refuted):
             continue
         model = verdict.countermodel
-        exact = evaluate(embed_pig(model.base), f)
+        relational = embed_pig(model.base)
+        exact = evaluate(relational, f)
         assert exact == evaluate(model.base, f), (f, model)
         value = exact[model.worlds.index(verdict.world)]
         kinds[logic.value] += 1
@@ -654,6 +658,9 @@ def test_embedded_countermodels_under_the_relational_semantics():
             kinds["rounded"] += 1
             kinds["other value"] += value != verdict.value
             kinds["not refuting"] += value == ONE
+            truth = sorted(model.truth_set)
+            rounded = oracle_eval(model.worlds, relational.rel, relational.valuation, verdict.world, f, truth=truth)
+            assert rounded == verdict.value, (f, logic, model, verdict.world)
     print(dict(kinds))
     assert min(kinds[logic.value] for logic in LogicId) >= 200, kinds
     assert kinds["unrounded"] >= 500 and kinds["rounded"] >= 20, kinds

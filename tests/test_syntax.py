@@ -332,6 +332,18 @@ def test_a_live_node_is_returned_without_setting_its_fields(monkeypatch):
     assert made == [("fresh_live",), {"name": "fresh_live"}]  # the keyword call only binds
 
 
+def test_a_stale_callback_leaves_a_newer_node_in_the_table():
+    # the callback of a reference that no longer holds its key's entry
+    # removes nothing; the entry's own reference removes it
+    a = Var("fresh_stale")
+    key = (Var, "fresh_stale")
+    entry = syntax._NODES[key]
+    syntax._forget(key, weakref.ref(a))
+    assert syntax._NODES[key] is entry and Var("fresh_stale") is a
+    syntax._forget(key, entry)
+    assert key not in syntax._NODES
+
+
 def test_dropped_formulas_leave_the_node_table():
     gc.collect()
     before = len(syntax._NODES)
@@ -376,6 +388,57 @@ def test_the_compile_memo_matches_the_unmemoized_compiler():
         g = rng.choice(pool)
         # several roots are compiled afresh, also when each has a memo
         assert compile_formulas([f, g]) == oracle_compile_formulas([f, g])
+
+
+def random_compile_text(rng, depth):
+    """A well-formed text with the connectives parse desugars, the constants,
+    repeated atoms, metavariables and redundant parentheses."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(("kept_p", "kept_q", "kept_p", "X", "Y", "0", "1", "top"))
+    roll = rng.random()
+    if roll < 0.3:
+        return rng.choice(("~", "[]", "<>", "~~")) + random_compile_text(rng, depth - 1)
+    if roll < 0.45:
+        n = rng.randint(1, 2)
+        return "(" * n + random_compile_text(rng, depth - 1) + ")" * n
+    op = rng.choice((" & ", " | ", " -> ", " <-> ", "|", "<->"))
+    left, right = random_compile_text(rng, depth - 1), random_compile_text(rng, depth - 1)
+    return f"({left}){op}{right}" if rng.random() < 0.5 else left + op + right
+
+
+def test_parse_keeps_the_compile_of_its_own_postorder(monkeypatch):
+    gc.collect()
+    before = len(syntax._NODES)
+    rng = random.Random(2424)
+    walks = count_compile_walks(monkeypatch)
+    kept: list[tuple[str, object]] = []
+    for _ in range(1500):
+        text = random_compile_text(rng, rng.randint(1, 5))
+        if kept and rng.random() < 0.3:
+            # the root, or a subformula, is live with its own memo
+            earlier = rng.choice(kept)[0]
+            text = rng.choice((earlier, f"({earlier}) | {text}", f"{text} <-> ~({earlier})"))
+        meta = any(c.isupper() for c in text)
+        # the constructors return the node parse returns, and say if it has a memo
+        root = oracle_parse(text, meta)
+        memo = getattr(root, "_compiled", None)
+        builds = len(walks)
+        f = (_parse_template if meta else parse)(text)
+        # parse builds the root's compile once, unless the root has one already
+        assert f is root and walks[builds:] == ([] if memo else [1]), text
+        builds = len(walks)
+        assert compile_formulas([f]) == oracle_compile_formulas([f]), text
+        assert len(walks) == builds  # the compile read what parse kept
+        if rng.random() < 0.3:
+            kept.append((text, f))
+    # a live root without a memo gets parse's
+    g = And(Var("built_p"), Box(disj(Var("built_q"), BOT)))
+    builds = len(walks)
+    assert parse("built_p & [](built_q | 0)") is g and len(walks) == builds + 1
+    assert compile_formulas([g]) == oracle_compile_formulas([g]) and len(walks) == builds + 1
+    del f, g, root, kept
+    gc.collect()
+    assert len(syntax._NODES) == before
 
 
 def test_mutating_a_compile_result_leaves_the_memo_alone():
