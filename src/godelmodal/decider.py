@@ -20,6 +20,14 @@ come in batches that double from 1 to 256 models.  A batch is drawn
 straight into shared code columns, one block per model, and evaluated in
 one pass of the op list; the draws read the seeded stream exactly as
 sampling one model at a time does, so the first countermodel is the same.
+The draws never read the formula, so searches that agree on the seed, the
+size caps and the batch cap share one stream: a process keeps each stream's
+batches in a streams._Streams table, a byte per code and at most
+_BATCH_VALUES bytes in all with each entry's own overhead, dropping the
+least recently used stream first, and a search draws only what is not
+kept, and only as many samples as its budget asks.  Kept or drawn, a
+search evaluates the same samples in the same batches, so no verdict or
+output byte depends on what is kept.
 
 Both searches find a countermodel in code form, a _Hit with its decoding
 table, and build its exact model only for the verdict.  The countermodel
@@ -49,6 +57,7 @@ from .semantics import (
     model_to_json,
     model_values,
 )
+from .streams import _cost, _pack, _samples, _Streams, _unpack
 from .syntax import Formula, LogicId, compile_formulas, complexity_ell
 
 MODES = ("exhaustive", "random", "hybrid")
@@ -528,6 +537,9 @@ _N_INNER = len({i * step for below, _, step in _INNER for i in range(1, below + 
 # may hold over the whole op list; see random_search.
 _BATCH = 256
 _BATCH_VALUES = 1 << 20
+# the sample streams the random searches of this process share, within
+# _BATCH_VALUES bytes in all; see _random_hit
+_STREAMS = _Streams(_BATCH_VALUES)
 
 
 def _draw(
@@ -537,16 +549,18 @@ def _draw(
     logic: LogicId,
     n_worlds: int,
     n_truth: int,
-    bound: int | None = None,
-) -> tuple[list[list[int]], list[tuple[list[list[int]], list[int]]]]:
+    caps: tuple[int, ...] | None = None,
+) -> tuple[list[list[int]], list[tuple[list[list[int]], list[int]]], bytes]:
     """count random rounded models obeying the logic's frame constraint, in
     evaluate_compiled's form: one code column per variable, the models end to
-    end, and one block ([pi], truth set codes) per model.  Values sometimes
-    coincide with truth set members.
+    end, and one block ([pi], truth set codes) per model; and the same models
+    packed by streams._pack.  Values sometimes coincide with truth set
+    members.
 
-    With bound None every model has n_worlds worlds and n_truth truth values.
-    Otherwise those are caps: each model draws |W| = randint(1, n_worlds),
-    then |T| = randint(2, max(2, min(n_truth, bound - |W|))).  A model draws
+    With caps None every model has n_worlds worlds and n_truth truth values.
+    Otherwise n_worlds is a cap and caps[w] the truth cap of w worlds: each
+    model draws |W| = randint(1, n_worlds), then |T| = randint(2,
+    caps[|W|]); n_truth is then not read.  A model draws
     its interior truth values, then pi at each world (all 1 under S5), under
     KD45 a world whose pi is set to 1, then each world's variable codes.
     The grid holds only _N_INNER interior values, so a model drawing a
@@ -568,14 +582,17 @@ def _draw(
     kd45 = logic is LogicId.KD45
     columns: list[list[int]] = [[] for _ in range(n_vars)]
     blocks = []
+    worlds: list[int] = []
+    sizes: list[int] = []
+    pis: list[int] = []
+    truths: list[int] = []
     n, m = n_worlds, n_truth
     k_worlds = n_worlds.bit_length()
-    if bound is not None:
+    if caps is not None:
         # randint(2, cap) for each |W|, as a draw below cap - 1
-        caps = [max(2, min(n_truth, bound - w)) for w in range(n_worlds + 1)]
         truth_draws = [(c - 1, (c - 1).bit_length()) for c in caps]
     for _ in range(count):
-        if bound is not None:
+        if caps is not None:
             r = bits(k_worlds)
             while r >= n_worlds:
                 r = bits(k_worlds)
@@ -632,8 +649,14 @@ def _draw(
                 pick = False
         for v, column in enumerate(columns, n):
             column += codes[v::n_vars]
-        blocks.append(([codes[:n]], [0, *anchors, _GRID]))
-    return columns, blocks
+        pi = codes[:n]
+        truth = [0, *anchors, _GRID]
+        blocks.append(([pi], truth))
+        worlds.append(n)
+        sizes.append(n_anchors + 2)
+        pis += pi
+        truths += truth
+    return columns, blocks, _pack(worlds, sizes, pis, columns, truths)
 
 
 def random_pigf_model(
@@ -646,7 +669,7 @@ def random_pigf_model(
     """A random rounded model; values sometimes coincide with truth set members."""
     if n_worlds < 1:
         raise ValueError("a model needs at least one world")
-    columns, [(rows, truth)] = _draw(rng, 1, len(var_names), logic, n_worlds, n_truth)
+    columns, [(rows, truth)], _ = _draw(rng, 1, len(var_names), logic, n_worlds, n_truth)
     return _materialize(var_names, list(zip(rows[0], *columns)), truth, _grid(_GRID, _GRID))
 
 
@@ -673,40 +696,79 @@ def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
     only that sample becomes a model.  Doubling from 1 keeps a hit on the
     first samples as cheap as one sample.
 
+    The samples depend only on the seed and _draw's arguments, and the
+    batches only on the batch cap, so the search reads its stream from
+    _STREAMS and draws only the batches that are not kept, on its own
+    generator, after replaying the full batches before them.  A last batch
+    of count < size samples draws just those, the first count samples of
+    the full batch, and is kept as the stream's last: a search of the same
+    budget reads it, and a longer one draws the batch in full and keeps
+    that in its place.  No generator state is kept: its 2.5 KB is many
+    times the codes of a short stream, and only a stream that grows pays
+    the replay.
+
     Memory: a batch of b samples of at most w worlds holds b * w values per
     op, b times what one sample holds.  Codes are small ints, which CPython
     shares, so a value costs one 8-byte list slot.  The batch cap is lowered
     so that b * w * len(ops) stays within _BATCH_VALUES (8 MiB of slots)
     unless one sample alone holds more; a formula of a few dozen ops at the
     default 5-world cap runs full 256-sample batches of at most 1280 worlds,
-    a few hundred KiB.
+    a few hundred KiB.  _STREAMS keeps a byte per code, at most
+    _BATCH_VALUES bytes in all with each entry's key, tuples and headers
+    (_cost); a stream's part past that is drawn and not kept.
     """
-    rng = random.Random(cfg.seed)
     ops, (root,), names = compile_formulas([f])
     bound = bound_for(f)
     worlds_cap = max(1, min(cfg.max_worlds or 5, bound - 2))
+    n_truth = cfg.max_truth or 6
+    # the truth set cap of each world count, within the bound
+    caps = tuple([max(2, min(n_truth, bound - w)) for w in range(worlds_cap + 1)])
+    args = (len(names), logic, worlds_cap, n_truth, caps)
     most = max(1, min(_BATCH, _BATCH_VALUES // (worlds_cap * len(ops))))
+    key = (cfg.seed, most, *args)
+    batches = list(_STREAMS.get(key))
+    grew = False
+    keep = True
+    rng = None
+    hit = None
     size = 1
     left = cfg.budget
+    i = 0
     while left > 0:
         count = min(size, left)
-        columns, blocks = _draw(
-            rng, count, len(names), logic, worlds_cap, cfg.max_truth or 6, bound
-        )
+        if i < len(batches) and count <= _samples(batches[i]):
+            columns, blocks = _unpack(batches[i], count, len(names))
+        else:
+            if rng is None:
+                # this search's own generator, past the full batches before i
+                rng = random.Random(cfg.seed)
+                for j in range(i):
+                    _draw(rng, min(1 << j, most), *args)
+            columns, blocks, data = _draw(rng, count, *args)
+            keep = keep and _cost(key, (*batches[:i], data)) <= _STREAMS.bound
+            if keep:
+                # a kept batch short of size is the stream's last
+                batches[i:] = [data]
+                grew = True
         values = evaluate_compiled(ops, columns, blocks, _GRID)[root]
         if values.count(_GRID) < len(values):
-            hit = next(i for i, v in enumerate(values) if v != _GRID)
-            start = 0
-            for rows, truth in blocks:
-                n = len(rows[0])
-                if hit < start + n:
-                    break
-                start += n
-            sample = list(zip(rows[0], *(column[start:start + n] for column in columns)))
-            return _Hit(names, sample, truth, _grid(_GRID, _GRID), hit - start, values[hit])
+            hit = next(w for w, v in enumerate(values) if v != _GRID)
+            break
         left -= count
         size = min(2 * size, most)
-    return None
+        i += 1
+    if grew:
+        _STREAMS.put(key, tuple(batches))
+    if hit is None:
+        return None
+    start = 0
+    for rows, truth in blocks:
+        n = len(rows[0])
+        if hit < start + n:
+            break
+        start += n
+    sample = list(zip(rows[0], *(column[start:start + n] for column in columns)))
+    return _Hit(names, sample, list(truth), _grid(_GRID, _GRID), hit - start, values[hit])
 
 
 def decide(f: Formula, logic: LogicId, cfg: SearchConfig = SearchConfig()) -> Verdict:

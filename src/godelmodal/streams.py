@@ -1,0 +1,114 @@
+"""Sample streams that the random searches of one process share.
+
+The random search (decider._random_hit) evaluates samples in batches of 1,
+2, 4, ... up to a batch cap, and its samples depend only on the seed and
+the sampler's arguments, never on the formula.  Searches that agree on
+those read one stream, so a process keeps each stream's batches here,
+packed by _pack.  A stream's batches are all full but perhaps the last,
+which holds as many samples as the search that drew it asked for.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+from array import array
+from collections import OrderedDict
+from itertools import accumulate
+
+# the bytes of a packed count
+_UINT = array("I").itemsize
+# The bytes a table entry holds besides its codes, from sys.getsizeof and
+# tracemalloc: its key, truth caps and batch tuples, its seed and dict node,
+# and 8 bytes per truth cap; then each batch's bytes header and tuple slot.
+_ENTRY = 400
+_BATCH_HEAD = 41
+
+
+def _pack(
+    worlds: list[int],
+    sizes: list[int],
+    pis: list[int],
+    columns: list[list[int]],
+    truths: list[int],
+) -> bytes:
+    """A batch of len(worlds) models as _unpack reads it: the model count and
+    each model's world count as unsigned ints (there may be more than 255
+    worlds), then one byte for each model's truth set size and for each
+    code, all below 256: the pi codes, one column per variable and the
+    truth set codes, the models end to end."""
+    codes = sizes + pis
+    for column in columns:
+        codes += column
+    codes += truths
+    return array("I", [len(worlds), *worlds]).tobytes() + bytes(codes)
+
+
+def _samples(data: bytes) -> int:
+    """The number of models a packed batch holds."""
+    return int.from_bytes(data[:_UINT], sys.byteorder)
+
+
+def _unpack(
+    data: bytes, count: int, n_vars: int
+) -> tuple[list[bytes], list[tuple[list[bytes], bytes]]]:
+    """The first count models of a packed batch, in evaluate_compiled's
+    form, as slices of data: one code column per variable, the models end
+    to end, and one block ([pi], truth set codes) per model."""
+    size = _samples(data)
+    head = (1 + size) * _UINT
+    worlds = memoryview(data)[_UINT:head].cast("I")
+    total = sum(worlds)
+    used = sum(worlds[:count])
+    pi = head + size
+    columns = [data[pi + total * v:pi + total * v + used] for v in range(1, 1 + n_vars)]
+    pis = list(accumulate(worlds[:count], initial=pi))
+    truths = list(accumulate(data[head:head + count], initial=pi + total * (1 + n_vars)))
+    return columns, [
+        ([data[a:b]], data[c:d]) for a, b, c, d in zip(pis, pis[1:], truths, truths[1:])
+    ]
+
+
+def _cost(key: tuple, batches: tuple[bytes, ...]) -> int:
+    """The bytes a table entry holds; its key ends with the truth caps."""
+    return _ENTRY + 8 * len(key[-1]) + sum(map(len, batches)) + _BATCH_HEAD * len(batches)
+
+
+class _Streams:
+    """Sample streams by key (seed, batch cap, then the sampler's arguments
+    after count): each stream's batches in order.  A published entry is
+    never changed, only replaced by one of more samples, so a search reads
+    its batches without the lock.  The entries hold at most bound bytes in
+    all, counted by _cost; the least recently used goes first."""
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self.entries: OrderedDict[tuple, tuple[bytes, ...]] = OrderedDict()
+        self.nbytes = 0
+        self.lock = threading.Lock()
+
+    def get(self, key: tuple) -> tuple[bytes, ...]:
+        with self.lock:
+            batches = self.entries.get(key, ())
+            if batches:
+                self.entries.move_to_end(key)
+            return batches
+
+    def put(self, key: tuple, batches: tuple[bytes, ...]) -> None:
+        with self.lock:
+            old = self.entries.get(key)
+            if old is not None and sum(map(_samples, batches)) <= sum(map(_samples, old)):
+                return  # another search published as much
+            self.entries[key] = batches
+            if old is None:
+                self.nbytes += _cost(key, batches)
+            else:
+                self.entries.move_to_end(key)
+                self.nbytes += _cost(key, batches) - _cost(key, old)
+            while self.nbytes > self.bound:
+                self.nbytes -= _cost(*self.entries.popitem(last=False))
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.nbytes = 0

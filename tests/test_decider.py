@@ -1,7 +1,12 @@
+import gc
 import json
 import random
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -533,6 +538,215 @@ def test_random_search_matches_the_sample_by_sample_oracle():
     assert min(where[k] for k in ("none", "past 511", "batch end", "batch start", "inside")) > 0, where
 
 
+def hit_json(f, logic, cfg):
+    hit = decider._random_hit(f, logic, cfg)
+    return None if hit is None else verdict_to_json(decider._refuted(f, hit))
+
+
+def assert_streams_are_the_draws():
+    # every kept batch is what a fresh generator draws for it, and every
+    # batch but a stream's last is full
+    for (seed, most, *args), batches in decider._STREAMS.entries.items():
+        rng = random.Random(seed)
+        sizes = [decider._samples(data) for data in batches]
+        assert sizes[:-1] == [min(1 << i, most) for i in range(len(batches) - 1)]
+        assert 0 < sizes[-1] <= min(1 << (len(batches) - 1), most)
+        assert list(batches) == [decider._draw(rng, k, *args)[2] for k in sizes]
+
+
+def test_shared_streams_give_what_a_cleared_table_and_the_oracle_give():
+    # Searches that agree on seed, sizes and batch cap read one kept stream.
+    # Whatever the table holds, and whether a short or a long budget reaches
+    # a key first, a search returns what it returns on a cleared table, and
+    # that is what the sample-by-sample oracle returns.  Budgets 3, 100 and
+    # 700 end inside a batch; bounds of 10 or less lower the truth caps; at
+    # 80 worlds the long formula's batches stop at 238 samples, and budget
+    # 300 ends inside the first of them; a longer one draws models of up to
+    # 296 worlds, more than a byte can count (264 and 286 under K45).
+    rng = random.Random(53)
+    rare = "(p <-> q) & (q <-> r) -> ~~p -> p"
+    small = {0: ["0", "[]0 -> 0", "<>0"], 1: ["p", "[]p", "~p", "<>p"]}
+    cases = []
+    for logic in LOGICS:
+        for k in range(4):
+            names = ("p", "q", "r")[:k]
+            formulas = []
+            while len(formulas) < 2:
+                f = random_formula(rng, names, depth=rng.randint(2, 4))
+                if len(variables(f)) == k and bound_for(f) > 10:
+                    formulas.append(f)
+            formulas += [parse(text) for text in small.get(k, [])]
+            if k == 3:
+                formulas.append(parse(rare))
+                long = parse("~~r -> " * 40 + f"({rare})")
+                for seed, budget in product((0, 1), (3, 300)):
+                    cases.append((long, logic, SearchConfig("random", budget, seed, 80)))
+                cases.append((parse("~~r -> " * 130 + f"({rare})"), logic, SearchConfig("random", 5, 0, 300)))
+            for f, seed, budget in product(formulas, (0, 1), (0, 1, 3, 100, 700)):
+                cases.append((f, logic, SearchConfig("random", budget, seed)))
+    cold = {}
+    for case in cases:
+        decider._STREAMS.clear()
+        cold[case] = hit_json(*case)
+        assert cold[case] == found_json(oracle_random_search(*case)[0]), case
+    for longest_first in (False, True):
+        decider._STREAMS.clear()
+        for case in sorted(cases, key=lambda case: case[2].budget, reverse=longest_first):
+            assert hit_json(*case) == cold[case], case
+        assert_streams_are_the_draws()
+    assert any(most < decider._BATCH for _, most, *_ in decider._STREAMS.entries)
+    assert len({key[-1] for key in decider._STREAMS.entries}) > 3  # truth caps
+    assert sum(value is not None for value in cold.values()) > len(cases) // 4
+
+
+def kept_samples():
+    # the samples kept per key, once the table's byte count is checked
+    # against what it holds and against its bound, _BATCH_VALUES
+    table = decider._STREAMS
+    assert table.nbytes == sum(decider._cost(key, batches) for key, batches in table.entries.items())
+    assert table.nbytes <= table.bound == decider._BATCH_VALUES
+    return {key: sum(map(decider._samples, batches)) for key, batches in table.entries.items()}
+
+
+def test_a_search_draws_its_budget_once(monkeypatch):
+    # a search on a cleared table draws just its budget, though 300 ends
+    # inside a batch; the same search again, or a shorter one, draws
+    # nothing; a longer one replays the 255 samples of the full batches
+    # before the kept part of a batch and draws on, and keeps what it drew
+    drawn = []
+    draw = decider._draw
+    monkeypatch.setattr(decider, "_draw", lambda rng, count, *args: drawn.append(count) or draw(rng, count, *args))
+    f = parse("[](p -> q) -> []p -> []q")
+    decider._STREAMS.clear()
+    for budget, want in ((300, 300), (300, 0), (100, 0), (400, 400), (400, 0), (700, 700), (700, 0)):
+        drawn.clear()
+        assert hit_json(f, LogicId.KD45, SearchConfig("random", budget, 9)) is None
+        assert sum(drawn) == want, (budget, drawn)
+    assert kept_samples() == {next(iter(decider._STREAMS.entries)): 700}
+    assert_streams_are_the_draws()
+    # the first k samples of a kept batch are what k fresh draws give
+    (seed, most, *args), batches = next(iter(decider._STREAMS.entries.items()))
+    rng = random.Random(seed)
+    for data in batches:
+        state = rng.getstate()
+        for k in (1, (decider._samples(data) + 1) // 2, decider._samples(data)):
+            rng.setstate(state)
+            columns, blocks, _ = draw(rng, k, *args)
+            packed = [bytes(c) for c in columns], [([bytes(rows[0])], bytes(t)) for rows, t in blocks]
+            assert decider._unpack(data, k, 2) == packed
+        rng.setstate(state)
+        draw(rng, decider._samples(data), *args)
+    # a shorter search evaluates only its own part of a kept batch: at seed
+    # 9 the first countermodel is sample 165, inside the batch of samples
+    # 128 to 255, which the budget-700 search keeps
+    rare = parse("(p <-> q) & (q <-> r) -> ~~p -> p")
+    for budget in (700, 164):
+        cfg = SearchConfig("random", budget, 9)
+        found, n = oracle_random_search(rare, LogicId.KD45, cfg)
+        assert hit_json(rare, LogicId.KD45, cfg) == found_json(found)
+        assert n == 165 if budget == 700 else found is None
+
+
+def test_many_small_streams_stay_within_the_bound_in_memory():
+    # a budget-1 search under its own seed keeps a stream of one sample, a
+    # few dozen bytes, whose key, tuples and dict node cost ten times that:
+    # the bound counts those too, so the memory the table holds stays
+    # within _BATCH_VALUES
+    f = parse("[](p -> q) -> []p -> []q")
+    hit_json(f, LogicId.K45, SearchConfig("random", 1, 0))
+    decider._STREAMS.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for seed in range(2500):
+            decider._random_hit(f, LogicId.K45, SearchConfig("random", 1, 1 << 40 | seed))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 1000 < len(kept_samples()) < 2500
+    assert held <= decider._BATCH_VALUES, held
+
+
+def test_the_stream_table_stays_within_its_bound(monkeypatch):
+    # 25 variables at up to 100 worlds hold about 1300 bytes a sample, so an
+    # 800-sample stream outgrows _BATCH_VALUES: its part past the bound is
+    # drawn and not kept, and a second stream pushes it out
+    wide = parse(" & ".join(f"p{i}" for i in range(25)) + " -> p0")
+    decider._STREAMS.clear()
+    assert hit_json(wide, LogicId.K45, SearchConfig("random", 800, 0, 100)) is None
+    (first, kept), = kept_samples().items()
+    assert first[0] == 0 and 0 < kept < 800
+    assert hit_json(wide, LogicId.K45, SearchConfig("random", 300, 1, 100)) is None
+    assert [key[0] for key in kept_samples()] == [1]
+    # With a bound of 3000 bytes, streams of a few hundred samples are cut
+    # and pushed out all the time; searches that read a cut stream, replay
+    # it and draw on must still return what the oracle returns.
+    monkeypatch.setattr(decider, "_BATCH_VALUES", 3000)
+    monkeypatch.setattr(decider._STREAMS, "bound", 3000)
+    decider._STREAMS.clear()
+    rng = random.Random(61)
+    rare = parse("(p <-> q) & (q <-> r) -> ~~p -> p")
+    k_axiom = parse("[](p -> q) -> []p -> []r -> []q")
+    seen = set()
+    past = 0
+    for i in range(90):
+        f = (random_formula(rng, ("p", "q", "r"), depth=3), rare, k_axiom)[i % 3]
+        cfg = SearchConfig("random", (100, 700, 300)[i % 3], i // 9)
+        logic = LOGICS[i % 3]
+        found = hit_json(f, logic, cfg)
+        assert found == found_json(oracle_random_search(f, logic, cfg)[0]), (f, logic, cfg)
+        kept = kept_samples()
+        seen |= kept.keys()
+        # the search's key is the last used; with no hit it read its budget
+        past += found is None and kept[next(reversed(kept))] < cfg.budget
+    assert_streams_are_the_draws()
+    assert past > 10 and len(seen) > len(decider._STREAMS.entries), (past, len(seen))
+
+
+def test_threads_sharing_a_stream_get_the_serial_hits():
+    # four threads run one key's searches at once, each in its own order, on
+    # a cleared table: each search returns what it returns serially.  The
+    # theorems read their whole budgets, so threads extend the stream at once.
+    rng = random.Random(59)
+    formulas = [parse(text) for text in ("[](p -> q) -> []p -> []q", "<>(p & q) -> <>p", "p & q -> q & p")]
+    while len(formulas) < 8:
+        f = random_formula(rng, ("p", "q"), depth=3)
+        if len(variables(f)) == 2 and bound_for(f) > 10:
+            formulas.append(f)
+    budgets = (1, 10, 100, 300, 700, 1500)
+    cases = [(f, LogicId.KD45, SearchConfig("random", budget, 5)) for f in formulas for budget in budgets]
+    decider._STREAMS.clear()
+    serial = {i: hit_json(*case) for i, case in enumerate(cases)}
+    assert len(decider._STREAMS.entries) == 1
+    assert sum(hit is not None for hit in serial.values()) > 4
+    got = [None] * 4
+
+    def run(t):
+        order = list(serial)
+        random.Random(t).shuffle(order)
+        barrier.wait()
+        got[t] = {i: hit_json(*cases[i]) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(4):
+            decider._STREAMS.clear()
+            barrier = threading.Barrier(4)
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert got == [serial] * 4
+            assert_streams_are_the_draws()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_truth_sets_larger_than_the_grid_stop_at_its_interior_values():
     # the grid holds 19 interior values, so |T| = 40 cannot be drawn; the
     # search must end, and still draw what the sample-by-sample oracle draws
@@ -559,6 +773,10 @@ def test_random_pigf_model_draws_like_the_oracle_sampler():
         rows, anchors = oracle_sample(theirs, n_worlds, n_truth, len(names), logic)
         assert model_to_json(model) == model_to_json(_materialize(names, rows, anchors, 120, 120))
         assert ours.random() == theirs.random()
+    # a world count above 255 does not fit the codes' bytes
+    model = random_pigf_model(random.Random(1), 300, 4, ("p",), LogicId.KD45)
+    rows, anchors = oracle_sample(random.Random(1), 300, 4, 1, LogicId.KD45)
+    assert model_to_json(model) == model_to_json(_materialize(("p",), rows, anchors, 120, 120))
     with pytest.raises(ValueError):
         random_pigf_model(random.Random(0), 0, 2, ("p",), LogicId.KD45)
 
