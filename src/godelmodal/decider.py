@@ -21,13 +21,12 @@ straight into shared code columns, one block per model, and evaluated in
 one pass of the op list; the draws read the seeded stream exactly as
 sampling one model at a time does, so the first countermodel is the same.
 The draws never read the formula, so searches that agree on the seed, the
-size caps and the batch cap share one stream: a process keeps each stream's
-batches in a streams._Streams table, a byte per code and at most
-_BATCH_VALUES bytes in all with each entry's own overhead, dropping the
-least recently used stream first, and a search draws only what is not
-kept, and only as many samples as its budget asks.  Kept or drawn, a
-search evaluates the same samples in the same batches, so no verdict or
-output byte depends on what is kept.
+size caps and the batch cap share one stream, which a process keeps in a
+streams._Streams table; the table decides what is read, drawn and kept,
+and the search evaluates each batch it yields, kept or drawn, from its
+packed bytes.  So no verdict or output byte depends on what is kept.
+One driver, _search, runs the phases of each mode for decide and the
+countermodel path alike.
 
 Both searches find a countermodel in code form, a _Hit with its decoding
 table, and build its exact model only for the verdict.  The countermodel
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from contextlib import closing
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -57,7 +57,7 @@ from .semantics import (
     model_to_json,
     model_values,
 )
-from .streams import _cost, _pack, _samples, _Streams, _unpack
+from .streams import _pack, _Streams, _unpack
 from .syntax import Formula, LogicId, compile_formulas, complexity_ell
 
 MODES = ("exhaustive", "random", "hybrid")
@@ -550,11 +550,10 @@ def _draw(
     n_worlds: int,
     n_truth: int,
     caps: tuple[int, ...] | None = None,
-) -> tuple[list[list[int]], list[tuple[list[list[int]], list[int]]], bytes]:
-    """count random rounded models obeying the logic's frame constraint, in
-    evaluate_compiled's form: one code column per variable, the models end to
-    end, and one block ([pi], truth set codes) per model; and the same models
-    packed by streams._pack.  Values sometimes coincide with truth set
+) -> bytes:
+    """count random rounded models obeying the logic's frame constraint,
+    packed by streams._pack; streams._unpack reads them in
+    evaluate_compiled's form.  Values sometimes coincide with truth set
     members.
 
     With caps None every model has n_worlds worlds and n_truth truth values.
@@ -581,7 +580,6 @@ def _draw(
     k_denoms = n_denoms.bit_length()
     kd45 = logic is LogicId.KD45
     columns: list[list[int]] = [[] for _ in range(n_vars)]
-    blocks = []
     worlds: list[int] = []
     sizes: list[int] = []
     pis: list[int] = []
@@ -649,14 +647,11 @@ def _draw(
                 pick = False
         for v, column in enumerate(columns, n):
             column += codes[v::n_vars]
-        pi = codes[:n]
-        truth = [0, *anchors, _GRID]
-        blocks.append(([pi], truth))
         worlds.append(n)
         sizes.append(n_anchors + 2)
-        pis += pi
-        truths += truth
-    return columns, blocks, _pack(worlds, sizes, pis, columns, truths)
+        pis += codes[:n]
+        truths += [0, *anchors, _GRID]
+    return _pack(worlds, sizes, pis, columns, truths)
 
 
 def random_pigf_model(
@@ -669,7 +664,7 @@ def random_pigf_model(
     """A random rounded model; values sometimes coincide with truth set members."""
     if n_worlds < 1:
         raise ValueError("a model needs at least one world")
-    columns, [(rows, truth)], _ = _draw(rng, 1, len(var_names), logic, n_worlds, n_truth)
+    columns, [(rows, truth)] = _unpack(_draw(rng, 1, len(var_names), logic, n_worlds, n_truth), 1, len(var_names))
     return _materialize(var_names, list(zip(rows[0], *columns)), truth, _grid(_GRID, _GRID))
 
 
@@ -694,18 +689,8 @@ def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
     drawn in order from one rng, so the first refuting world of the first
     batch with a hit is the one a sample-by-sample search would return, and
     only that sample becomes a model.  Doubling from 1 keeps a hit on the
-    first samples as cheap as one sample.
-
-    The samples depend only on the seed and _draw's arguments, and the
-    batches only on the batch cap, so the search reads its stream from
-    _STREAMS and draws only the batches that are not kept, on its own
-    generator, after replaying the full batches before them.  A last batch
-    of count < size samples draws just those, the first count samples of
-    the full batch, and is kept as the stream's last: a search of the same
-    budget reads it, and a longer one draws the batch in full and keeps
-    that in its place.  No generator state is kept: its 2.5 KB is many
-    times the codes of a short stream, and only a stream that grows pays
-    the replay.
+    first samples as cheap as one sample.  _STREAMS.batches reads, draws
+    and keeps the batches.
 
     Memory: a batch of b samples of at most w worlds holds b * w values per
     op, b times what one sample holds.  Codes are small ints, which CPython
@@ -713,9 +698,7 @@ def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
     so that b * w * len(ops) stays within _BATCH_VALUES (8 MiB of slots)
     unless one sample alone holds more; a formula of a few dozen ops at the
     default 5-world cap runs full 256-sample batches of at most 1280 worlds,
-    a few hundred KiB.  _STREAMS keeps a byte per code, at most
-    _BATCH_VALUES bytes in all with each entry's key, tuples and headers
-    (_cost); a stream's part past that is drawn and not kept.
+    a few hundred KiB.
     """
     ops, (root,), names = compile_formulas([f])
     bound = bound_for(f)
@@ -723,44 +706,17 @@ def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
     n_truth = cfg.max_truth or 6
     # the truth set cap of each world count, within the bound
     caps = tuple([max(2, min(n_truth, bound - w)) for w in range(worlds_cap + 1)])
-    args = (len(names), logic, worlds_cap, n_truth, caps)
     most = max(1, min(_BATCH, _BATCH_VALUES // (worlds_cap * len(ops))))
-    key = (cfg.seed, most, *args)
-    batches = list(_STREAMS.get(key))
-    grew = False
-    keep = True
-    rng = None
-    hit = None
-    size = 1
-    left = cfg.budget
-    i = 0
-    while left > 0:
-        count = min(size, left)
-        if i < len(batches) and count <= _samples(batches[i]):
-            columns, blocks = _unpack(batches[i], count, len(names))
+    key = (cfg.seed, most, len(names), logic, worlds_cap, n_truth, caps)
+    with closing(_STREAMS.batches(key, cfg.budget, _draw)) as batches:
+        for data, count in batches:
+            columns, blocks = _unpack(data, count, len(names))
+            values = evaluate_compiled(ops, columns, blocks, _GRID)[root]
+            if values.count(_GRID) < len(values):
+                break
         else:
-            if rng is None:
-                # this search's own generator, past the full batches before i
-                rng = random.Random(cfg.seed)
-                for j in range(i):
-                    _draw(rng, min(1 << j, most), *args)
-            columns, blocks, data = _draw(rng, count, *args)
-            keep = keep and _cost(key, (*batches[:i], data)) <= _STREAMS.bound
-            if keep:
-                # a kept batch short of size is the stream's last
-                batches[i:] = [data]
-                grew = True
-        values = evaluate_compiled(ops, columns, blocks, _GRID)[root]
-        if values.count(_GRID) < len(values):
-            hit = next(w for w, v in enumerate(values) if v != _GRID)
-            break
-        left -= count
-        size = min(2 * size, most)
-        i += 1
-    if grew:
-        _STREAMS.put(key, tuple(batches))
-    if hit is None:
-        return None
+            return None
+    hit = next(w for w, v in enumerate(values) if v != _GRID)
     start = 0
     for rows, truth in blocks:
         n = len(rows[0])
@@ -769,6 +725,23 @@ def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
         start += n
     sample = list(zip(rows[0], *(column[start:start + n] for column in columns)))
     return _Hit(names, sample, list(truth), _grid(_GRID, _GRID), hit - start, values[hit])
+
+
+def _search(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | Valid | None:
+    """The search of cfg.mode: the random phase unless the mode is
+    exhaustive, then the exhaustive phase unless the mode is random or the
+    random phase hit.  None means the random budget found nothing."""
+    if cfg.mode != "exhaustive":
+        hit = _random_hit(f, logic, cfg)
+        if hit is not None or cfg.mode == "random":
+            return hit
+    return _exhaustive(f, logic, cfg)
+
+
+def _verdict(f: Formula, found: _Hit | Valid | None, cfg: SearchConfig) -> Verdict:
+    if found is None:
+        return Unknown(f"no countermodel among {cfg.budget} sampled models", cfg.budget)
+    return found if isinstance(found, Valid) else _refuted(f, found)
 
 
 def decide(f: Formula, logic: LogicId, cfg: SearchConfig = SearchConfig()) -> Verdict:
@@ -781,18 +754,7 @@ def decide(f: Formula, logic: LogicId, cfg: SearchConfig = SearchConfig()) -> Ve
     models and report Unknown when none refutes.  hybrid: random first,
     then exhaustive.
     """
-    if cfg.mode in ("random", "hybrid"):
-        found = random_search(f, logic, cfg)
-        if found is not None:
-            return Refuted(*found)
-        if cfg.mode == "random":
-            return _unsampled(cfg)
-    found = _exhaustive(f, logic, cfg)
-    return found if isinstance(found, Valid) else _refuted(f, found)
-
-
-def _unsampled(cfg: SearchConfig) -> Unknown:
-    return Unknown(f"no countermodel among {cfg.budget} sampled models", cfg.budget)
+    return _verdict(f, _search(f, logic, cfg), cfg)
 
 
 def _countermodel(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
@@ -800,14 +762,8 @@ def _countermodel(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
     model, but on the codes the search found it in: the result is the one
     exact model built, with the worlds' original names, and its value is
     decoded from the shrinking's last evaluation."""
-    hit = None if cfg.mode == "exhaustive" else _random_hit(f, logic, cfg)
-    if hit is None:
-        if cfg.mode == "random":
-            return _unsampled(cfg)
-        hit = _exhaustive(f, logic, cfg)
-        if isinstance(hit, Valid):
-            return hit
-    return _refuted(f, _shrunk(f, hit, logic))
+    found = _search(f, logic, cfg)
+    return _verdict(f, _shrunk(f, found, logic) if isinstance(found, _Hit) else found, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,6 @@ def evaluate_compiled(
     of a row's modal_terms, is computed once per row of its own block; a
     shared row's value is broadcast over its block.
     """
-    n = sum(len(rows[0]) for rows, _ in blocks)
     vals = [None] * len(ops)
     for i, op in enumerate(ops):
         tag = op[0]
@@ -236,7 +235,7 @@ def evaluate_compiled(
         elif tag == "var":
             out = columns[op[1]]
         elif tag == "bot":
-            out = [0] * n
+            out = [0] * sum(len(rows[0]) for rows, _ in blocks)
         else:
             body = vals[op[1]]
             box = tag == "box"

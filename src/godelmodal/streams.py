@@ -6,15 +6,19 @@ the sampler's arguments, never on the formula.  Searches that agree on
 those read one stream, so a process keeps each stream's batches here,
 packed by _pack.  A stream's batches are all full but perhaps the last,
 which holds as many samples as the search that drew it asked for.
+_Streams.batches owns the policy: it reads, replays, draws, keeps and
+publishes, and the search only evaluates the batches it yields.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 import threading
 from array import array
 from collections import OrderedDict
 from itertools import accumulate
+from typing import Iterator
 
 # the bytes of a packed count
 _UINT = array("I").itemsize
@@ -87,26 +91,64 @@ class _Streams:
         self.nbytes = 0
         self.lock = threading.Lock()
 
-    def get(self, key: tuple) -> tuple[bytes, ...]:
+    def batches(self, key: tuple, budget: int, draw) -> Iterator[tuple[bytes, int]]:
+        """The batches of budget samples of the stream key, as (packed batch,
+        count): count samples of a batch of 1, 2, 4, ... up to key[1] samples.
+
+        The kept batches come first.  From the first batch the table lacks,
+        or holds short of count, the stream is drawn on the generator's own
+        random.Random(key[0]), after replaying the full batches before that
+        batch; draw(rng, count, *key[2:]) returns count samples packed.  A
+        last batch of count < size samples draws just those, the first count
+        samples of the full batch, and is kept as the stream's last: a search
+        of the same budget reads it, and a longer one draws the batch in full
+        and keeps that in its place.  No generator state is kept: its 2.5 KB
+        is many times the codes of a short stream, and only a stream that
+        grows pays the replay.  The drawn batches are kept while the entry's
+        _cost stays within bound, and published when the generator is
+        exhausted or closed.  It holds its own batch list and rng, so a
+        search suspended at any batch and resumed later, whatever other
+        searches publish meanwhile, gets the batches of an uninterrupted one."""
         with self.lock:
-            batches = self.entries.get(key, ())
+            batches = list(self.entries.get(key, ()))
             if batches:
                 self.entries.move_to_end(key)
-            return batches
-
-    def put(self, key: tuple, batches: tuple[bytes, ...]) -> None:
-        with self.lock:
-            old = self.entries.get(key)
-            if old is not None and sum(map(_samples, batches)) <= sum(map(_samples, old)):
-                return  # another search published as much
-            self.entries[key] = batches
-            if old is None:
-                self.nbytes += _cost(key, batches)
-            else:
-                self.entries.move_to_end(key)
-                self.nbytes += _cost(key, batches) - _cost(key, old)
-            while self.nbytes > self.bound:
-                self.nbytes -= _cost(*self.entries.popitem(last=False))
+        grew = False
+        keep = True
+        rng = None
+        size = 1
+        i = 0
+        try:
+            while budget > 0:
+                count = min(size, budget)
+                if i < len(batches) and count <= _samples(batches[i]):
+                    data = batches[i]
+                else:
+                    if rng is None:
+                        rng = random.Random(key[0])
+                        for j in range(i):
+                            draw(rng, min(1 << j, key[1]), *key[2:])
+                    data = draw(rng, count, *key[2:])
+                    keep = keep and _cost(key, (*batches[:i], data)) <= self.bound
+                    if keep:
+                        # a kept batch short of size is the stream's last
+                        batches[i:] = [data]
+                        grew = True
+                yield data, count
+                budget -= count
+                size = min(2 * size, key[1])
+                i += 1
+        finally:
+            if grew:
+                with self.lock:
+                    old = self.entries.get(key)
+                    if old is None or sum(map(_samples, batches)) > sum(map(_samples, old)):
+                        # publish, unless another search published as much
+                        self.entries[key] = batches = tuple(batches)
+                        self.entries.move_to_end(key)
+                        self.nbytes += _cost(key, batches) - (_cost(key, old) if old else 0)
+                        while self.nbytes > self.bound:
+                            self.nbytes -= _cost(*self.entries.popitem(last=False))
 
     def clear(self) -> None:
         with self.lock:

@@ -5,6 +5,8 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from contextlib import closing
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -42,6 +44,7 @@ from godelmodal import (
 from godelmodal import decider
 from godelmodal.decider import _grid, _sweep_size
 from godelmodal.semantics import evaluate_compiled
+from godelmodal.streams import _cost, _samples
 from godelmodal.syntax import SCHEMES, compile_formulas, corpus
 from helpers import (
     _decode,
@@ -548,10 +551,10 @@ def assert_streams_are_the_draws():
     # batch but a stream's last is full
     for (seed, most, *args), batches in decider._STREAMS.entries.items():
         rng = random.Random(seed)
-        sizes = [decider._samples(data) for data in batches]
+        sizes = [_samples(data) for data in batches]
         assert sizes[:-1] == [min(1 << i, most) for i in range(len(batches) - 1)]
         assert 0 < sizes[-1] <= min(1 << (len(batches) - 1), most)
-        assert list(batches) == [decider._draw(rng, k, *args)[2] for k in sizes]
+        assert list(batches) == [decider._draw(rng, k, *args) for k in sizes]
 
 
 def test_shared_streams_give_what_a_cleared_table_and_the_oracle_give():
@@ -603,9 +606,22 @@ def kept_samples():
     # the samples kept per key, once the table's byte count is checked
     # against what it holds and against its bound, _BATCH_VALUES
     table = decider._STREAMS
-    assert table.nbytes == sum(decider._cost(key, batches) for key, batches in table.entries.items())
+    assert table.nbytes == sum(_cost(key, batches) for key, batches in table.entries.items())
     assert table.nbytes <= table.bound == decider._BATCH_VALUES
-    return {key: sum(map(decider._samples, batches)) for key, batches in table.entries.items()}
+    return {key: sum(map(_samples, batches)) for key, batches in table.entries.items()}
+
+
+def oracle_batch(rng, count, n_vars, logic, worlds_cap, n_truth, caps):
+    # count oracle samples in streams._unpack's form: one code column per
+    # variable, the models end to end, and one block ([pi], truth) per model
+    columns, blocks = [b""] * n_vars, []
+    for _ in range(count):
+        n = rng.randint(1, worlds_cap)
+        rows, anchors = oracle_sample(rng, n, rng.randint(2, caps[n]), n_vars, logic)
+        pi, *values = zip(*rows)
+        columns = [column + bytes(v) for column, v in zip(columns, values)]
+        blocks.append(([bytes(pi)], bytes([0, *anchors, 120])))
+    return columns, blocks
 
 
 def test_a_search_draws_its_budget_once(monkeypatch):
@@ -624,27 +640,103 @@ def test_a_search_draws_its_budget_once(monkeypatch):
         assert sum(drawn) == want, (budget, drawn)
     assert kept_samples() == {next(iter(decider._STREAMS.entries)): 700}
     assert_streams_are_the_draws()
-    # the first k samples of a kept batch are what k fresh draws give
+    # the first k samples of a kept batch are what k fresh draws give, and
+    # what the oracle sampler gives
     (seed, most, *args), batches = next(iter(decider._STREAMS.entries.items()))
     rng = random.Random(seed)
     for data in batches:
         state = rng.getstate()
-        for k in (1, (decider._samples(data) + 1) // 2, decider._samples(data)):
+        for k in (1, (_samples(data) + 1) // 2, _samples(data)):
             rng.setstate(state)
-            columns, blocks, _ = draw(rng, k, *args)
-            packed = [bytes(c) for c in columns], [([bytes(rows[0])], bytes(t)) for rows, t in blocks]
-            assert decider._unpack(data, k, 2) == packed
+            fresh = decider._unpack(draw(rng, k, *args), k, 2)
+            rng.setstate(state)
+            assert decider._unpack(data, k, 2) == fresh == oracle_batch(rng, k, *args)
         rng.setstate(state)
-        draw(rng, decider._samples(data), *args)
-    # a shorter search evaluates only its own part of a kept batch: at seed
-    # 9 the first countermodel is sample 165, inside the batch of samples
-    # 128 to 255, which the budget-700 search keeps
+        draw(rng, _samples(data), *args)
+    # a search that hits still keeps what it drew: at seed 9 the first
+    # countermodel is sample 165, inside the batch of samples 128 to 255, so
+    # the budget-700 search draws and keeps 255 samples, and the same search
+    # again draws none; a shorter search evaluates only its own part of
+    # that kept batch
     rare = parse("(p <-> q) & (q <-> r) -> ~~p -> p")
-    for budget in (700, 164):
+    for budget, want in ((700, 255), (700, 0), (164, 0)):
+        drawn.clear()
         cfg = SearchConfig("random", budget, 9)
         found, n = oracle_random_search(rare, LogicId.KD45, cfg)
         assert hit_json(rare, LogicId.KD45, cfg) == found_json(found)
         assert n == 165 if budget == 700 else found is None
+        assert sum(drawn) == want, (budget, drawn)
+
+
+def test_a_suspended_search_resumes_to_the_batches_of_an_uninterrupted_one(monkeypatch):
+    # A search's batches come from a generator that holds its own batch list
+    # and rng.  Suspend a search at each batch boundary in turn, run a longer
+    # search on the same key to the end in the gap, so that it publishes a
+    # longer stream, and resume: the search reads the batches of an
+    # uninterrupted search, which are those of a fresh _draw sequence, and
+    # returns the oracle's hit.  The table is cleared before the search, or
+    # holds a shorter stream of the key that the search reads and then
+    # replays.  Every budget ends inside a batch; the long formula's batches
+    # stop at 238 samples.
+    table = decider._STREAMS
+    real = table.batches
+
+    def search(f, logic, cfg, at=None):
+        # the hit, the key and the batches read of one search; at batch at,
+        # a longer search on the key runs to its end
+        keys, read = [], []
+
+        def batches(key, budget, draw):
+            keys.append(key)
+            with closing(real(key, budget, draw)) as stream:
+                for i, (data, count) in enumerate(stream):
+                    if i == at:
+                        for _ in real(key, 2 * budget + 1, draw):
+                            pass
+                    read.append(decider._unpack(data, count, key[2]))
+                    yield data, count
+
+        monkeypatch.setattr(table, "batches", batches)
+        found = hit_json(f, logic, cfg)
+        monkeypatch.setattr(table, "batches", real)
+        return found, keys[0], read
+
+    rare = "(p <-> q) & (q <-> r) -> ~~p -> p"
+    cases = [
+        (parse(text), logic, SearchConfig("random", budget, seed))
+        for text in ("[](p -> q) -> []p -> []q", rare, "<>(p & q) -> []p")
+        for logic in LOGICS
+        for budget, seed in ((5, 1), (100, 2), (300, 9))
+    ]
+    long = parse("~~r -> " * 40 + f"({rare})")
+    cases += [(long, LogicId.K45, SearchConfig("random", 300, 0, 80)), (parse(rare), LogicId.KD45, SearchConfig("random", 700, 9))]
+    seen = Counter()
+    for f, logic, cfg in cases:
+        table.clear()
+        whole, key, uninterrupted = search(f, logic, cfg)
+        assert whole == found_json(oracle_random_search(f, logic, cfg)[0]), (f, logic, cfg)
+        # the batches as a fresh _draw sequence gives them
+        seed, most, n_vars, *args = key
+        rng = random.Random(seed)
+        fresh = []
+        left, size = cfg.budget, 1
+        while left > 0:
+            count = min(size, left)
+            fresh.append(decider._unpack(decider._draw(rng, count, n_vars, *args), count, n_vars))
+            left -= count
+            size = min(2 * size, most)
+        assert uninterrupted == fresh[:len(uninterrupted)]
+        assert whole is not None or len(uninterrupted) == len(fresh)
+        for primed, at in product((0, cfg.budget // 3), range(len(uninterrupted))):
+            table.clear()
+            hit_json(f, logic, replace(cfg, budget=primed))
+            assert search(f, logic, cfg, at) == (whole, key, uninterrupted), (f, logic, cfg, primed, at)
+            assert_streams_are_the_draws()
+            # the longer search's stream stays published
+            assert kept_samples() == {key: 2 * cfg.budget + 1}
+            seen["resumed" if at + 1 < len(uninterrupted) else "suspended at the last"] += 1
+            seen["primed" if primed else "cleared"] += 1
+    assert min(seen.values()) > 20, seen
 
 
 def test_many_small_streams_stay_within_the_bound_in_memory():
