@@ -28,11 +28,11 @@ packed bytes.  So no verdict or output byte depends on what is kept.
 One driver, _search, runs the phases of each mode for decide and the
 countermodel path alike.
 
-Both searches find a countermodel in code form, a _Hit with its decoding
-table, and build its exact model only for the verdict.  The countermodel
-path (_countermodel, behind CLI countermodel) shrinks the hit on its codes
-as well, so it builds one exact model, the shrunk one it prints, and
-evaluates nothing exactly.
+Both searches find a countermodel in code form, a _Hit, which is a
+semantics._Coded, and semantics._decode builds its exact model only for
+the verdict.  The countermodel path (_countermodel, behind CLI
+countermodel) shrinks the hit on its codes as well, so it builds one
+exact model, the shrunk one it prints, and evaluates nothing exactly.
 """
 
 from __future__ import annotations
@@ -46,16 +46,16 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, Sequence
 
-from .algebra import ONE, ZERO, TruthSet, format_rational
+from .algebra import ONE, ZERO, format_rational
 from .semantics import (
     PiGFModel,
-    PiGModel,
     _check_world,
-    _model,
+    _Coded,
+    _decode,
+    _encode,
     eval_pigf,
     evaluate_compiled,
     model_to_json,
-    model_values,
 )
 from .streams import _pack, _Streams, _unpack
 from .syntax import Formula, LogicId, compile_formulas, complexity_ell
@@ -124,25 +124,17 @@ def bound_for(f: Formula) -> int:
 
 
 @dataclass(frozen=True)
-class _Hit:
+class _Hit(_Coded):
     """A countermodel in code form, as a search finds it and shrinking keeps
-    it.  rows[i] holds world i's codes: pi, then one per variable of names,
-    the formula's first in compiled order.  truth holds the sorted truth set
-    codes, 0 and len(table) - 1 among them.  Code c stands for table[c],
-    which increases, so code order is value order: a search's grid, or the
-    rank table of semantics.model_values.  world is the index of the
-    refuting world and code its value there, below the top code.  worlds
-    names the worlds, w1, w2, ... if None.  swept marks a hit of the integer
-    sweep, which _refuted checks against exact evaluation."""
+    it: a possibilistic model with a truth set whose variables start with
+    the formula's, in compiled order, on a search's grid or the rank table
+    of semantics._encode.  world is the index of the refuting world and
+    code its value there, below the top code.  swept marks a hit of the
+    integer sweep, which _refuted checks against exact evaluation."""
 
-    names: tuple[str, ...]
-    rows: Sequence[Sequence[int]]
-    truth: Sequence[int]
-    table: Sequence[Fraction]
     world: int
     code: int
     swept: bool = False
-    worlds: Sequence[str] | None = None
 
 
 @cache
@@ -151,25 +143,11 @@ def _grid(top: int, k_grid: int) -> tuple[Fraction, ...]:
     return (ZERO, *(Fraction(c, k_grid) for c in range(1, top)), ONE)
 
 
-def _materialize(
-    names: Sequence[str],
-    rows: Sequence[Sequence[int]],
-    truth: Sequence[int],
-    table: Sequence[Fraction],
-    worlds: Sequence[str] | None = None,
-) -> PiGFModel:
-    if worlds is None:
-        worlds = tuple(f"w{i + 1}" for i in range(len(rows)))
-    pi = {w: table[row[0]] for w, row in zip(worlds, rows)}
-    valuation = {w: {p: table[c] for p, c in zip(names, row[1:])} for w, row in zip(worlds, rows)}
-    return PiGFModel(_model(PiGModel, worlds, pi, valuation), TruthSet(table[c] for c in truth))
-
-
 def _refuted(f: Formula, hit: _Hit) -> Refuted:
     """The verdict of a countermodel in code form: its one exact model, the
     refuting world and the decoded value.  A swept hit's value is checked
     against exact evaluation, which must agree with the integer one."""
-    model = _materialize(hit.names, hit.rows, hit.truth, hit.table, hit.worlds)
+    model = _decode(hit)
     world = model.worlds[hit.world]
     value = hit.table[hit.code]
     if hit.swept:
@@ -184,19 +162,20 @@ def _sweep_size(
     n_truth: int,
     names: tuple[str, ...],
     logic: LogicId,
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[int], int, int]]:
+) -> Iterator[tuple[list[list[int]], list[int], int, int]]:
     """Canonical world-sorted models of exactly these dimensions, as integer
-    code structures (rows, t_codes, top_code, k_grid): code c stands for
-    c / k_grid, except top_code for 1.
+    code structures (columns, t_codes, top_code, k_grid): columns holds pi,
+    then one per variable; code c stands for c / k_grid, except top_code
+    for 1.
 
-    A model's rows strictly increase in alphabet order.  Increasing rows
-    identify models that only differ by a renaming of worlds, a model
-    isomorphism; that cuts a size by a factor of up to n!.  Strictly
-    increasing rows also drop models with a duplicated world.  Min and max
-    are idempotent, so a duplicate never changes a value: a model with a
-    duplicated row refutes only if the model without the copy does, and
-    that model lies in the earlier size (|W| - 1, |T|).  A duplicate can
-    therefore never be the first hit of a sweep that visits sizes by
+    A model's rows, its worlds' codes, strictly increase in alphabet order.
+    Increasing rows identify models that only differ by a renaming of
+    worlds, a model isomorphism; that cuts a size by a factor of up to n!.
+    Strictly increasing rows also drop models with a duplicated world.  Min
+    and max are idempotent, so a duplicate never changes a value: a model
+    with a duplicated row refutes only if the model without the copy does,
+    and that model lies in the earlier size (|W| - 1, |T|).  A duplicate
+    can therefore never be the first hit of a sweep that visits sizes by
     increasing |W| + |T|, and dropping them changes no refutation it reports.
     """
     width = 1 + len(names)
@@ -217,6 +196,7 @@ def _sweep_size(
             if row[0] == top_code:
                 mask |= 1  # normalization marker: some world fully possible
             masks.append(mask)
+        by_position = [[row[i] for row in alphabet] for i in range(width)]
         for t_ranks in combinations(range(1, j + 1), n_truth - 2):
             need = 1 if logic is not LogicId.K45 else 0
             in_t = set(t_ranks)
@@ -229,19 +209,18 @@ def _sweep_size(
                 for i in picks:
                     cover |= masks[i]
                 if not need & ~cover:
-                    yield tuple(alphabet[i] for i in picks), t_codes, top_code, k_grid
+                    yield [[codes[i] for i in picks] for codes in by_position], t_codes, top_code, k_grid
 
 
 def _first_refutation(
     ops: list[tuple],
     root: int,
-    rows: Sequence[Sequence[int]],
+    columns: Sequence[Sequence[int]],
     t_codes: Sequence[int],
     top: int,
 ) -> tuple[int, int] | None:
     """The first world whose root code is below top, with that code, in a
-    model given as integer code rows (pi, then one code per variable)."""
-    columns = list(zip(*rows))
+    model given as integer code columns (pi, then one per variable)."""
     values = evaluate_compiled(ops, columns[1:], [(columns[:1], t_codes)], top)[root]
     for idx, code in enumerate(values):
         if code != top:
@@ -512,10 +491,10 @@ def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Valid | _Hit:
             best = (n_worlds, k + 2)
     if best is None:
         return Valid(bound, examined)
-    for rows, t_codes, top_code, k_grid in _sweep_size(*best, names, logic):
-        hit = _first_refutation(ops, root, rows, t_codes, top_code)
+    for columns, t_codes, top_code, k_grid in _sweep_size(*best, names, logic):
+        hit = _first_refutation(ops, root, columns, t_codes, top_code)
         if hit is not None:
-            return _Hit(names, rows, t_codes, _grid(top_code, k_grid), *hit, swept=True)
+            return _Hit(None, names, columns[:1], columns[1:], t_codes, _grid(top_code, k_grid), *hit, swept=True)
     raise RuntimeError(f"world types found a countermodel of size {best}, the sweep none")
 
 
@@ -664,8 +643,10 @@ def random_pigf_model(
     """A random rounded model; values sometimes coincide with truth set members."""
     if n_worlds < 1:
         raise ValueError("a model needs at least one world")
+    if n_truth < 2:
+        raise ValueError("n_truth must be at least 2")
     columns, [(rows, truth)] = _unpack(_draw(rng, 1, len(var_names), logic, n_worlds, n_truth), 1, len(var_names))
-    return _materialize(var_names, list(zip(rows[0], *columns)), truth, _grid(_GRID, _GRID))
+    return _decode(_Coded(None, tuple(var_names), rows, columns, truth, _grid(_GRID, _GRID)))
 
 
 def random_search(
@@ -723,8 +704,8 @@ def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
         if hit < start + n:
             break
         start += n
-    sample = list(zip(rows[0], *(column[start:start + n] for column in columns)))
-    return _Hit(names, sample, list(truth), _grid(_GRID, _GRID), hit - start, values[hit])
+    sample = [column[start:start + n] for column in columns]
+    return _Hit(None, names, rows, sample, truth, _grid(_GRID, _GRID), hit - start, values[hit])
 
 
 def _search(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | Valid | None:
@@ -769,11 +750,11 @@ def _countermodel(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
 # ---------------------------------------------------------------------------
 # countermodel minimization
 #
-# _shrunk shrinks a countermodel in code form, with _shrink_codes.  The
-# countermodel path hands it a search's hit as found, on the 1/120 grid or a
-# sweep's grid; shrink hands it an exact model's rank codes from
-# semantics.model_values (pi, the truth set, and a column for every variable
-# of the valuation, the formula's first) and decodes the result.  Either
+# _shrunk shrinks a countermodel in code form, a _Hit, with _shrink_codes.
+# The countermodel path hands it a search's hit as found, on the 1/120 grid
+# or a sweep's grid; shrink hands it an exact model's rank codes from
+# semantics._encode, with a column for every variable of the valuation, the
+# formula's first, and decodes the result with semantics._decode.  Either
 # way the model stays on codes until the end.
 
 
@@ -792,21 +773,21 @@ def _snap_key(code: int, truth: Sequence[int], top: int) -> tuple[int, int]:
 def _shrink_codes(
     ops: list[tuple],
     root: int,
-    rows: list[list[int]],
+    columns: list[list[int]],
     truth: list[int],
     top: int,
     logic: LogicId,
     anchor: int,
     code: int,
 ) -> tuple[list[int], list[int], int, int]:
-    """Greedily minimize a countermodel given as code rows: drop
+    """Greedily minimize a countermodel given as code columns: drop
     worlds, coarsen the truth set, snap values toward endpoints and truth
-    set members.  rows[i] holds world i's pi code, then its variable codes,
-    the formula's first in compiled order; each live row is snapped in
-    place, position by position.  truth holds the sorted truth
+    set members.  columns holds pi, then one column per variable, the
+    formula's first in compiled order; each live world's codes are snapped
+    in place, column by column.  truth holds the sorted truth
     set codes, 0 and top among them, and anchor is a refuting world whose
-    value code is code.  Rows that break the logic's constraint on pi raise
-    ValueError.
+    value code is code.  A pi column that breaks the logic's constraint
+    raises ValueError.
 
     Returns the kept worlds' indices in order, the kept truth codes, the
     refuting world and its value code.  Both come from the last accepted
@@ -826,20 +807,20 @@ def _shrink_codes(
     """
 
     def refuting(worlds: list[int], t_codes: list[int]) -> tuple[int, int] | None:
-        hit = _first_refutation(ops, root, [rows[w] for w in worlds], t_codes, top)
+        hit = _first_refutation(ops, root, [[column[w] for w in worlds] for column in columns], t_codes, top)
         return None if hit is None else (worlds[hit[0]], hit[1])
 
     def lawful(worlds: list[int]) -> bool:
         if logic is LogicId.KD45:
-            return any(rows[w][0] == top for w in worlds)
+            return any(columns[0][w] == top for w in worlds)
         if logic is LogicId.S5:
-            return all(rows[w][0] == top for w in worlds)
+            return all(columns[0][w] == top for w in worlds)
         return True
 
-    live = list(range(len(rows)))
+    live = list(range(len(columns[0])))
     if not lawful(live):
         raise ValueError("model violates the logic's frame constraint")
-    unread = set(range(1, len(rows[0]))) - {1 + op[1] for op in ops if op[0] == "var"}
+    unread = set(range(1, len(columns))) - {1 + op[1] for op in ops if op[0] == "var"}
     snapped = False
     changed = True
     while changed:
@@ -857,15 +838,14 @@ def _shrink_codes(
             if hit is not None:
                 truth, (anchor, code), changed = coarser, hit, True
         for w in live:
-            row = rows[w]
-            for i in range(len(row)):
-                old = row[i]
+            for i, column in enumerate(columns):
+                old = column[w]
                 down = truth[bisect_right(truth, old) - 1]
                 up = truth[bisect_left(truth, old)]
                 for new in (0, top, down, up):
                     if _snap_key(new, truth, top) >= _snap_key(old, truth, top):
                         continue
-                    row[i] = new
+                    column[w] = new
                     if i in unread:
                         snapped = True
                         break
@@ -873,7 +853,7 @@ def _shrink_codes(
                     if hit is not None:
                         (anchor, code), changed = hit, True
                         break
-                    row[i] = old
+                    column[w] = old
     if snapped:
         anchor, code = refuting(live, truth)
     return live, truth, anchor, code
@@ -882,13 +862,14 @@ def _shrink_codes(
 def _shrunk(f: Formula, hit: _Hit, logic: LogicId) -> _Hit:
     """hit shrunk by _shrink_codes; the kept worlds keep their names."""
     ops, (root,), _ = compile_formulas([f])
-    rows = [list(row) for row in hit.rows]
+    columns = [list(column) for column in (*hit.rows, *hit.columns)]
     live, truth, anchor, code = _shrink_codes(
-        ops, root, rows, list(hit.truth), len(hit.table) - 1, logic, hit.world, hit.code
+        ops, root, columns, list(hit.truth), len(hit.table) - 1, logic, hit.world, hit.code
     )
+    pi, *columns = [[column[i] for i in live] for column in columns]
     worlds = [hit.worlds[i] if hit.worlds else f"w{i + 1}" for i in live]
     return replace(
-        hit, rows=[rows[i] for i in live], truth=truth, world=live.index(anchor), code=code, worlds=worlds
+        hit, worlds=worlds, rows=[pi], columns=columns, truth=truth, world=live.index(anchor), code=code
     )
 
 
@@ -899,28 +880,21 @@ def shrink(
     snap values toward endpoints and truth set members.  The result still
     refutes f, satisfies the logic's constraint, and is never larger.  Kept
     worlds keep their names and the variables of their valuation rows.
-    This is _shrunk on the rank codes from semantics.model_values."""
+    This is _shrunk on the rank codes from semantics._encode, decoded by
+    semantics._decode.  A model without a truth set raises TypeError."""
+    if not isinstance(model, PiGFModel):
+        raise TypeError(f"shrink needs a PiGFModel, not {type(model).__name__}")
     ops, (root,), names = compile_formulas([f])
     _check_world(model.worlds, world)
     valuation = model.base.valuation
     # one column per variable: the formula's first, in compiled order
-    columns = [*names, *sorted({p for row in valuation.values() for p in row} - set(names))]
-    vals, (pi,), codes, truth, table = model_values(model, ops, columns)
+    coded = _encode(model, [*names, *sorted({p for row in valuation.values() for p in row} - set(names))])
     anchor = model.worlds.index(world)
-    at_world = vals[root][anchor]
-    if at_world == len(table) - 1:
+    at_world = coded.values(ops)[root][anchor]
+    if at_world == len(coded.table) - 1:
         raise ValueError("shrink needs a countermodel")
-    hit = _Hit(tuple(columns), list(zip(pi, *codes)), truth, table, anchor, at_world, worlds=model.worlds)
-    small = _shrunk(f, hit, logic)
-    column = {p: 1 + i for i, p in enumerate(columns)}
-    rows = dict(zip(small.worlds, small.rows))
-    base = _model(
-        PiGModel,
-        small.worlds,
-        {w: table[row[0]] for w, row in rows.items()},
-        {w: {p: table[row[column[p]]] for p in valuation[w]} for w, row in rows.items() if w in valuation},
-    )
-    return PiGFModel(base, TruthSet(table[c] for c in small.truth)), small.worlds[small.world]
+    small = _shrunk(f, _Hit(**vars(coded), world=anchor, code=at_world), logic)
+    return _decode(small, valuation), small.worlds[small.world]
 
 
 def verdict_to_json(verdict: Verdict) -> dict:

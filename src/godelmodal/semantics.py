@@ -21,16 +21,15 @@ pass: propositional ops run once over all their worlds, modal ops reduce
 and round block by block.
 
 The evaluator only ever reads the order of values, so it runs on integer
-codes.  model_values is the one place an exact model becomes codes: it
-codes the accessibility rows, the truth set and the columns of the
-variables asked for by rank with algebra._rank_codes, an order embedding
-into the integers, and evaluates them.  evaluate (so the eval_* functions)
-and filtrate decode only the values they return, which are exactly the
-Fractions' values; frame_report takes a relational model's rows from it,
-and decider.shrink its whole coded model.  The decider's random search
-evaluates a batch of its own sampled codes in one call; its world-type
-search has a bit-set evaluator of its own.  filtrate picks witness worlds
-from modal_terms, each world's term of a box or diamond value.
+codes.  A model in code form is one _Coded.  _encode is the one place an
+exact model becomes codes, by rank with algebra._rank_codes, an order
+embedding into the integers: evaluate (so the eval_* functions),
+filtrate, frame_report and decider.shrink take their codes from it.
+_decode is the one place codes become an exact model.  The decider's
+random search evaluates a batch of its own sampled codes in one call; its
+world-type search has a bit-set evaluator of its own.  filtrate picks
+witness worlds from modal_terms, each world's term of a box or diamond
+value.
 
 frame_report reads a possibilistic model's frame properties off pi in
 closed form, and checks a relational model's on the codes of its
@@ -43,7 +42,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
     ONE,
@@ -212,16 +211,13 @@ def evaluate_compiled(
     """Values of every compiled op at every world, in world order.
 
     The domain is integer codes with bottom 0 and top top, in the order of
-    the values they code: a model's rank codes from model_values, or the
-    decider's own codes.  blocks holds one pair
-    (rows, truth) per model, and the models' worlds lie end to end in
-    columns: columns[i] holds the values of variable names[i] at every world
-    of every block.  A block's world count is len(rows[0]).  rows holds its
-    accessibility rows: one row (pi) shared by every world of a
-    possibilistic model, or one row R(w, .) per world of a relational one.
-    With a sorted truth set, the block's box values are rounded down into
-    it and diamond values up; with None they are exact.  Propositional ops
-    run once over all blocks' worlds.  A modal value, the least or greatest
+    the values they code: a model's rank codes from _encode, or the
+    decider's own codes.  blocks holds one pair (rows, truth) per model, as
+    a _Coded holds them, and the models' worlds lie end to end in columns,
+    one per variable.  A block's world count is len(rows[0]).  Its box
+    values are rounded down into a sorted truth set and diamond values up,
+    or are exact with None.  Propositional ops run once over all blocks'
+    worlds.  A modal value, the least or greatest
     of a row's modal_terms, is computed once per row of its own block; a
     shared row's value is broadcast over its block.
     """
@@ -270,20 +266,34 @@ def evaluate_compiled(
     return vals
 
 
-def model_values(
-    model: PiGModel | PiGFModel | RelationalModel,
-    ops: list[tuple],
-    names: Sequence[str],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[int] | None, list[Fraction]]:
-    """evaluate_compiled on a model's rank codes, the one place an exact
-    model becomes codes: pi is the one shared row of a possibilistic model,
-    R(w, .) the row of w in a relational one, columns[i] holds variable
-    names[i] at every world, and a PiGFModel rounds into the codes of its
-    truth set.  Only those values are coded.  Returns every op's values,
-    the rows, the columns and the truth codes (None without a truth set),
-    and the table that decodes them: code c stands for table[c].  Each
-    distinct value object is coded once, then looked up by its id(): a
-    model read from a file holds one Fraction per distinct literal."""
+@dataclass(frozen=True)
+class _Coded:
+    """A model in code form, as evaluate_compiled reads it.  worlds names
+    the worlds, w1, w2, ... if None.  rows holds the accessibility rows: one
+    row, pi, shared by every world of a possibilistic model, or one row
+    R(w, .) per world of a relational one.  columns[i] holds variable
+    names[i] at every world.  truth holds the sorted truth set codes, 0 and
+    the top code among them, or is None when modal values are exact.  Code
+    c stands for table[c], which increases, so code order is value order."""
+
+    worlds: Sequence[str] | None
+    names: tuple[str, ...]
+    rows: Sequence[Sequence[int]]
+    columns: Sequence[Sequence[int]]
+    truth: Sequence[int] | None
+    table: Sequence[Fraction]
+
+    def values(self, ops: list[tuple]) -> list[list[int]]:
+        """Every op's codes at every world."""
+        return evaluate_compiled(ops, self.columns, [(self.rows, self.truth)], len(self.table) - 1)
+
+
+def _encode(model: PiGModel | PiGFModel | RelationalModel, names: Sequence[str]) -> _Coded:
+    """A model's rank codes, the one place an exact model becomes codes:
+    the accessibility rows, the truth set and the columns of the variables
+    of names are coded by rank with algebra._rank_codes, and only those
+    values.  Each distinct value object is coded once, then looked up by its
+    id(): a model read from a file holds one Fraction per distinct literal."""
     ws = model.worlds
     base = model.base if isinstance(model, PiGFModel) else model
     truth = model.truth_set.values if isinstance(model, PiGFModel) else ()
@@ -297,8 +307,22 @@ def model_values(
     rows = [list(map(code_of, map(id, row))) for row in given]
     columns = [list(map(code_of, map(id, column))) for column in read]
     truth_codes = list(map(code_of, map(id, truth))) if truth else None
-    vals = evaluate_compiled(ops, columns, [(rows, truth_codes)], len(table) - 1)
-    return vals, rows, columns, truth_codes, table
+    return _Coded(ws, tuple(names), rows, columns, truth_codes, table)
+
+
+def _decode(coded: _Coded, kept: Mapping[str, Iterable[str]] | None = None) -> PiGFModel:
+    """The exact rounded model of a possibilistic code form, the one place
+    codes become a model.  Each world w of kept has a valuation row, of the
+    variables of kept[w] in their order; by default every row holds every
+    variable of names."""
+    decoded = coded.table.__getitem__
+    (pi,) = coded.rows
+    worlds = coded.worlds or tuple(f"w{i + 1}" for i in range(len(pi)))
+    column = dict(zip(coded.names, coded.columns))
+    kept = dict.fromkeys(worlds, coded.names) if kept is None else kept
+    valuation = {w: {p: decoded(column[p][i]) for p in kept[w]} for i, w in enumerate(worlds) if w in kept}
+    base = _model(PiGModel, worlds, dict(zip(worlds, map(decoded, pi))), valuation)
+    return PiGFModel(base, TruthSet(map(decoded, coded.truth)))
 
 
 def evaluate(model, formula: Formula) -> list[Fraction]:
@@ -307,8 +331,8 @@ def evaluate(model, formula: Formula) -> list[Fraction]:
     other classes evaluate exactly.  Evaluation runs on rank codes, and
     only the values returned are decoded."""
     ops, (root,), names = compile_formulas([formula])
-    vals, *_, table = model_values(model, ops, names)
-    return [table[c] for c in vals[root]]
+    coded = _encode(model, names)
+    return [coded.table[c] for c in coded.values(ops)[root]]
 
 
 def _value_at(model, world: str, formula: Formula) -> Fraction:
@@ -365,8 +389,8 @@ def frame_report(model: PiGModel | PiGFModel | RelationalModel) -> FrameReport:
     if not isinstance(model, RelationalModel):
         serial = is_normalized(model)
         return FrameReport(True, True, serial, (), (), () if serial else ws)
-    _, rows, _, _, table = model_values(model, [], ())
-    top = len(table) - 1
+    coded = _encode(model, ())
+    rows, top = coded.rows, len(coded.table) - 1
     trans = []
     eucl = []
     for w, row_w in zip(ws, rows):
@@ -415,8 +439,9 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
     ops, _, names = compile_formulas(list(sigma))
     if len(ops) != len(sigma):
         raise ValueError("fragment is not closed under subformulas")
-    vals, (row,), _, _, table = model_values(model, ops, names)
-    top = len(table) - 1
+    coded = _encode(model, names)
+    vals, (row,) = coded.values(ops), coded.rows
+    top = len(coded.table) - 1
     x_index = model.worlds.index(x)
     modal = [
         (op[0], vals[i][x_index], vals[op[1]])
@@ -438,7 +463,7 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
     small_worlds = tuple(w for w in model.worlds if w in kept)
     pi = {w: model.pi[w] for w in small_worlds}
     valuation = {w: dict(model.valuation.get(w, {})) for w in small_worlds}
-    return PiGFModel(_model(PiGModel, small_worlds, pi, valuation), TruthSet(table[c] for c in alphas))
+    return PiGFModel(_model(PiGModel, small_worlds, pi, valuation), TruthSet(coded.table[c] for c in alphas))
 
 
 def transport(model: PiGFModel, h: OrderEmbedding) -> PiGFModel:

@@ -68,8 +68,8 @@ from godelmodal.decider import (
     Refuted,
     SearchConfig,
     Valid,
-    _first_refutation,
     _cover_size,
+    _first_refutation as _first_column_refutation,
     _weak_orders,
     bound_for,
     decide,
@@ -77,6 +77,14 @@ from godelmodal.decider import (
 )
 from godelmodal.semantics import UnknownWorldError, _model, eval_pigf, evaluate_compiled, modal_terms
 from godelmodal.syntax import _TAGS, _tokenize, compile_formulas
+
+
+def _first_refutation(ops, root, rows, t_codes, top):
+    """decider._first_refutation of a model given as code rows (pi, then one
+    code per variable), the form the oracles here keep; the package reads
+    code columns."""
+    return _first_column_refutation(ops, root, list(zip(*rows)), t_codes, top)
+
 
 # --------------------------------------------------------------------------
 # Random formulas

@@ -43,7 +43,7 @@ from godelmodal import (
 )
 from godelmodal import decider
 from godelmodal.decider import _grid, _sweep_size
-from godelmodal.semantics import evaluate_compiled
+from godelmodal.semantics import _Coded, _decode as decode_codes, evaluate_compiled
 from godelmodal.streams import _cost, _samples
 from godelmodal.syntax import SCHEMES, compile_formulas, corpus
 from helpers import (
@@ -93,8 +93,8 @@ def test_bound_examples():
 def sweep_models(n_worlds, n_truth, names, logic):
     """The exhaustive sweep's models of exactly these dimensions."""
     return [
-        decider._materialize(names, rows, t_codes, _grid(top_code, k_grid))
-        for rows, t_codes, top_code, k_grid in _sweep_size(n_worlds, n_truth, names, logic)
+        decode_codes(_Coded(None, names, columns[:1], columns[1:], t_codes, _grid(top_code, k_grid)))
+        for columns, t_codes, top_code, k_grid in _sweep_size(n_worlds, n_truth, names, logic)
     ]
 
 
@@ -156,7 +156,8 @@ def test_sweep_size_matches_the_recursive_enumeration():
         for logic in LogicId:
             for n in range(1, 8 // width + 1):
                 for t in range(2, 9 - n * width):
-                    got = list(_sweep_size(n, t, names, logic))
+                    # the package yields code columns, the oracle code rows
+                    got = [(tuple(zip(*columns)), *rest) for columns, *rest in _sweep_size(n, t, names, logic)]
                     assert got == list(oracle_sweep_size(n, t, names, logic)), (n, t, names, logic)
                     listed += len(got)
     assert listed == 22599
@@ -869,8 +870,10 @@ def test_random_pigf_model_draws_like_the_oracle_sampler():
     model = random_pigf_model(random.Random(1), 300, 4, ("p",), LogicId.KD45)
     rows, anchors = oracle_sample(random.Random(1), 300, 4, 1, LogicId.KD45)
     assert model_to_json(model) == model_to_json(_materialize(("p",), rows, anchors, 120, 120))
-    with pytest.raises(ValueError):
-        random_pigf_model(random.Random(0), 0, 2, ("p",), LogicId.KD45)
+    # no world, or a truth set without both 0 and 1
+    for n_worlds, n_truth in ((0, 2), (1, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            random_pigf_model(random.Random(0), n_worlds, n_truth, ("p",), LogicId.KD45)
 
 
 def test_hits_decode_as_the_grid_rule_decodes():
@@ -894,14 +897,16 @@ def test_hits_decode_as_the_grid_rule_decodes():
             top = k_grid = 120
             if hit.swept:
                 top = len(hit.table) - 1
-                k_grid = len(hit.rows) * (1 + len(hit.names)) + len(hit.truth)
+                k_grid = len(hit.rows[0]) * (1 + len(hit.names)) + len(hit.truth)
             for h in (hit, decider._shrunk(f, hit, logic)):
                 got = decider._refuted(f, h)
-                model = _materialize(h.names, h.rows, h.truth[1:-1], top, k_grid, h.worlds)
+                # the grid rule reads code rows: pi, then one code per variable
+                rows = list(zip(*h.rows, *h.columns))
+                model = _materialize(h.names, rows, h.truth[1:-1], top, k_grid, h.worlds)
                 assert model_to_json(got.countermodel) == model_to_json(model), (f, logic)
                 assert (got.world, got.value) == (model.worlds[h.world], _decode(h.code, top, k_grid))
                 seen["swept" if hit.swept else "random"] += 1
-                seen["interior"] += any(0 < c < top for row in h.rows for c in row)
+                seen["interior"] += any(0 < c < top for row in rows for c in row)
                 seen["interior value"] += 0 < h.code
     assert min(seen.values()) > 20 and len(seen) == 4, seen
 
@@ -1041,6 +1046,13 @@ def test_shrink_requires_a_countermodel():
     model = PiGFModel(PiGModel(["a"], {"a": ONE}, {"a": {"p": ONE}}), TruthSet([ZERO, ONE]))
     with pytest.raises(ValueError):
         shrink(model, "a", parse("p"), LogicId.K45)
+
+
+def test_shrink_requires_a_truth_set():
+    pig = PiGModel(["a"], {"a": ONE}, {"a": {"p": ZERO}})
+    for model in (pig, embed_pig(pig)):
+        with pytest.raises(TypeError, match="PiGFModel"):
+            shrink(model, "a", parse("p"), LogicId.K45)
 
 
 def sparse_or_wider(rng, model: PiGFModel) -> PiGFModel:
@@ -1199,10 +1211,12 @@ def test_shrink_codes_match_the_shrink_that_evaluated_unread_snaps():
         if len(refuting) < 2:
             continue
         anchor = rng.choice(refuting[1:])
-        got_rows, want_rows = [list(row) for row in rows], [list(row) for row in rows]
+        # the package snaps code columns in place, the oracle code rows
+        got_columns, want_rows = [list(column) for column in zip(*rows)], [list(row) for row in rows]
         args = (list(truth), top, logic, anchor, values[anchor])
-        got = decider._shrink_codes(ops, root, got_rows, *args)
+        got = decider._shrink_codes(ops, root, got_columns, *args)
         want = oracle_shrink_codes(ops, root, want_rows, *args)
+        got_rows = [list(row) for row in zip(*got_columns)]
         assert (got, got_rows) == (want, want_rows), (f, logic, rows, truth, anchor)
         kinds["models"] += 1
         kinds["unread snapped"] += any(

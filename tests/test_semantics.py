@@ -33,7 +33,7 @@ from godelmodal import (
     transport,
     variables,
 )
-from godelmodal.semantics import evaluate_compiled, modal_terms
+from godelmodal.semantics import _decode, _encode, evaluate_compiled, modal_terms
 from godelmodal.syntax import compile_formulas
 from helpers import (
     oracle_apply_embedding,
@@ -576,6 +576,33 @@ def test_model_json_round_trips():
         assert model_from_json(model_to_json(pigf)) == pigf
         rel = embed_pig(pig)
         assert model_from_json(model_to_json(rel)) == rel
+
+
+def test_code_form_round_trips_through_the_encoder_and_the_decoder():
+    # _encode is the one place an exact model becomes codes and _decode the
+    # one place codes become a model
+    rng = random.Random(2727)
+    for _ in range(300):
+        names = ("p", "q", "r")[: rng.randint(0, 3)]
+        m = random_pigf(rng, rng.randint(1, 5), names)
+        # the valuation rows hold every variable of names
+        assert model_to_json(_decode(_encode(m, names))) == model_to_json(m)
+        # with the model's own rows kept, rows that leave variables or
+        # worlds out come back as they were; model_to_json cannot tell a
+        # missing row from an empty one, so the models are compared
+        rows = {w: {p: v for p, v in row.items() if rng.random() < 0.6} for w, row in m.base.valuation.items()}
+        kept = {w: rows[w] for w in m.worlds if rng.random() < 0.7}
+        sparse = PiGFModel(PiGModel(m.worlds, m.pi, kept), m.truth_set)
+        assert _decode(_encode(sparse, names), kept) == sparse
+        n = rng.randint(1, 6)
+        rel = random_relational(rng, n, names, distinct_rows=n > 1) if n % 2 else random_sparse_relational(rng, n)
+        coded = _encode(rel, names)
+        ws = rel.worlds
+        assert [[coded.table[c] for c in row] for row in coded.rows] == [[rel.rel(w, u) for u in ws] for w in ws]
+        assert [[coded.table[c] for c in column] for column in coded.columns] == [
+            [rel.value(w, p) for w in ws] for p in names
+        ]
+        assert coded.truth is None
 
 
 def test_model_json_class_selection_and_errors():
