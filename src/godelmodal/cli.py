@@ -5,6 +5,13 @@ found, 2 search exhausted without an answer, 3 bad usage or input, 4
 internal error, with a traceback on stderr.  A formula is never refused for
 its nesting depth: parsing and every walk over it are iterative.
 Machine-readable results go to stdout, diagnostics to stderr.
+``godelmodal --help`` and ``godelmodal <command> --help`` print usage to
+stdout and exit 0.
+
+A command's own parser reads its arguments: when the first argument names a
+command, the rest goes straight to that command's parser.  The top-level
+parser reads only argv that names no command (none, ``--help``, an unknown
+word, a flag first), where it prints help or reports the usage error.
 """
 
 from __future__ import annotations
@@ -50,7 +57,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and each command's parser by command name."""
     parser = _Parser(
         prog="godelmodal",
         description="Possibilistic semantics and validity checking for Godel modal logics.",
@@ -90,7 +98,7 @@ def _build_parser() -> _Parser:
     fr.add_argument("--model", required=True)
     fr.set_defaults(handler=_run_frame)
 
-    return parser
+    return parser, {"check": check, "countermodel": cm, "eval": ev, "corpus": co, "frame": fr}
 
 
 def _print_json(doc: dict) -> None:
@@ -178,15 +186,28 @@ def _run_frame(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """_PARSER.parse_args(argv) without the command's name: when argv[0]
+    names a command, its own parser reads the rest in one pass, where the
+    top-level parser would classify every argument before handing them all
+    to it."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    return command.parse_args(argv[1:])
 
 
 def run(argv: list[str]) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit:  # only -h/--help exits, once argparse has printed the help
+        return EXIT_OK
     try:
         return args.handler(args)
     except (ValueError, KeyError) as exc:  # ParseError is a ValueError

@@ -221,8 +221,11 @@ def _parse(text: str, allow_meta: bool) -> Formula:
     depth = 0  # "lpar" entries on pending, counted so that none is searched for
     order: dict[Formula, int] = {}  # the recorded nodes and their positions
 
-    def push(node: Formula) -> None:
-        _postorder([node], order)  # with the nodes a desugaring made under it
+    def push(node: Formula, primitive: bool) -> None:
+        if primitive:  # made by a node class from recorded operands
+            order.setdefault(node, len(order))
+        else:  # with the nodes a desugaring made under it
+            _postorder([node], order)
         operands.append(node)
 
     def reduce(threshold: int) -> None:
@@ -231,10 +234,12 @@ def _parse(text: str, allow_meta: bool) -> Formula:
         while pending and pending[-1] != "lpar":
             kind = pending[-1]
             if kind in _UNARY:
-                push(_UNARY[kind](operands.pop()))
+                build = _UNARY[kind]
+                push(build(operands.pop()), isinstance(build, type))
             elif _BINARY[kind][0] >= threshold:
+                build = _BINARY[kind][2]
                 right = operands.pop()
-                push(_BINARY[kind][2](operands.pop(), right))
+                push(build(operands.pop(), right), isinstance(build, type))
             else:
                 return
             pending.pop()
@@ -246,13 +251,13 @@ def _parse(text: str, allow_meta: bool) -> Formula:
             pending.append(kind)
             continue
         if kind == "zero":
-            push(BOT)
+            push(BOT, False)
         elif kind == "one" or word == "top":
-            push(top())
+            push(top(), False)
         elif kind == "ident":
             if word[0].isupper() and not allow_meta:
                 raise ParseError(f"variable {word!r} must start lowercase", pos)
-            push(Var(word))
+            push(Var(word), True)
         else:
             raise ParseError(f"expected a formula, found {word!r}" if word else "unexpected end of input", pos)
         # An operand is complete: close parentheses until a binary operator.

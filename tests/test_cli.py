@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from godelmodal import LogicId, RelationalModel, SearchConfig, decider, model_to_json, parse, render, semantics
+from godelmodal import cli
 from godelmodal.cli import run
 from helpers import (
     count_compile_walks,
@@ -603,6 +604,104 @@ def test_bad_logic_choice_is_usage_error(capsys):
 def test_no_command_is_usage_error(capsys):
     code, out, err = invoke(capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [(["--help"], "usage: godelmodal "), (["countermodel", "--help"], "usage: godelmodal countermodel ")],
+)
+def test_help_returns_exit_ok(capsys, argv, usage):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(usage)
+
+
+# Argument tails for each command: abbreviations, --flag=value, negative ints,
+# "--", repeated flags, help, unknown flags, bad choices, bad ints, and missing
+# and extra positionals.
+_SEARCH_TAILS = [
+    ["p"],
+    ["--logic", "kd45", "--mode", "random", "--budget", "5", "--seed", "3", "--max-worlds", "2", "--max-truth", "3", "p -> q"],
+    ["--lo", "s5", "--max-w", "2", "--max-t=4", "p"],
+    ["--max", "2", "p"],
+    ["--logic=kd45", "--budget=7", "p"],
+    ["--seed", "-1", "--budget=-5", "p"],
+    ["-1"],
+    ["--seed", "2", "--", "~p"],
+    ["--", "p", "q"],
+    ["p", "--"],
+    ["--seed", "1", "--seed", "2", "p"],
+    ["p", "--help"],
+    ["--logic", "k99", "p"],
+    ["--mode", "fast", "p"],
+    ["--budget", "ten", "p"],
+    ["--seed", "1.5", "p"],
+    ["--budget"],
+    ["--logic", "k45"],
+    ["p", "q"],
+]
+_ARGV_TAILS = {
+    "check": _SEARCH_TAILS,
+    "countermodel": _SEARCH_TAILS,
+    "eval": [
+        ["--model", "m.json", "p"],
+        ["--model=m.json", "--world", "a", "p"],
+        ["--mod", "m.json", "--w=-1", "p"],
+        ["--model", "m.json", "--", "--world"],
+        ["--model", "a", "--model", "b", "p"],
+        ["p"],
+        ["--world", "a"],
+        ["--model", "m.json", "p", "q"],
+    ],
+    "corpus": [
+        ["--logic", "s5", "--budget", "3", "--seed", "-2"],
+        ["--lo=kd45", "--bu", "4"],
+        ["--seed", "1", "--seed", "2"],
+        ["--budget", "x"],
+        ["--logic", "k99"],
+        ["p"],
+        ["--", "p"],
+    ],
+    "frame": [
+        ["--model", "m.json"],
+        ["--mo=m.json"],
+        ["--model", "a", "--model", "b"],
+        ["--model"],
+        ["p"],
+        ["--model", "m.json", "--", "p"],
+    ],
+}
+_COMMON_TAILS = [[], ["-h"], ["--help"], ["--he"], ["-h", "p"], ["--nosuch"], ["-x", "p"], ["--"], ["--", "p"]]
+_TOP_LEVEL_ARGVS = [[], ["--help"], ["-h"], ["nosuch", "p"], ["Check", "p"], ["--logic", "k45", "check", "p"], ["--", "check", "p"]]
+
+
+def _parse_outcome(parse, argv):
+    """What parsing argv ends in: the namespace without the command's name,
+    a usage error's text, or argparse's exit with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parse(list(argv))
+    except cli._UsageError as exc:
+        return "usage error", str(exc), out.getvalue(), err.getvalue()
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+    fields = {k: v for k, v in vars(args).items() if k != "command"}
+    return "namespace", fields, out.getvalue(), err.getvalue()
+
+
+def test_command_parser_reads_argv_as_the_top_level_parser_does():
+    # Each command's own parser against the top-level parser that hands it
+    # the arguments: argparse's behaviour may drift between Python versions.
+    seen = set()
+    argvs = [[command, *tail] for command, tails in _ARGV_TAILS.items() for tail in tails + _COMMON_TAILS]
+    for argv in argvs + _TOP_LEVEL_ARGVS:
+        expected = _parse_outcome(cli._PARSER.parse_args, argv)
+        assert _parse_outcome(cli._parse_args, argv) == expected, argv
+        seen.add((argv[0] if argv else None, expected[0]))
+    # every command meets all three outcomes
+    for command in _ARGV_TAILS:
+        assert {kind for name, kind in seen if name == command} == {"namespace", "usage error", "exit"}, command
 
 
 # -- fuzzing ---------------------------------------------------------------------------
