@@ -102,7 +102,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False))
+    # every document is a plain tree, so the circular-reference check finds nothing
+    print(json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False))
 
 
 def _load_model(path: str):
@@ -176,10 +177,11 @@ def _run_frame(args: argparse.Namespace) -> int:
             "transitive": report.transitive,
             "euclidean": report.euclidean,
             "serial": report.serial,
+            # json writes the witness tuples as lists
             "witnesses": {
-                "transitivity": [list(t) for t in report.transitivity_witnesses],
-                "euclidean": [list(t) for t in report.euclidean_witnesses],
-                "seriality": list(report.seriality_witnesses),
+                "transitivity": report.transitivity_witnesses,
+                "euclidean": report.euclidean_witnesses,
+                "seriality": report.seriality_witnesses,
             },
         }
     )

@@ -17,9 +17,10 @@ the bound 2(l + 2) would meet.
 
 Random mode samples models instead, and hybrid tries random first.  Samples
 come in batches that double from 1 to 256 models.  A batch is drawn
-straight into shared code columns, one block per model, and evaluated in
-one pass of the op list; the draws read the seeded stream exactly as
-sampling one model at a time does, so the first countermodel is the same.
+straight into packed code columns, the models end to end, and evaluated in
+one pass of the op list, each modal op in one pass over the batch's
+worlds; the draws read the seeded stream exactly as sampling one model at
+a time does, so the first countermodel is the same.
 The draws never read the formula, so searches that agree on the seed, the
 size caps and the batch cap share one stream, which a process keeps in a
 streams._Streams table; the table decides what is read, drawn and kept,
@@ -221,7 +222,7 @@ def _first_refutation(
 ) -> tuple[int, int] | None:
     """The first world whose root code is below top, with that code, in a
     model given as integer code columns (pi, then one per variable)."""
-    values = evaluate_compiled(ops, columns[1:], [(columns[:1], t_codes)], top)[root]
+    values = evaluate_compiled(ops, columns[1:], (columns[:1], t_codes), top)[root]
     for idx, code in enumerate(values):
         if code != top:
             return idx, code
@@ -645,8 +646,8 @@ def random_pigf_model(
         raise ValueError("a model needs at least one world")
     if n_truth < 2:
         raise ValueError("n_truth must be at least 2")
-    columns, [(rows, truth)] = _unpack(_draw(rng, 1, len(var_names), logic, n_worlds, n_truth), 1, len(var_names))
-    return _decode(_Coded(None, tuple(var_names), rows, columns, truth, _grid(_GRID, _GRID)))
+    columns, (pi, _, (truth,)) = _unpack(_draw(rng, 1, len(var_names), logic, n_worlds, n_truth), 1, len(var_names))
+    return _decode(_Coded(None, tuple(var_names), [pi], columns, truth, _grid(_GRID, _GRID)))
 
 
 def random_search(
@@ -673,13 +674,20 @@ def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
     first samples as cheap as one sample.  _STREAMS.batches reads, draws
     and keeps the batches.
 
+    Each batch is evaluated straight from its packed bytes: streams._unpack
+    slices its code columns and its frame, the pi codes, world counts and
+    truth sets, and the hit's world offset, pi codes, columns and truth set
+    are read from that frame.
+
     Memory: a batch of b samples of at most w worlds holds b * w values per
-    op, b times what one sample holds.  Codes are small ints, which CPython
-    shares, so a value costs one 8-byte list slot.  The batch cap is lowered
-    so that b * w * len(ops) stays within _BATCH_VALUES (8 MiB of slots)
-    unless one sample alone holds more; a formula of a few dozen ops at the
-    default 5-world cap runs full 256-sample batches of at most 1280 worlds,
-    a few hundred KiB.
+    op, b times what one sample holds.  A var op's values are its column's
+    bytes, one byte each.  Other codes are small ints, which CPython shares,
+    so a value costs one 8-byte list slot; the frame adds one count and one
+    truth set slice per sample.  The batch cap is lowered so that b * w *
+    len(ops) stays within _BATCH_VALUES (8 MiB of slots) unless one sample
+    alone holds more; a formula of a few dozen ops at the default 5-world
+    cap runs full 256-sample batches of at most 1280 worlds, a few hundred
+    KiB.
     """
     ops, (root,), names = compile_formulas([f])
     bound = bound_for(f)
@@ -691,21 +699,21 @@ def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
     key = (cfg.seed, most, len(names), logic, worlds_cap, n_truth, caps)
     with closing(_STREAMS.batches(key, cfg.budget, _draw)) as batches:
         for data, count in batches:
-            columns, blocks = _unpack(data, count, len(names))
-            values = evaluate_compiled(ops, columns, blocks, _GRID)[root]
+            columns, frame = _unpack(data, count, len(names))
+            values = evaluate_compiled(ops, columns, frame, _GRID)[root]
             if values.count(_GRID) < len(values):
                 break
         else:
             return None
     hit = next(w for w, v in enumerate(values) if v != _GRID)
+    pi, counts, truths = frame
     start = 0
-    for rows, truth in blocks:
-        n = len(rows[0])
+    for j, n in enumerate(counts):
         if hit < start + n:
             break
         start += n
     sample = [column[start:start + n] for column in columns]
-    return _Hit(None, names, rows, sample, truth, _grid(_GRID, _GRID), hit - start, values[hit])
+    return _Hit(None, names, [pi[start:start + n]], sample, truths[j], _grid(_GRID, _GRID), hit - start, values[hit])
 
 
 def _search(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | Valid | None:

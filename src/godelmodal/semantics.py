@@ -11,14 +11,15 @@ Three model classes:
                    R(w, .) where the possibilistic classes use pi.
 
 All three are evaluated by one function, evaluate_compiled, over a formula
-compiled once by syntax.compile_formulas into a postorder op list.  A model
-is passed as a block, its accessibility rows and truth set, with its
-worlds' values in per-variable columns.  In the possibilistic semantics box
-and diamond values do not depend on the world, so a possibilistic block
-has one shared accessibility row (pi); a relational block has one row per
-world.  Several blocks laid end to end in the columns are evaluated in one
-pass: propositional ops run once over all their worlds, modal ops reduce
-and round block by block.
+compiled once by syntax.compile_formulas into a postorder op list.  The
+worlds' values lie in per-variable columns, and one frame per call gives
+the accessibility and the truth sets.  In the possibilistic semantics
+R(w, w') = pi(w'), so box and diamond values do not depend on the world: a
+possibilistic model has one shared accessibility row (pi), a relational
+one a row per world.  A frame is one model's rows and truth set, or a
+batch of possibilistic models laid end to end: their pi codes, world
+counts and truth sets.  Propositional ops run once over all worlds; a
+modal op of a batch walks its worlds in one pass and rounds once per model.
 
 The evaluator only ever reads the order of values, so it runs on integer
 codes.  A model in code form is one _Coded.  _encode is the one place an
@@ -26,10 +27,10 @@ exact model becomes codes, by rank with algebra._rank_codes, an order
 embedding into the integers: evaluate (so the eval_* functions),
 filtrate, frame_report and decider.shrink take their codes from it.
 _decode is the one place codes become an exact model.  The decider's
-random search evaluates a batch of its own sampled codes in one call; its
-world-type search has a bit-set evaluator of its own.  filtrate picks
-witness worlds from modal_terms, each world's term of a box or diamond
-value.
+random search evaluates each batch of its sampled codes in one call,
+straight from the packed bytes; its world-type search has a bit-set
+evaluator of its own.  filtrate picks witness worlds from modal_terms,
+each world's term of a box or diamond value.
 
 frame_report reads a possibilistic model's frame properties off pi in
 closed form, and checks a relational model's on the codes of its
@@ -41,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
@@ -205,22 +206,39 @@ def modal_terms(tag: str, row: Sequence, body: Sequence, top) -> list:
 def evaluate_compiled(
     ops: list[tuple],
     columns: Sequence[Sequence],
-    blocks: Sequence[tuple[Sequence[Sequence], Sequence | None]],
+    frame: tuple,
     top: int,
 ) -> list[list]:
     """Values of every compiled op at every world, in world order.
 
     The domain is integer codes with bottom 0 and top top, in the order of
     the values they code: a model's rank codes from _encode, or the
-    decider's own codes.  blocks holds one pair (rows, truth) per model, as
-    a _Coded holds them, and the models' worlds lie end to end in columns,
-    one per variable.  A block's world count is len(rows[0]).  Its box
-    values are rounded down into a sorted truth set and diamond values up,
-    or are exact with None.  Propositional ops run once over all blocks'
-    worlds.  A modal value, the least or greatest
-    of a row's modal_terms, is computed once per row of its own block; a
-    shared row's value is broadcast over its block.
+    decider's own codes.  columns holds one code column per variable.
+    frame gives the accessibility and the truth sets, in one of two forms.
+
+    One model is (rows, truth), as a _Coded holds them: rows is one shared
+    pi row or one R(w, .) row per world, and truth its sorted truth set
+    codes, or None when modal values are exact.  A modal value, the least
+    or greatest of a row's modal_terms, is computed once per row; a shared
+    row's value is broadcast over the worlds.
+
+    A batch of possibilistic models is (pi, counts, truths), as
+    streams._unpack slices it: the models' pi codes end to end, as their
+    worlds lie in columns, each model's world count and each model's sorted
+    truth set codes.  A modal op walks all the batch's worlds in one pass,
+    counting down each model's worlds, and broadcasts each model's value
+    over them.
+
+    Box values are rounded down into a truth set and diamond values up.
+    Propositional ops run once over all worlds.
     """
+    batch = len(frame) == 3
+    if batch:
+        pi, counts, truths = frame
+        n = len(pi)
+    else:
+        rows, truth = frame
+        n = len(rows[0])
     vals = [None] * len(ops)
     for i, op in enumerate(ops):
         tag = op[0]
@@ -231,37 +249,63 @@ def evaluate_compiled(
         elif tag == "var":
             out = columns[op[1]]
         elif tag == "bot":
-            out = [0] * sum(len(rows[0]) for rows, _ in blocks)
+            out = [0] * n
+        elif batch:
+            # the least (greatest) of each model's modal_terms, found in one
+            # pass without building them; k counts the worlds of the model
+            # at hand still to read
+            per_model = []
+            sizes = iter(counts)
+            bounds = iter(truths)
+            k = next(sizes)
+            if tag == "box":
+                c = top
+                for p, x in zip(pi, vals[op[1]]):
+                    if p > x and x < c:
+                        c = x
+                    k -= 1
+                    if not k:
+                        t = next(bounds)
+                        per_model.append(t[bisect_right(t, c) - 1])
+                        c = top
+                        k = next(sizes, 0)
+            else:
+                c = 0
+                for p, x in zip(pi, vals[op[1]]):
+                    v = p if p < x else x
+                    if v > c:
+                        c = v
+                    k -= 1
+                    if not k:
+                        t = next(bounds)
+                        per_model.append(t[bisect_left(t, c)])
+                        c = 0
+                        k = next(sizes, 0)
+            out = list(chain.from_iterable(map(repeat, per_model, counts)))
         else:
             body = vals[op[1]]
             box = tag == "box"
             out = []
-            rest = iter(body)  # the blocks' values in turn
-            for rows, truth in blocks:
-                k = len(rows[0])
-                # zip(row, rest) takes just the k values of a shared row's block
-                part = rest if len(rows) == 1 else list(islice(rest, k))
-                # the least (greatest) of each row's modal_terms, found in
-                # one pass without building them, which is cheaper on small
-                # models
-                for row in rows:
-                    if box:
-                        c = top
-                        for p, x in zip(row, part):
-                            if p > x and x < c:
-                                c = x
-                        c = c if truth is None else truth[bisect_right(truth, c) - 1]
-                    else:
-                        c = 0
-                        for p, x in zip(row, part):
-                            v = p if p < x else x
-                            if v > c:
-                                c = v
-                        c = c if truth is None else truth[bisect_left(truth, c)]
-                    out.append(c)
-                if len(rows) < k:
-                    # a shared row's value holds at every world of its block
-                    out += [c] * (k - 1)
+            # the least (greatest) of each row's modal_terms, found in one
+            # pass without building them, which is cheaper on small models
+            for row in rows:
+                if box:
+                    c = top
+                    for p, x in zip(row, body):
+                        if p > x and x < c:
+                            c = x
+                    c = c if truth is None else truth[bisect_right(truth, c) - 1]
+                else:
+                    c = 0
+                    for p, x in zip(row, body):
+                        v = p if p < x else x
+                        if v > c:
+                            c = v
+                    c = c if truth is None else truth[bisect_left(truth, c)]
+                out.append(c)
+            if len(rows) < n:
+                # a shared row's value holds at every world
+                out *= n
         vals[i] = out
     return vals
 
@@ -285,7 +329,7 @@ class _Coded:
 
     def values(self, ops: list[tuple]) -> list[list[int]]:
         """Every op's codes at every world."""
-        return evaluate_compiled(ops, self.columns, [(self.rows, self.truth)], len(self.table) - 1)
+        return evaluate_compiled(ops, self.columns, (self.rows, self.truth), len(self.table) - 1)
 
 
 def _encode(model: PiGModel | PiGFModel | RelationalModel, names: Sequence[str]) -> _Coded:

@@ -17,7 +17,7 @@ import sys
 import threading
 from array import array
 from collections import OrderedDict
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Iterator
 
 # the bytes of a packed count
@@ -55,22 +55,21 @@ def _samples(data: bytes) -> int:
 
 def _unpack(
     data: bytes, count: int, n_vars: int
-) -> tuple[list[bytes], list[tuple[list[bytes], bytes]]]:
+) -> tuple[list[bytes], tuple[bytes, list[int], list[bytes]]]:
     """The first count models of a packed batch, in evaluate_compiled's
-    form, as slices of data: one code column per variable, the models end
-    to end, and one block ([pi], truth set codes) per model."""
+    batch form, sliced straight from data: one code column per variable,
+    the models end to end, and the frame (pi, counts, truths) of their pi
+    codes end to end, their world counts and one truth set slice each."""
     size = _samples(data)
     head = (1 + size) * _UINT
     worlds = memoryview(data)[_UINT:head].cast("I")
     total = sum(worlds)
-    used = sum(worlds[:count])
+    counts = worlds[:count].tolist()
+    used = sum(counts)
     pi = head + size
     columns = [data[pi + total * v:pi + total * v + used] for v in range(1, 1 + n_vars)]
-    pis = list(accumulate(worlds[:count], initial=pi))
-    truths = list(accumulate(data[head:head + count], initial=pi + total * (1 + n_vars)))
-    return columns, [
-        ([data[a:b]], data[c:d]) for a, b, c, d in zip(pis, pis[1:], truths, truths[1:])
-    ]
+    truths = accumulate(data[head:head + count], initial=pi + total * (1 + n_vars))
+    return columns, (data[pi:pi + used], counts, [data[a:b] for a, b in pairwise(truths)])
 
 
 def _cost(key: tuple, batches: tuple[bytes, ...]) -> int:

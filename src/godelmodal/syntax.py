@@ -25,10 +25,12 @@ are written once, in _BINARY, which the printer reads too.
 from __future__ import annotations
 
 import re
+import string
 import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import count
 from typing import Mapping, Sequence
 
 
@@ -163,38 +165,48 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<iff><->)
-      | (?P<imp>->)
-      | (?P<box>\[\])
-      | (?P<dia><>)
-      | (?P<and>&)
-      | (?P<or>\|)
-      | (?P<not>~)
-      | (?P<lpar>\()
-      | (?P<rpar>\))
-      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<zero>0)
-      | (?P<one>1)
-    """,
-    re.VERBOSE,
-)
+# One token after any whitespace: an operator, a constant, an identifier,
+# or any other character, which no kind names.  It is run on text without
+# trailing whitespace, where a search from each position of that whitespace
+# would scan the rest of it, quadratic time in all.
+_TOKEN_RE = re.compile(r"\s*(<->|->|\[\]|<>|[&|~()01]|[A-Za-z][A-Za-z0-9_]*|\S)")
+# token text -> kind; an identifier's kind is found by its first letter
+_KINDS = {
+    "<->": "iff",
+    "->": "imp",
+    "[]": "box",
+    "<>": "dia",
+    "&": "and",
+    "|": "or",
+    "~": "not",
+    "(": "lpar",
+    ")": "rpar",
+    "0": "zero",
+    "1": "one",
+    **dict.fromkeys(string.ascii_letters, "ident"),
+}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unknown token {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _position(text: str, i: int) -> int:
+    """The position of text's token i, or len(text) past the last token."""
+    for j, m in enumerate(_TOKEN_RE.finditer(text.rstrip())):
+        if j == i:
+            return m.start(1)
+    return len(text)
+
+
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of text's tokens, in one findall, then the
+    kind "end" with the text "".  An unknown character raises ParseError
+    before any token is parsed."""
+    words = _TOKEN_RE.findall(text.rstrip())
+    kinds = [_KINDS.get(word) or _KINDS.get(word[0]) for word in words]
+    if None in kinds:
+        i = kinds.index(None)
+        raise ParseError(f"unknown token {words[i]!r}", _position(text, i))
+    kinds.append("end")
+    words.append("")
+    return kinds, words
 
 
 # Token kind -> (precedence, right associative, builder), loosest first;
@@ -215,7 +227,7 @@ def _parse(text: str, allow_meta: bool) -> Formula:
     Operands complete left to right, each node after its children, so the
     nodes recorded as this parse makes or meets them are in _postorder's
     order, and the root's compile is built from them (see compile_formulas)."""
-    tokens = iter(_tokenize(text))
+    tokens = zip(count(), *_tokenize(text))
     operands: list[Formula] = []
     pending: list[str] = []  # token kinds: "lpar", unary and binary operators
     depth = 0  # "lpar" entries on pending, counted so that none is searched for
@@ -245,7 +257,7 @@ def _parse(text: str, allow_meta: bool) -> Formula:
             pending.pop()
 
     while True:
-        kind, word, pos = next(tokens)
+        i, kind, word = next(tokens)
         if kind in _UNARY or kind == "lpar":
             depth += kind == "lpar"
             pending.append(kind)
@@ -256,12 +268,13 @@ def _parse(text: str, allow_meta: bool) -> Formula:
             push(top(), False)
         elif kind == "ident":
             if word[0].isupper() and not allow_meta:
-                raise ParseError(f"variable {word!r} must start lowercase", pos)
+                raise ParseError(f"variable {word!r} must start lowercase", _position(text, i))
             push(Var(word), True)
         else:
-            raise ParseError(f"expected a formula, found {word!r}" if word else "unexpected end of input", pos)
+            message = f"expected a formula, found {word!r}" if word else "unexpected end of input"
+            raise ParseError(message, _position(text, i))
         # An operand is complete: close parentheses until a binary operator.
-        for kind, word, pos in tokens:
+        for i, kind, word in tokens:
             if kind in _BINARY:
                 prec, right, _ = _BINARY[kind]
                 reduce(prec + right)
@@ -272,14 +285,14 @@ def _parse(text: str, allow_meta: bool) -> Formula:
                 pending.pop()
                 depth -= 1
             elif depth:
-                raise ParseError("expected ')'", pos)
+                raise ParseError("expected ')'", _position(text, i))
             elif kind == "end":
                 reduce(0)
                 if getattr(operands[0], "_compiled", None) is None:
                     _compile(order, operands)  # the root alone
                 return operands[0]
             else:
-                raise ParseError(f"unexpected {word!r}", pos)
+                raise ParseError(f"unexpected {word!r}", _position(text, i))
 
 
 def parse(text: str) -> Formula:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -76,7 +77,7 @@ from godelmodal.decider import (
     verdict_to_json,
 )
 from godelmodal.semantics import UnknownWorldError, _model, eval_pigf, evaluate_compiled, modal_terms
-from godelmodal.syntax import _TAGS, _tokenize, compile_formulas
+from godelmodal.syntax import _TAGS, compile_formulas
 
 
 def _first_refutation(ops, root, rows, t_codes, top):
@@ -138,9 +139,47 @@ def random_formula_bounded(
 # --------------------------------------------------------------------------
 
 
+_ORACLE_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<iff><->)
+      | (?P<imp>->)
+      | (?P<box>\[\])
+      | (?P<dia><>)
+      | (?P<and>&)
+      | (?P<or>\|)
+      | (?P<not>~)
+      | (?P<lpar>\()
+      | (?P<rpar>\))
+      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<zero>0)
+      | (?P<one>1)
+    """,
+    re.VERBOSE,
+)
+
+
+def _oracle_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The package's regex tokenizer as it was, one match per token,
+    whitespace included: (kind, text, position) triples, then ("end", "",
+    len(text)).  An unknown character raises ParseError at its position
+    before any token is parsed."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unknown token {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind != "ws":
+            tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
 class _RecursiveParser:
     def __init__(self, text: str, allow_meta: bool) -> None:
-        self.tokens = _tokenize(text)
+        self.tokens = _oracle_tokenize(text)
         self.i = 0
         self.allow_meta = allow_meta
 
@@ -1121,7 +1160,7 @@ def oracle_shrink(
 
     live = list(model.worlds)
     codes = list(zip(*rows.values()))
-    at_world = evaluate_compiled(ops, codes[1:], [(codes[:1], truth)], top)[root]
+    at_world = evaluate_compiled(ops, codes[1:], (codes[:1], truth), top)[root]
     if at_world[live.index(world)] == top:
         raise ValueError("shrink needs a countermodel")
     if not lawful(live):

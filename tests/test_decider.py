@@ -45,7 +45,7 @@ from godelmodal import decider
 from godelmodal.decider import _grid, _sweep_size
 from godelmodal.semantics import _Coded, _decode as decode_codes, evaluate_compiled
 from godelmodal.streams import _cost, _samples
-from godelmodal.syntax import SCHEMES, compile_formulas, corpus
+from godelmodal.syntax import SCHEMES, _postorder, compile_formulas, corpus
 from helpers import (
     _decode,
     _materialize,
@@ -614,15 +614,83 @@ def kept_samples():
 
 def oracle_batch(rng, count, n_vars, logic, worlds_cap, n_truth, caps):
     # count oracle samples in streams._unpack's form: one code column per
-    # variable, the models end to end, and one block ([pi], truth) per model
-    columns, blocks = [b""] * n_vars, []
+    # variable, the models end to end, and the frame of their pi codes end
+    # to end, their world counts and their truth sets
+    columns, pis, counts, truths = [b""] * n_vars, b"", [], []
     for _ in range(count):
         n = rng.randint(1, worlds_cap)
         rows, anchors = oracle_sample(rng, n, rng.randint(2, caps[n]), n_vars, logic)
         pi, *values = zip(*rows)
         columns = [column + bytes(v) for column, v in zip(columns, values)]
-        blocks.append(([bytes(pi)], bytes([0, *anchors, 120])))
-    return columns, blocks
+        pis += bytes(pi)
+        counts.append(n)
+        truths.append(bytes([0, *anchors, 120]))
+    return columns, (pis, counts, truths)
+
+
+def test_unpacked_frames_evaluate_each_sample_as_the_oracle_does_alone():
+    # _unpack's frame of the first count samples of a packed batch, count
+    # ending inside the batch or at its end, gives every op of every sampled
+    # model the values the recursive oracle gives that model alone, code c
+    # read as c/120; the batch is the oracle's samples.  Rounding into a
+    # sample's truth set keeps some modal values, which are members already,
+    # and moves others.
+    rng = random.Random(44)
+    f = parse("[](p -> <>q) & (<>p | ~[]q) -> <>[]p | []<>~q")
+    ops, _, names = compile_formulas([f])
+    nodes = list(_postorder([f]))
+    rounding = Counter()
+    for logic, size in product(LOGICS, (1, 6, 64)):
+        args = (len(names), logic, 5, 6, (2, 6, 6, 6, 6, 6))
+        state = rng.getstate()
+        data = decider._draw(rng, size, *args)
+        for count in {1, size // 2 + 1, size}:
+            rng.setstate(state)
+            columns, frame = decider._unpack(data, count, len(names))
+            assert (columns, frame) == oracle_batch(rng, count, *args)
+            values = evaluate_compiled(ops, columns, frame, 120)
+            start = 0
+            for k, truth in zip(frame[1], frame[2]):
+                worlds = range(k)
+                pi = frame[0][start:start + k]
+                access = lambda w, u: _decode(pi[u], 120, 120)
+                valuation = {w: {p: _decode(column[start + w], 120, 120) for p, column in zip(names, columns)} for w in worlds}
+                levels = [_decode(t, 120, 120) for t in truth]
+                for g, got in zip(nodes, values):
+                    want = [oracle_eval(worlds, access, valuation, w, g, levels) for w in worlds]
+                    assert [_decode(c, 120, 120) for c in got[start:start + k]] == want, (g, logic, size, count)
+                    if type(g).__name__ in ("Box", "Dia"):
+                        exact = oracle_eval(worlds, access, valuation, 0, g)
+                        rounding["kept" if exact == want[0] else "moved"] += 1
+                start += k
+            assert start == len(values[0]) == len(frame[0])
+    assert min(rounding["kept"], rounding["moved"]) > 100, rounding
+
+
+def test_a_hit_mid_batch_on_a_multi_world_sample_is_the_oracle_hit():
+    # The first hit lies in a batch of 64 or more samples, on a sample of
+    # several worlds that is not the batch's first, at a world that is not
+    # the sample's first: _random_hit reads that world's offset, the
+    # sample's pi codes, columns and truth set from the batch's frame.  A
+    # budget that ends at the hit, inside its batch, finds it too, and one
+    # that ends just before it finds nothing.
+    cases = [
+        ("[](p | q) -> []p | <>q | ~~q", LogicId.KD45, 5, 76),
+        ("([]p <-> q) & (q <-> r) -> ~~r -> r", LogicId.KD45, 8, 118),
+        ("(p <-> <>q) & (q <-> r) -> ~~p -> p", LogicId.S5, 1, 169),
+    ]
+    for text, logic, seed, at in cases:
+        f = parse(text)
+        for budget in (at - 1, at, 600):
+            cfg = SearchConfig("random", budget, seed)
+            found, drawn = oracle_random_search(f, logic, cfg)
+            assert hit_json(f, logic, cfg) == found_json(found), (text, budget)
+            assert (found is None) == (budget < at) and drawn == min(at, budget)
+        hit = decider._random_hit(f, logic, cfg)
+        assert at > 64 and len(hit.rows[0]) > 1 and hit.world > 0
+        model, world, value = found
+        assert hit.table[hit.code] == value and f"w{hit.world + 1}" == world
+        assert list(hit.rows[0]) == [int(model.pi[w] * 120) for w in model.worlds]
 
 
 def test_a_search_draws_its_budget_once(monkeypatch):
@@ -1206,7 +1274,7 @@ def test_shrink_codes_match_the_shrink_that_evaluated_unread_snaps():
             row[0] = top
         truth = sorted({0, top, *rng.sample(range(1, top), rng.randint(0, top - 1))})
         columns = [[row[1 + i] for row in rows] for i in range(len(names))]
-        values = evaluate_compiled(ops, columns, [([[row[0] for row in rows]], truth)], top)[root]
+        values = evaluate_compiled(ops, columns, ([[row[0] for row in rows]], truth), top)[root]
         refuting = [w for w, v in enumerate(values) if v < top]
         if len(refuting) < 2:
             continue

@@ -322,38 +322,47 @@ def test_modal_values_are_the_extremes_of_the_modal_terms():
         row = [rng.randint(0, 9) for _ in range(n)]
         body = [rng.randint(0, 9) for _ in range(n)]
         ops = [("var", 0), ("box", 0), ("dia", 0)]
-        _, box, dia = evaluate_compiled(ops, [body], [([row], None)], 9)
+        _, box, dia = evaluate_compiled(ops, [body], ([row], None), 9)
         assert box == [min(modal_terms("box", row, body, 9))] * n
         assert dia == [max(modal_terms("dia", row, body, 9))] * n
 
 
 def test_blocks_evaluate_as_their_models_do_one_by_one():
-    # models laid end to end in the columns, possibilistic (one shared row)
-    # and relational (one row per world), rounded or exact, give each model
-    # the values the recursive oracle gives it alone, code c read as c/9
+    # the two frame forms: a batch of possibilistic models with truth sets,
+    # laid end to end in the columns, and one model alone, possibilistic
+    # (one shared row) or relational (one row per world), rounded or exact;
+    # each gives every model the values the recursive oracle gives it
+    # alone, code c read as c/9
     rng = random.Random(6)
     f = parse("[](p -> <>q) & (<>p | ~[]q) -> <>[]p")
     ops, (root,), names = compile_formulas([f])
+
+    def oracle(rows, truth, own):
+        worlds = range(len(own[0]))
+        valuation = {w: {p: Fraction(own[i][w], 9) for i, p in enumerate(names)} for w in worlds}
+        full = rows if len(rows) == len(own[0]) else rows * len(own[0])  # R(w, .) for every world
+        access = lambda w, u: Fraction(full[w][u], 9)
+        levels = None if truth is None else [Fraction(t, 9) for t in truth]
+        return [9 * oracle_eval(worlds, access, valuation, w, f, levels) for w in worlds]
+
     for _ in range(300):
-        blocks, columns, alone = [], [[], []], []
+        columns, pis, counts, truths, alone = [[], []], [], [], [], []
         for _ in range(rng.randint(1, 5)):
             k = rng.randint(1, 4)
-            if rng.random() < 0.5:
-                rows = [[rng.randint(0, 9) for _ in range(k)]]
-            else:
-                rows = [[rng.randint(0, 9) for _ in range(k)] for _ in range(k)]
-            truth = rng.choice([None, [0, 9], sorted({0, 9, rng.randint(1, 8), rng.randint(1, 8)})])
+            pi = [rng.randint(0, 9) for _ in range(k)]
+            truth = rng.choice([[0, 9], sorted({0, 9, rng.randint(1, 8), rng.randint(1, 8)})])
             own = [[rng.randint(0, 9) for _ in range(k)] for _ in names]
-            blocks.append((rows, truth))
             for column, values in zip(columns, own):
                 column += values
-            worlds = range(k)
-            valuation = {w: {p: Fraction(own[i][w], 9) for i, p in enumerate(names)} for w in worlds}
-            full = rows if len(rows) == k else rows * k  # R(w, .) for every world
-            access = lambda w, u: Fraction(full[w][u], 9)
-            levels = None if truth is None else [Fraction(t, 9) for t in truth]
-            alone += [9 * oracle_eval(worlds, access, valuation, w, f, levels) for w in worlds]
-        assert evaluate_compiled(ops, columns, blocks, 9)[root] == alone
+            pis += pi
+            counts.append(k)
+            truths.append(truth)
+            alone += oracle([pi], truth, own)
+            # the model alone, in a one-model frame of either kind
+            rows = [pi] if rng.random() < 0.5 else [[rng.randint(0, 9) for _ in range(k)] for _ in range(k)]
+            exact = rng.choice([None, truth])
+            assert evaluate_compiled(ops, own, (rows, exact), 9)[root] == oracle(rows, exact, own)
+        assert evaluate_compiled(ops, columns, (pis, counts, truths), 9)[root] == alone
 
 
 def test_frame_report_total_relation():

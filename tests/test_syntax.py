@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import time
 import tracemalloc
 import weakref
 
@@ -160,7 +161,11 @@ def assert_parses_like_oracle(text):
 
 def test_parser_matches_recursive_oracle():
     rng = random.Random(7)
-    for text in ["", " ", "(", ")", "()", "$", "p)", "(p", "((p)", "p q", "~", "p ->", "p & & q"]:
+    fixed = ["", " ", "(", ")", "()", "$", "p)", "(p", "((p)", "p q", "~", "p ->", "p & & q"]
+    # whitespace beyond spaces, characters that start no token or only a
+    # longer one, and an unknown character after a syntax error
+    fixed += ["\t", "p\u00a0&\nq  ", "é", "p é", "-", "<", "<-p", "<>-", "[p]", "_", "2", "p2_x & q_", "p q $"]
+    for text in fixed:
         assert_parses_like_oracle(text)
     for _ in range(2500):
         assert_parses_like_oracle(random_token_text(rng))
@@ -243,6 +248,21 @@ def test_deep_formula_traversals_do_not_recurse():
     negations = parse("~" * 5000 + "(" * 5000 + "p" + ")" * 5000)
     assert len(compile_formulas([negations])[0]) == 5002
     assert instantiate(template, {"X": P}) is f
+
+
+def test_trailing_whitespace_tokenizes_in_linear_time():
+    # a token search from each position of a trailing whitespace run would
+    # scan the rest of it: 100 000 spaces took minutes that way
+    spaces = " \t\n" * 40_000
+    start = time.perf_counter()
+    assert parse("p" + spaces) == P
+    with pytest.raises(ParseError) as got:
+        parse("p ->" + spaces)
+    assert got.value.position == 4 + len(spaces)
+    with pytest.raises(ParseError) as got:
+        parse("(p" + spaces)
+    assert got.value.position == 2 + len(spaces)
+    assert time.perf_counter() - start < 2
 
 
 def test_render_memory_is_linear_in_the_output():
