@@ -243,63 +243,117 @@ _REFUTED = 1  # requirement bits: some world refutes the formula,
 _NORMAL = 2  # some world has pi = 1 (KD45), and bit 2 + d for modal op d
 
 
-def _weak_orders(n: int) -> list[tuple[int, ...]]:
-    """Every weak order of n items, as onto tuples of block ranks."""
-    orders: list[tuple[int, ...]] = [()]
-    for _ in range(n):
-        longer = []
-        for ranks in orders:
-            r = len(set(ranks))
-            longer += [(*ranks, k) for k in range(r)]  # ties with block k
-            longer += [(*(x + (x >= k) for x in ranks), k) for k in range(r + 1)]  # new block k
-        orders = longer
-    return orders
+def _level_codes(level: int, blocks: int, step: int) -> Iterator[list[int]]:
+    """The codes of the blocks of each row with this many blocks whose
+    highest slot is in the level's group, by slot choice in increasing
+    order: that slot is 2 * level + 1 or 2 * level + 2, or at most 2 at
+    level 0.  A block in slot s is code s // 2 * step + s % 2, and one that
+    shares a gap slot with the block below it the next code."""
+    high = 2 * level + 2
+    low = 2 * level + 1 if level else 0
+    if not blocks:
+        if not level:
+            yield []
+        return
+    for head in combinations_with_replacement(range(high + 1), blocks - 1):
+        codes: list[int] = []
+        for i, s in enumerate(head):
+            shared = i > 0 and head[i - 1] == s
+            if shared and s % 2 == 0:
+                break  # two blocks on one level
+            codes.append(codes[-1] + 1 if shared else s // 2 * step + s % 2)
+        else:
+            below = head[-1] if head else -1
+            for s in range(max(below, low), high + 1):
+                if s != below:
+                    yield [*codes, s // 2 * step + s % 2]
+                elif s % 2:
+                    yield [*codes, codes[-1] + 1]
 
 
-def _world_table(k_levels: int, width: int, logic: LogicId) -> list[list[int]]:
-    """One row per order type of a world's width values against k_levels
-    interior levels, as columns (pi, then one per variable; under S5 pi is
-    1) of threshold bit-sets: entry c holds bit r iff row r's code is at
-    least c.  A row is a weak order of its values whose blocks, in order,
-    sit in slots: slot 2j is level j, which holds at most one block, and
-    slot 2j + 1 the gap above it, where blocks take consecutive codes.  The
-    weak orders of one block count fill a run of rows per choice of slots."""
+def _ranked_orders(n: int) -> dict[int, tuple[int, list[list[int]]]]:
+    """The weak orders of n items by block count: how many there are, and
+    per item and rank the orders where the item has that rank, the first
+    order the lowest bit.
+
+    An order of n items with b blocks extends an order of the first n - 1:
+    one with b blocks, whose block k the last item joins, or one with
+    b - 1 blocks, where the last item opens a new block k and the blocks
+    from k on move up one.  For each k in turn, the joins come first.  So
+    each step shifts the shorter orders' rank sets into place, a few
+    integer operations per block and none per order."""
+    by_blocks: dict[int, tuple[int, list[list[int]]]] = {0: (1, [])}
+    for m in range(n):
+        grown = {}
+        for blocks in range(1, m + 2):
+            ranked = [[0] * blocks for _ in range(m + 1)]
+            count = 0
+            for k in range(blocks):
+                for source, opens in ((blocks, False), (blocks - 1, True)):
+                    if source in by_blocks:
+                        size, earlier = by_blocks[source]
+                        for ranks, rows_by_rank in zip(ranked, earlier):
+                            for r, rows in enumerate(rows_by_rank):
+                                ranks[r + (opens and r >= k)] |= rows << count
+                        ranked[m][k] |= ((1 << size) - 1) << count
+                        count += size
+            grown[blocks] = (count, ranked)
+        by_blocks = grown
+    return by_blocks
+
+
+def _world_table(k_top: int, width: int, logic: LogicId) -> Iterator[list[list[int]]]:
+    """The world tables of 0, 1, ..., k_top interior levels, in turn: one
+    row per order type of a world's width values against the levels, as
+    columns (pi, then one per variable; under S5 pi is 1) of threshold
+    bit-sets, where entry c holds bit r iff row r's code is at least c.
+
+    A row is a weak order of its values whose blocks, in order, sit in
+    slots: slot 2j is level j, which holds at most one block, and slot
+    2j + 1 the gap above it, where blocks take consecutive codes.  Rows are
+    nested by level: first the rows within slots 0-2, then for each next
+    level g those whose highest slot is its gap or the level itself, slot
+    2g + 1 or 2g + 2 (_level_codes).  Within a level they go by block
+    count, then by slot choice, and the weak orders of one block count fill
+    a run of rows per choice.  Codes do not depend on the number of
+    levels, and slot 2k + 2 is level k + 1, the top of k levels, so the
+    table of k levels is the first rows of the table of k + 1.  So there is
+    one table: each level's rows are added to the same column lists, which
+    grow by that level's codes, and the table is yielded again.  A level
+    that no one asks for is never built."""
     step = width + 1
-    top = (k_levels + 1) * step
     s5 = logic is LogicId.S5
-    by_blocks: dict[int, list[tuple[int, ...]]] = {}
-    for ranks in _weak_orders(width - s5):
-        by_blocks.setdefault(len(set(ranks)), []).append(ranks)
+    ranked = _ranked_orders(width - s5)
     # per free value and code, the rows where it has that code
-    columns = [[0] * (top + 1) for _ in range(width - s5)]
-    ones = [b"0" * r + b"1" + b"0" * (255 - r) for r in range(width)]
+    columns: list[list[int]] = [[] for _ in range(width - s5)]
+    pi: list[int] = []
     n = 0
-    for blocks, orders in by_blocks.items():
-        # a value's rows of rank r in a run: its ranks, last first, as a 0/1 numeral
-        local = [[int(bytes(pick[::-1]).translate(one), 2) for one in ones[:blocks]] for pick in zip(*orders)]
-        # one block count's runs are gathered apart, so that an or copies
-        # only their rows, and then shifted into place
-        runs = [[0] * (top + 1) for _ in columns]
-        start = n
-        for slots in combinations_with_replacement(range(2 * k_levels + 3), blocks):
-            codes: list[int] = []
-            for i, s in enumerate(slots):
-                shared = i > 0 and slots[i - 1] == s
-                if shared and s % 2 == 0:
-                    break  # two blocks on one level
-                codes.append(codes[-1] + 1 if shared else s // 2 * step + s % 2)
-            else:
-                for run, ranked in zip(runs, local):
-                    for code, rows in zip(codes, ranked):
-                        run[code] |= rows << n - start
-                n += len(orders)
-        for column, run in zip(columns, runs):
-            for c, rows in enumerate(run):
-                column[c] |= rows << start
-    for column in columns:
-        for c in range(top - 1, -1, -1):
-            column[c] |= column[c + 1]
-    return [[(1 << n) - 1] * (top + 1)] * s5 + columns
+    for level in range(k_top + 1):
+        top = (level + 1) * step
+        for column in columns:
+            column += [0] * (top + 1 - len(column))
+        for blocks, (orders, local) in ranked.items():
+            # one run's rows are gathered apart, so that an or copies only
+            # them, and then shifted into place
+            runs = [[0] * (top + 1) for _ in columns]
+            offset = 0
+            for codes in _level_codes(level, blocks, step):
+                for run, ranks in zip(runs, local):
+                    for code, rows in zip(codes, ranks):
+                        run[code] |= rows << offset
+                offset += orders
+            for column, run in zip(columns, runs):
+                for c, rows in enumerate(run):
+                    column[c] |= rows << n
+            n += offset
+        # entries of the earlier rows are closed upward already, so this
+        # only closes the new rows'
+        for column in columns:
+            for c in range(top - 1, -1, -1):
+                column[c] |= column[c + 1]
+        if s5:
+            pi[:] = [(1 << n) - 1] * (top + 1)
+        yield [pi] * s5 + columns
 
 
 def _cover_size(masks: set[int], need: int, limit: int) -> int | None:
@@ -349,11 +403,13 @@ def _split(parts: dict[int, int], keep: int, rows: int, bit: int) -> dict[int, i
 
 
 def _world_types(
-    ops: list[tuple], root: int, n_vars: int, logic: LogicId, k_levels: int, limit: int
+    ops: list[tuple], root: int, table: list[list[int]], logic: LogicId, limit: int
 ) -> tuple[int | None, int]:
     """The fewest worlds, if at most limit, of a countermodel whose truth
-    set has exactly k_levels interior members, all of them modal values; and
-    the number of complete order types examined.
+    set has exactly K interior members, all of them modal values; and the
+    number of complete order types examined.  table is the world table of
+    K levels, as _world_table yields it: K is its top code over step, less
+    one.
 
     A depth-first search gives the modal ops, in postorder, levels 0..K+1,
     using every interior level.  Level c of a box asks every world for
@@ -372,17 +428,18 @@ def _world_types(
     prefix is tested again when popped only if limit fell since it was
     pushed.
 
-    Row r of _world_table is bit r.  A row's values do not depend on the
-    other rows, so a state shares with its parent the threshold bit-sets,
-    over every row, of the ops a later op still reads.  Its rows are mask
+    Row r of table is bit r.  A row's values do not depend on the other
+    rows, so a state shares with its parent the threshold bit-sets, over
+    every row, of the ops a later op still reads.  Its rows are mask
     classes: a dict from the asked requirement bits met to those rows, so
     the cover test reads only its keys.  A child cuts each class down to
-    its kept rows and splits it once on its witnesses.
+    its kept rows and splits it once on its witnesses.  The answer reads
+    only sets of rows, the classes and their masks, never row numbers, so
+    it does not depend on the order of the rows.
     """
-    width = 1 + n_vars
-    step = width + 1
-    top = (k_levels + 1) * step
-    table = _world_table(k_levels, width, logic)
+    step = len(table) + 1
+    top = len(table[0]) - 1
+    k_levels = top // step - 1
     pi, full = table[0], table[0][0]
     modal = [i for i, op in enumerate(ops) if op[0] in ("box", "dia")]
     # the last op that reads each op's values; a var op's argument is a column
@@ -466,6 +523,11 @@ def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Valid | _Hit:
     all sizes by increasing |W| + |T|, then |W|, would reach is of this kind,
     and world types with K <= m interior levels and at most m + 1 (m + 2)
     rows find that size.
+    One _world_table is built, level by level: the search of each K reads
+    the table of K levels, its rows nested by level, and a level past the
+    last search is never built.  Which rows a search reads, not their
+    order, decides its answer, so this is the search of a table built for
+    each K.
     Valid reports the whole bound 2(l + 2) and the number of complete
     order types examined.
     """
@@ -476,6 +538,7 @@ def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Valid | _Hit:
     if cfg.max_worlds is not None:
         worlds = min(worlds, cfg.max_worlds)
     top_k = m if cfg.max_truth is None else min(m, cfg.max_truth - 2)
+    tables = _world_table(top_k, 1 + len(names), logic)
     best = None
     examined = 0
     for k in range(top_k + 1):
@@ -486,7 +549,7 @@ def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Valid | _Hit:
             limit = min(limit, best[0] + best[1] - k - 2)
         if limit < 1:
             break
-        n_worlds, seen = _world_types(ops, root, len(names), logic, k, limit)
+        n_worlds, seen = _world_types(ops, root, next(tables), logic, limit)
         examined += seen
         if n_worlds is not None:
             best = (n_worlds, k + 2)

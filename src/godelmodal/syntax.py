@@ -233,11 +233,14 @@ def _parse(text: str, allow_meta: bool) -> Formula:
     depth = 0  # "lpar" entries on pending, counted so that none is searched for
     order: dict[Formula, int] = {}  # the recorded nodes and their positions
 
-    def push(node: Formula, primitive: bool) -> None:
-        if primitive:  # made by a node class from recorded operands
-            order.setdefault(node, len(order))
-        else:  # with the nodes a desugaring made under it
+    def push(node: Formula, build) -> None:
+        # record node after the nodes its builder made under it
+        if build is disj or build is iff:  # a desugaring of several nodes
             _postorder([node], order)
+        else:  # a node class makes none, and top and neg at most BOT
+            if build is top or build is neg:
+                order.setdefault(BOT, len(order))
+            order.setdefault(node, len(order))
         operands.append(node)
 
     def reduce(threshold: int) -> None:
@@ -247,11 +250,11 @@ def _parse(text: str, allow_meta: bool) -> Formula:
             kind = pending[-1]
             if kind in _UNARY:
                 build = _UNARY[kind]
-                push(build(operands.pop()), isinstance(build, type))
+                push(build(operands.pop()), build)
             elif _BINARY[kind][0] >= threshold:
                 build = _BINARY[kind][2]
                 right = operands.pop()
-                push(build(operands.pop(), right), isinstance(build, type))
+                push(build(operands.pop(), right), build)
             else:
                 return
             pending.pop()
@@ -263,13 +266,13 @@ def _parse(text: str, allow_meta: bool) -> Formula:
             pending.append(kind)
             continue
         if kind == "zero":
-            push(BOT, False)
+            push(BOT, Bot)
         elif kind == "one" or word == "top":
-            push(top(), False)
+            push(top(), top)
         elif kind == "ident":
             if word[0].isupper() and not allow_meta:
                 raise ParseError(f"variable {word!r} must start lowercase", _position(text, i))
-            push(Var(word), True)
+            push(Var(word), Var)
         else:
             message = f"expected a formula, found {word!r}" if word else "unexpected end of input"
             raise ParseError(message, _position(text, i))

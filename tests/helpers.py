@@ -71,7 +71,6 @@ from godelmodal.decider import (
     Valid,
     _cover_size,
     _first_refutation as _first_column_refutation,
-    _weak_orders,
     bound_for,
     decide,
     verdict_to_json,
@@ -878,6 +877,25 @@ def oracle_exhaustive(f: Formula, logic, cfg):
 # decider._world_table must give its thresholds, row for row.
 
 
+def _weak_orders_by_blocks(n: int) -> dict[int, list[tuple[int, ...]]]:
+    """Every weak order of n items, as onto tuples of block ranks, by block
+    count, in decider._ranked_orders' order: with b blocks, for each block
+    k, the orders of n - 1 items with b blocks where the last item joins
+    block k, then those with b - 1 blocks where it opens block k."""
+    by_blocks: dict[int, list[tuple[int, ...]]] = {0: [()]}
+    for m in range(1, n + 1):
+        by_blocks = {
+            b: [
+                order
+                for k in range(b)
+                for order in [(*ranks, k) for ranks in by_blocks.get(b, [])]
+                + [(*(x + (x >= k) for x in ranks), k) for ranks in by_blocks.get(b - 1, [])]
+            ]
+            for b in range(1, m + 1)
+        }
+    return by_blocks
+
+
 def _world_rows(k_levels: int, width: int, logic: LogicId) -> list[list[int]]:
     """One row per order type of a world's width values against k_levels
     interior levels, as columns (pi, then one per variable); under S5 pi is
@@ -886,18 +904,21 @@ def _world_rows(k_levels: int, width: int, logic: LogicId) -> list[list[int]]:
     A row is a weak order of its values whose blocks, in increasing order,
     sit in slots: slot 2j is level j, which holds at most one block, and
     slot 2j + 1 the gap above it, where blocks take consecutive codes.
+    Rows are nested by level: those whose highest slot is at most 2 come
+    first, then for each next level g those whose highest slot is 2g + 1 or
+    2g + 2; within a level they go by block count, then slot choice.
     """
     step = width + 1
     fixed = [(k_levels + 1) * step] if logic is LogicId.S5 else []
     free = width - len(fixed)
-    # per block count, the weak orders with that many blocks, one column each
-    by_blocks: dict[int, list[tuple[int, ...]]] = {}
-    for ranks in _weak_orders(free):
-        by_blocks.setdefault(len(set(ranks)), []).append(ranks)
+    by_blocks = _weak_orders_by_blocks(free)
     columns: list[list[int]] = [[] for _ in range(width)]
-    for blocks, orders in by_blocks.items():
+    for level, blocks in product(range(k_levels + 1), by_blocks):
+        orders = by_blocks[blocks]
         picks = list(zip(*orders))
-        for slots in combinations_with_replacement(range(2 * k_levels + 3), blocks):
+        for slots in combinations_with_replacement(range(2 * level + 3), blocks):
+            if max(0, (max(slots, default=0) - 1) // 2) != level:
+                continue  # the highest slot lies in an earlier level
             codes: list[int] = []
             for i, s in enumerate(slots):
                 shared = i > 0 and slots[i - 1] == s

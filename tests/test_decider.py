@@ -8,7 +8,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -361,7 +361,8 @@ def test_world_types_match_the_search_that_read_everything():
         ops, (root,), names = compile_formulas([f])
         m = sum(op[0] in ("box", "dia") for op in ops)
         args = (ops, root, len(names), logic, rng.randint(0, min(m, 3)), rng.randint(1, 4))
-        got = decider._world_types(*args)
+        # on the level of the table _exhaustive would build up to min(m, 3) levels
+        got = world_types(*args, k_top=min(m, 3))
         assert got == oracle_world_types(*args), (f, logic, args[4:])
         answers["none" if got[0] is None else "size"] += 1
     assert answers["none"] >= 600 and answers["size"] >= 600, answers
@@ -369,21 +370,137 @@ def test_world_types_match_the_search_that_read_everything():
     # has fallen; here it prunes, and without it 88 order types are examined
     ops, (root,), names = compile_formulas([parse("<>([]q -> <>(p & r)) -> [](<>q -> []p)")])
     args = (ops, root, len(names), LogicId.KD45, 2, 2)
-    assert decider._world_types(*args) == oracle_world_types(*args) == (1, 86)
+    assert world_types(*args) == world_types(*args, k_top=3) == oracle_world_types(*args) == (1, 86)
+
+
+def world_types(ops, root, n_vars, logic, k_levels, limit, k_top=None):
+    # decider._world_types on the table of k_levels levels, as a table
+    # built for up to k_top levels yields it
+    tables = decider._world_table(k_levels if k_top is None else k_top, 1 + n_vars, logic)
+    for _ in range(k_levels):
+        next(tables)
+    return decider._world_types(ops, root, next(tables), logic, limit)
+
+
+def thresholds(columns: list[list[int]], top: int) -> list[list[int]]:
+    # entry c of a column holds bit r iff row r has a code of at least c
+    return [[sum(1 << r for r, code in enumerate(column) if code >= c) for c in range(top + 1)] for column in columns]
 
 
 def test_world_table_holds_the_thresholds_of_the_row_lists():
-    # entry c of a column holds bit r iff row r of the list table has a
-    # code of at least c, rows in the same order
+    # each level's table, as one table built for up to k_top levels yields
+    # it to the search, holds the thresholds of the list table of that
+    # level, rows in the same order; every level is the same column lists
     for logic in LogicId:
-        for k_levels in range(4):
+        for k_top in range(4):
             for width in range(1, 5):
-                top = (k_levels + 1) * (width + 1)
-                want = [
-                    [sum(1 << r for r, code in enumerate(column) if code >= c) for c in range(top + 1)]
-                    for column in _world_rows(k_levels, width, logic)
-                ]
-                assert decider._world_table(k_levels, width, logic) == want, (logic, k_levels, width)
+                first = None
+                for k_levels, table in enumerate(decider._world_table(k_top, width, logic)):
+                    want = thresholds(_world_rows(k_levels, width, logic), (k_levels + 1) * (width + 1))
+                    assert table == want, (logic, k_top, width, k_levels)
+                    first = first or table
+                    assert all(a is b for a, b in zip(table, first)), (logic, k_top, width, k_levels)
+                assert k_levels == k_top
+
+
+def unnested_weak_orders(n: int) -> list[tuple[int, ...]]:
+    # every weak order of n items, as onto tuples of block ranks
+    orders: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        longer = []
+        for ranks in orders:
+            r = len(set(ranks))
+            longer += [(*ranks, k) for k in range(r)]  # ties with block k
+            longer += [(*(x + (x >= k) for x in ranks), k) for k in range(r + 1)]  # new block k
+        orders = longer
+    return orders
+
+
+def unnested_world_rows(k_levels: int, width: int, logic: LogicId) -> list[list[int]]:
+    # _world_rows as it was before its rows were nested by level: by block
+    # count, then slot choice, over the slots of all levels at once
+    step = width + 1
+    fixed = [(k_levels + 1) * step] if logic is LogicId.S5 else []
+    by_blocks: dict[int, list[tuple[int, ...]]] = {}
+    for ranks in unnested_weak_orders(width - len(fixed)):
+        by_blocks.setdefault(len(set(ranks)), []).append(ranks)
+    columns: list[list[int]] = [[] for _ in range(width)]
+    for blocks, orders in by_blocks.items():
+        picks = list(zip(*orders))
+        for slots in combinations_with_replacement(range(2 * k_levels + 3), blocks):
+            codes: list[int] = []
+            for i, s in enumerate(slots):
+                shared = i > 0 and slots[i - 1] == s
+                if shared and s % 2 == 0:
+                    break  # two blocks on one level
+                codes.append(codes[-1] + 1 if shared else s // 2 * step + s % 2)
+            else:
+                columns[0].extend(fixed * len(orders))
+                for column, pick in zip(columns[len(fixed):], picks):
+                    column.extend(map(codes.__getitem__, pick))
+    return columns
+
+
+def test_world_rows_nest_by_level():
+    # the rows of k levels are the first rows of K >= k levels, each code
+    # at most the top of k levels (S5's pi is 1 in both), and as a multiset
+    # of code vectors they are the rows of the order before nesting
+    for logic in LogicId:
+        for width in range(1, 5):
+            for k_top in range(4):
+                big = _world_rows(k_top, width, logic)
+                for k_levels in range(k_top + 1):
+                    top = (k_levels + 1) * (width + 1)
+                    small = _world_rows(k_levels, width, logic)
+                    cut = [[min(code, top) for code in column[: len(small[0])]] for column in big]
+                    assert cut == small, (logic, width, k_top, k_levels)
+                    # and every later row has a value above that top
+                    free = big[logic is LogicId.S5 :]
+                    assert all(max(row) > top for row in zip(*(column[len(small[0]) :] for column in free)))
+                rows = Counter(zip(*big))
+                assert rows == Counter(zip(*unnested_world_rows(k_top, width, logic))), (logic, width, k_top)
+                assert max(rows.values()) == 1
+
+
+def test_exhaustive_builds_one_table_and_its_searches_read_it(monkeypatch):
+    # one _world_table call per _exhaustive call; each level's search reads
+    # that table's own column lists, grown to the level's codes, and no
+    # level past the last search is built
+    built, read = [], []
+    world_table, world_types = decider._world_table, decider._world_types
+
+    def counting(*args):
+        built.append((args, []))
+        for table in world_table(*args):
+            built[-1][1].append(table)
+            yield table
+
+    def reading(ops, root, table, logic, limit):
+        read.append((table, [list(column) for column in table]))
+        return world_types(ops, root, table, logic, limit)
+
+    monkeypatch.setattr(decider, "_world_table", counting)
+    monkeypatch.setattr(decider, "_world_types", reading)
+    cases = [
+        ("<>(p | q) -> (<>p | <>q)", LogicId.K45, None, None, Valid),
+        ("([]p -> <>q) | []((p -> q) -> q)", LogicId.KD45, 1, 5, Valid),
+        ("<>[]p -> []p", LogicId.S5, 1, 5, Valid),
+        ("[]p | ~[]p", LogicId.S5, 2, 4, Refuted),
+        # refuted in one world at level 0, so level 1 is never searched
+        ("p & q -> []p", LogicId.K45, None, None, Refuted),
+    ]
+    for text, logic, worlds, truth, kind in cases:
+        built.clear()
+        read.clear()
+        verdict = decide(parse(text), logic, SearchConfig("exhaustive", max_worlds=worlds, max_truth=truth))
+        assert isinstance(verdict, kind) and len(built) == 1, text
+        (k_top, width, _), yielded = built[0]
+        assert 1 <= len(read) == len(yielded) <= k_top + 1, text
+        assert len(read) == k_top + 1 or kind is Refuted, text
+        for k_levels, ((table, entries), own) in enumerate(zip(read, yielded)):
+            assert table is own and all(a is b for a, b in zip(table, yielded[0])), text
+            assert {len(column) for column in entries} == {(k_levels + 1) * (width + 1) + 1}, text
+    assert len(read) == 1 < k_top + 1
 
 
 def test_world_types_skip_complete_types_that_cannot_cover(monkeypatch):
