@@ -28,18 +28,17 @@ from .decider import (
     SearchConfig,
     Unknown,
     Valid,
-    _countermodel,
-    decide,
+    _decide,
     random_search,
     verdict_to_json,
 )
 from .semantics import (
     _check_world,
-    evaluate,
+    _evaluate,
     frame_report,
     model_from_json,
 )
-from .syntax import LogicId, corpus, parse
+from .syntax import LogicId, _parse_ops, corpus
 
 EXIT_OK = 0
 EXIT_FOUND = 1
@@ -118,7 +117,7 @@ def _load_model(path: str):
 
 
 def _run_check(args: argparse.Namespace, minimize: bool) -> int:
-    formula = parse(args.formula)
+    compiled = _parse_ops(args.formula)
     logic = LogicId(args.logic)
     cfg = SearchConfig(
         mode=args.mode,
@@ -128,7 +127,7 @@ def _run_check(args: argparse.Namespace, minimize: bool) -> int:
         max_truth=args.max_truth,
     )
     # countermodel shrinks on the search's codes, and builds only the model it prints
-    verdict = (_countermodel if minimize else decide)(formula, logic, cfg)
+    verdict = _decide(compiled, logic, cfg, minimize)
     _print_json(verdict_to_json(verdict))
     if isinstance(verdict, Valid):
         return EXIT_OK
@@ -138,11 +137,11 @@ def _run_check(args: argparse.Namespace, minimize: bool) -> int:
 
 
 def _run_eval(args: argparse.Namespace) -> int:
-    formula = parse(args.formula)
+    compiled = _parse_ops(args.formula)
     model = _load_model(args.model)
     if args.world is not None:
         _check_world(model.worlds, args.world)
-    for world, value in zip(model.worlds, evaluate(model, formula)):
+    for world, value in zip(model.worlds, _evaluate(model, compiled)):
         if args.world is None:
             print(f"{world}\t{format_rational(value)}")
         elif world == args.world:

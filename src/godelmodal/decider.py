@@ -31,9 +31,12 @@ countermodel path alike.
 
 Both searches find a countermodel in code form, a _Hit, which is a
 semantics._Coded, and semantics._decode builds its exact model only for
-the verdict.  The countermodel path (_countermodel, behind CLI
+the verdict.  The countermodel path (_decide with minimize, behind CLI
 countermodel) shrinks the hit on its codes as well, so it builds one
 exact model, the shrunk one it prints, and evaluates nothing exactly.
+The private functions take a compiled formula, which syntax._parse_ops
+emits straight from a text, so CLI check and countermodel build no node;
+decide, random_search, shrink and bound_for compile a Formula on entry.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import ONE, ZERO, format_rational
 from .semantics import (
@@ -54,12 +57,12 @@ from .semantics import (
     _Coded,
     _decode,
     _encode,
-    eval_pigf,
+    _evaluate,
     evaluate_compiled,
     model_to_json,
 )
 from .streams import _pack, _Streams, _unpack
-from .syntax import Formula, LogicId, compile_formulas, complexity_ell
+from .syntax import Formula, LogicId, _Compiled, _ell, compile_formulas
 
 MODES = ("exhaustive", "random", "hybrid")
 
@@ -109,7 +112,11 @@ Verdict = Valid | Refuted | Unknown
 
 def bound_for(f: Formula) -> int:
     """Ceiling on |W| + |T| that a complete countermodel sweep must reach."""
-    return 2 * (complexity_ell(f) + 2)
+    return _bound(compile_formulas([f])[0])
+
+
+def _bound(ops: list[tuple]) -> int:
+    return 2 * (_ell(ops) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +151,7 @@ def _grid(top: int, k_grid: int) -> tuple[Fraction, ...]:
     return (ZERO, *(Fraction(c, k_grid) for c in range(1, top)), ONE)
 
 
-def _refuted(f: Formula, hit: _Hit) -> Refuted:
+def _refuted(compiled: _Compiled, hit: _Hit) -> Refuted:
     """The verdict of a countermodel in code form: its one exact model, the
     refuting world and the decoded value.  A swept hit's value is checked
     against exact evaluation, which must agree with the integer one."""
@@ -152,7 +159,7 @@ def _refuted(f: Formula, hit: _Hit) -> Refuted:
     world = model.worlds[hit.world]
     value = hit.table[hit.code]
     if hit.swept:
-        exact = eval_pigf(model, world, f)
+        exact = _evaluate(model, compiled)[hit.world]
         if exact != value or exact >= ONE:
             raise RuntimeError(f"integer sweep and exact evaluation disagree on {model!r}")
     return Refuted(model, world, value)
@@ -356,8 +363,9 @@ def _world_table(k_top: int, width: int, logic: LogicId) -> Iterator[list[list[i
         yield [pi] * s5 + columns
 
 
-def _cover_size(masks: set[int], need: int, limit: int) -> int | None:
-    """The fewest masks whose union holds need, if that is at most limit."""
+def _cover_size(masks: Iterable[int], need: int, limit: int) -> int | None:
+    """The fewest masks whose union holds need, if that is at most limit;
+    the search passes its mask-class dicts, whose keys are the masks."""
     masks = {x & need for x in masks}
     reach = {0}
     for size in range(limit + 1):
@@ -452,7 +460,7 @@ def _world_types(
 
     def settle(vals: dict, parts: dict[int, int], need: int) -> int | None:
         # a complete order type also needs a world that refutes the formula
-        return _cover_size(set(_split(parts, full, ~vals[root][top], _REFUTED)), need | _REFUTED, limit)
+        return _cover_size(_split(parts, full, ~vals[root][top], _REFUTED), need | _REFUTED, limit)
 
     if not modal:
         return settle(vals, parts, need), 1
@@ -460,7 +468,7 @@ def _world_types(
     stack = [(0, vals, parts, need, 0, limit + 1)]  # the root is tested
     while stack:
         d, vals, parts, need, used, pushed = stack.pop()
-        if limit < pushed and _cover_size(set(parts), need, limit) is None:
+        if limit < pushed and _cover_size(parts, need, limit) is None:
             continue  # limit fell since this prefix was stacked
         i = modal[d]
         box, body = ops[i][0] == "box", ops[i][1]
@@ -487,7 +495,7 @@ def _world_types(
             examined += complete
             # prune before building the values; a complete type that cannot
             # cover marked cannot cover it with a refuting world either
-            if _cover_size(set(split), marked, limit) is None:
+            if _cover_size(split, marked, limit) is None:
                 continue
             child = {k: vals[k] for k in carried}
             child[i] = [full] * (j * step + 1) + [0] * (top - j * step)
@@ -505,9 +513,9 @@ def _world_types(
     return best, examined
 
 
-def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Valid | _Hit:
-    """Decide f exactly within the caps by world types, then sweep the one
-    size (|W|, |T|) that holds a whole-bound sweep's first countermodel,
+def _exhaustive(compiled: _Compiled, logic: LogicId, cfg: SearchConfig) -> Valid | _Hit:
+    """Decide a compiled formula exactly within the caps by world types,
+    then sweep the one size (|W|, |T|) that holds a whole-bound sweep's first countermodel,
     returned in code form and marked swept.
 
     Let m be the number of modal ops.  Filtration caps: any rounded
@@ -531,8 +539,8 @@ def _exhaustive(f: Formula, logic: LogicId, cfg: SearchConfig) -> Valid | _Hit:
     Valid reports the whole bound 2(l + 2) and the number of complete
     order types examined.
     """
-    ops, (root,), names = compile_formulas([f])
-    bound = bound_for(f)
+    ops, (root,), names = compiled
+    bound = _bound(ops)
     m = sum(op[0] in ("box", "dia") for op in ops)
     worlds = m + 2 if logic is LogicId.KD45 else m + 1
     if cfg.max_worlds is not None:
@@ -718,14 +726,15 @@ def random_search(
 ) -> tuple[PiGFModel, str, Fraction] | None:
     """Sample cfg.budget models within the size bound; return the first
     countermodel found, or None.  Deterministic in cfg.seed."""
-    hit = _random_hit(f, logic, cfg)
+    compiled = compile_formulas([f])
+    hit = _random_hit(compiled, logic, cfg)
     if hit is None:
         return None
-    found = _refuted(f, hit)
+    found = _refuted(compiled, hit)
     return found.countermodel, found.world, found.value
 
 
-def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
+def _random_hit(compiled: _Compiled, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
     """random_search's first countermodel, in code form on the 1/120 grid.
 
     Samples are drawn and evaluated in batches of 1, 2, 4, ... up to _BATCH
@@ -752,8 +761,8 @@ def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
     cap runs full 256-sample batches of at most 1280 worlds, a few hundred
     KiB.
     """
-    ops, (root,), names = compile_formulas([f])
-    bound = bound_for(f)
+    ops, (root,), names = compiled
+    bound = _bound(ops)
     worlds_cap = max(1, min(cfg.max_worlds or 5, bound - 2))
     n_truth = cfg.max_truth or 6
     # the truth set cap of each world count, within the bound
@@ -779,21 +788,15 @@ def _random_hit(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
     return _Hit(None, names, [pi[start:start + n]], sample, truths[j], _grid(_GRID, _GRID), hit - start, values[hit])
 
 
-def _search(f: Formula, logic: LogicId, cfg: SearchConfig) -> _Hit | Valid | None:
+def _search(compiled: _Compiled, logic: LogicId, cfg: SearchConfig) -> _Hit | Valid | None:
     """The search of cfg.mode: the random phase unless the mode is
     exhaustive, then the exhaustive phase unless the mode is random or the
     random phase hit.  None means the random budget found nothing."""
     if cfg.mode != "exhaustive":
-        hit = _random_hit(f, logic, cfg)
+        hit = _random_hit(compiled, logic, cfg)
         if hit is not None or cfg.mode == "random":
             return hit
-    return _exhaustive(f, logic, cfg)
-
-
-def _verdict(f: Formula, found: _Hit | Valid | None, cfg: SearchConfig) -> Verdict:
-    if found is None:
-        return Unknown(f"no countermodel among {cfg.budget} sampled models", cfg.budget)
-    return found if isinstance(found, Valid) else _refuted(f, found)
+    return _exhaustive(compiled, logic, cfg)
 
 
 def decide(f: Formula, logic: LogicId, cfg: SearchConfig = SearchConfig()) -> Verdict:
@@ -806,16 +809,19 @@ def decide(f: Formula, logic: LogicId, cfg: SearchConfig = SearchConfig()) -> Ve
     models and report Unknown when none refutes.  hybrid: random first,
     then exhaustive.
     """
-    return _verdict(f, _search(f, logic, cfg), cfg)
+    return _decide(compile_formulas([f]), logic, cfg)
 
 
-def _countermodel(f: Formula, logic: LogicId, cfg: SearchConfig) -> Verdict:
-    """decide, with any countermodel shrunk as shrink would shrink its exact
+def _decide(compiled: _Compiled, logic: LogicId, cfg: SearchConfig, minimize=False) -> Verdict:
+    """decide on a compiled formula.  With minimize, as CLI countermodel
+    asks, any countermodel is shrunk as shrink would shrink its exact
     model, but on the codes the search found it in: the result is the one
     exact model built, with the worlds' original names, and its value is
     decoded from the shrinking's last evaluation."""
-    found = _search(f, logic, cfg)
-    return _verdict(f, _shrunk(f, found, logic) if isinstance(found, _Hit) else found, cfg)
+    found = _search(compiled, logic, cfg)
+    if isinstance(found, _Hit):
+        return _refuted(compiled, _shrunk(compiled, found, logic) if minimize else found)
+    return found or Unknown(f"no countermodel among {cfg.budget} sampled models", cfg.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -930,9 +936,9 @@ def _shrink_codes(
     return live, truth, anchor, code
 
 
-def _shrunk(f: Formula, hit: _Hit, logic: LogicId) -> _Hit:
+def _shrunk(compiled: _Compiled, hit: _Hit, logic: LogicId) -> _Hit:
     """hit shrunk by _shrink_codes; the kept worlds keep their names."""
-    ops, (root,), _ = compile_formulas([f])
+    ops, (root,), _ = compiled
     columns = [list(column) for column in (*hit.rows, *hit.columns)]
     live, truth, anchor, code = _shrink_codes(
         ops, root, columns, list(hit.truth), len(hit.table) - 1, logic, hit.world, hit.code
@@ -955,7 +961,8 @@ def shrink(
     semantics._decode.  A model without a truth set raises TypeError."""
     if not isinstance(model, PiGFModel):
         raise TypeError(f"shrink needs a PiGFModel, not {type(model).__name__}")
-    ops, (root,), names = compile_formulas([f])
+    compiled = compile_formulas([f])
+    ops, (root,), names = compiled
     _check_world(model.worlds, world)
     valuation = model.base.valuation
     # one column per variable: the formula's first, in compiled order
@@ -964,7 +971,7 @@ def shrink(
     at_world = coded.values(ops)[root][anchor]
     if at_world == len(coded.table) - 1:
         raise ValueError("shrink needs a countermodel")
-    small = _shrunk(f, _Hit(**vars(coded), world=anchor, code=at_world), logic)
+    small = _shrunk(compiled, _Hit(**vars(coded), world=anchor, code=at_world), logic)
     return _decode(small, valuation), small.worlds[small.world]
 
 

@@ -56,7 +56,7 @@ from .algebra import (
     _rank_codes,
     _rational,
 )
-from .syntax import BOT, Formula, compile_formulas
+from .syntax import BOT, Formula, _Compiled, compile_formulas
 
 
 class UnknownWorldError(KeyError):
@@ -374,7 +374,12 @@ def evaluate(model, formula: Formula) -> list[Fraction]:
     rounds box values down and diamond values up into its truth set; the
     other classes evaluate exactly.  Evaluation runs on rank codes, and
     only the values returned are decoded."""
-    ops, (root,), names = compile_formulas([formula])
+    return _evaluate(model, compile_formulas([formula]))
+
+
+def _evaluate(model, compiled: _Compiled) -> list[Fraction]:
+    # evaluate on a compiled formula
+    ops, (root,), names = compiled
     coded = _encode(model, names)
     return [coded.table[c] for c in coded.values(ops)[root]]
 

@@ -13,10 +13,14 @@ Nodes are interned (hash-consed): constructing a node equal to a live one
 returns that node, so equal subformulas are one object, == is identity and
 hashing is O(1).
 
+The parser, _parse_ops, emits the postorder op list that every search and
+evaluation reads (see compile_formulas) and builds no node.  parse builds
+nodes from it for the library; CLI check, countermodel and eval build none.
+
 | and <-> share subtrees, so a formula's tree can be exponentially larger
 than its DAG.  Nothing recurses on a formula's depth: the parser climbs
-precedence over explicit stacks and records its nodes in postorder as it
-makes them, every other walk runs on that one iterative postorder, and
+precedence over explicit stacks and numbers its ops in postorder as it
+makes them, every walk over nodes runs on one iterative postorder, and
 the printer, whose text spells out shared subtrees, emits it from one
 explicit stack.  Precedence and associativity of the binary connectives
 are written once, in _BINARY, which the printer reads too.
@@ -75,25 +79,11 @@ class Formula:
         return node
 
     def __reduce__(self):
-        # a flat postorder, so that pickling does not recurse per level
-        index = _postorder([self])
-        items = tuple(
-            (Var, g.name) if type(g) is Var else (type(g), *[index[c] for c in _children(g)])
-            for g in index
-        )
-        return _rebuild, (items,)
+        # the flat op list, so that pickling does not recurse per level
+        return _formula, compile_formulas([self])
 
     def __deepcopy__(self, memo) -> Formula:
         return self
-
-
-def _rebuild(items: tuple) -> Formula:
-    """The formula of a Formula.__reduce__ postorder: each item is a node's
-    class and its fields, a child given by its index in items."""
-    nodes: list[Formula] = []
-    for cls, *fields in items:
-        nodes.append(cls(*fields) if cls is Var else cls(*[nodes[i] for i in fields]))
-    return nodes[-1]
 
 
 def _node(cls: type) -> type:
@@ -209,52 +199,51 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
     return kinds, words
 
 
-# Token kind -> (precedence, right associative, builder), loosest first;
-# unary operators bind tighter than any of these.
-_BINARY = {
-    "iff": (1, True, iff),
-    "imp": (2, True, Implies),
-    "or": (3, False, disj),
-    "and": (4, False, And),
-}
-_UNARY = {"not": neg, "box": Box, "dia": Dia}
+# a compiled formula: op list, root indices, sorted names (see compile_formulas)
+_Compiled = tuple[list[tuple], list[int], tuple[str, ...]]
+
+# Token kind -> (precedence, right associative), loosest first; unary
+# operators bind tighter than any of these.
+_BINARY = {"iff": (1, True), "imp": (2, True), "or": (3, False), "and": (4, False)}
+_UNARY = ("not", "box", "dia")
 _PREC_UNARY = 5
 
 
-def _parse(text: str, allow_meta: bool) -> Formula:
-    """Precedence climbing over an operand stack and a pending-operator
+def _parse_ops(text: str, allow_meta: bool = False) -> _Compiled:
+    """compile_formulas([parse(text)]), built straight from the text.
+    Precedence climbing over an operand stack and a pending-operator
     stack, so the nesting depth is bounded by memory, not by recursion.
-    Operands complete left to right, each node after its children, so the
-    nodes recorded as this parse makes or meets them are in _postorder's
-    order, and the root's compile is built from them (see compile_formulas)."""
+    Each op comes after the ops under it, left to right, and an op equal to
+    an earlier one is that one: _postorder's order.  A var op holds its
+    name until the end, when it takes its position in the sorted names."""
     tokens = zip(count(), *_tokenize(text))
-    operands: list[Formula] = []
+    index: dict[tuple, int] = {}  # each distinct op and its position
+    operands: list[int] = []  # op positions
     pending: list[str] = []  # token kinds: "lpar", unary and binary operators
     depth = 0  # "lpar" entries on pending, counted so that none is searched for
-    order: dict[Formula, int] = {}  # the recorded nodes and their positions
 
-    def push(node: Formula, build) -> None:
-        # record node after the nodes its builder made under it
-        if build is disj or build is iff:  # a desugaring of several nodes
-            _postorder([node], order)
-        else:  # a node class makes none, and top and neg at most BOT
-            if build is top or build is neg:
-                order.setdefault(BOT, len(order))
-            order.setdefault(node, len(order))
-        operands.append(node)
+    def op(*key) -> int:
+        return index.setdefault(key, len(index))
 
     def reduce(threshold: int) -> None:
         # Apply pending operators down to the innermost "(", stopping at a
-        # binary one whose precedence is below threshold.
+        # binary one whose precedence is below threshold.  The derived
+        # connectives expand here, each child op before its parent.
         while pending and pending[-1] != "lpar":
             kind = pending[-1]
             if kind in _UNARY:
-                build = _UNARY[kind]
-                push(build(operands.pop()), build)
+                a = operands.pop()
+                operands.append(op("imp", a, op("bot")) if kind == "not" else op(kind, a))
             elif _BINARY[kind][0] >= threshold:
-                build = _BINARY[kind][2]
-                right = operands.pop()
-                push(build(operands.pop(), right), build)
+                b = operands.pop()
+                a = operands.pop()
+                if kind == "or":
+                    ab, ba = op("imp", op("imp", a, b), b), op("imp", op("imp", b, a), a)
+                    operands.append(op("and", ab, ba))
+                elif kind == "iff":
+                    operands.append(op("and", op("imp", a, b), op("imp", b, a)))
+                else:
+                    operands.append(op(kind, a, b))
             else:
                 return
             pending.pop()
@@ -266,20 +255,20 @@ def _parse(text: str, allow_meta: bool) -> Formula:
             pending.append(kind)
             continue
         if kind == "zero":
-            push(BOT, Bot)
+            operands.append(op("bot"))
         elif kind == "one" or word == "top":
-            push(top(), top)
+            operands.append(op("imp", op("bot"), op("bot")))
         elif kind == "ident":
             if word[0].isupper() and not allow_meta:
                 raise ParseError(f"variable {word!r} must start lowercase", _position(text, i))
-            push(Var(word), Var)
+            operands.append(op("var", word))
         else:
             message = f"expected a formula, found {word!r}" if word else "unexpected end of input"
             raise ParseError(message, _position(text, i))
         # An operand is complete: close parentheses until a binary operator.
         for i, kind, word in tokens:
             if kind in _BINARY:
-                prec, right, _ = _BINARY[kind]
+                prec, right = _BINARY[kind]
                 reduce(prec + right)
                 pending.append(kind)
                 break
@@ -291,24 +280,39 @@ def _parse(text: str, allow_meta: bool) -> Formula:
                 raise ParseError("expected ')'", _position(text, i))
             elif kind == "end":
                 reduce(0)
-                if getattr(operands[0], "_compiled", None) is None:
-                    _compile(order, operands)  # the root alone
-                return operands[0]
+                names = tuple(sorted(key[1] for key in index if key[0] == "var"))
+                rank = {name: r for r, name in enumerate(names)}
+                ops = [("var", rank[key[1]]) if key[0] == "var" else key for key in index]
+                return ops, operands, names
             else:
                 raise ParseError(f"unexpected {word!r}", _position(text, i))
 
 
 def parse(text: str) -> Formula:
     """Parse the ASCII grammar into a primitive-connective AST."""
-    return _parse(text, allow_meta=False)
+    return _formula(*_parse_ops(text))
 
 
 def _parse_template(text: str) -> Formula:
     # Scheme templates may use uppercase metavariables.
-    return _parse(text, allow_meta=True)
+    return _formula(*_parse_ops(text, allow_meta=True))
 
 
 _TAGS = {Bot: "bot", Var: "var", And: "and", Implies: "imp", Box: "box", Dia: "dia"}
+_CLASSES = {tag: cls for cls, tag in _TAGS.items()}
+
+
+def _formula(ops: list[tuple], roots: list[int], names: tuple[str, ...]) -> Formula:
+    """The formula of a one-root compile, its nodes built in op order.  The
+    root keeps the compile as its memo, unless it has one already."""
+    nodes: list[Formula] = []
+    for tag, *args in ops:
+        cls = _CLASSES[tag]
+        nodes.append(Var(names[args[0]]) if cls is Var else cls(*[nodes[i] for i in args]))
+    f = nodes[roots[0]]
+    if getattr(f, "_compiled", None) is None:
+        object.__setattr__(f, "_compiled", (tuple(ops), roots[0], names))
+    return f
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
@@ -321,11 +325,10 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _postorder(roots: Sequence[Formula], order: dict[Formula, int] | None = None) -> dict[Formula, int]:
+def _postorder(roots: Sequence[Formula]) -> dict[Formula, int]:
     """Every distinct node under the roots once, children before parents
-    and left before right, each mapped to its position.  Given an order,
-    the walk extends it and stops at the nodes it holds."""
-    order = {} if order is None else order
+    and left before right, each mapped to its position."""
+    order: dict[Formula, int] = {}
     for root in roots:
         stack = [root]
         while stack:
@@ -338,9 +341,7 @@ def _postorder(roots: Sequence[Formula], order: dict[Formula, int] | None = None
     return order
 
 
-def compile_formulas(
-    roots: Sequence[Formula],
-) -> tuple[list[tuple], list[int], tuple[str, ...]]:
+def compile_formulas(roots: Sequence[Formula]) -> _Compiled:
     """Postorder op list for several formulas, the index of each root, and
     the sorted variable names.
 
@@ -351,7 +352,7 @@ def compile_formulas(
 
     A one-root compile is kept on the root node for as long as the node
     lives, so every later compile of that node returns it without walking
-    the formula; parse keeps one, from the postorder it records.  The kept
+    the formula; parse keeps the op list its parser emits.  The kept
     ops hold only ints and strings, so they never keep the node alive, and
     a formula parsed again after its node died compiles again.  The memo is
     stored as tuples and every call returns fresh lists, so a caller cannot
@@ -363,9 +364,7 @@ def compile_formulas(
     return list(memo[0]), [memo[1]], memo[2]
 
 
-def _compile(
-    index: dict[Formula, int], roots: Sequence[Formula]
-) -> tuple[list[tuple], list[int], tuple[str, ...]]:
+def _compile(index: dict[Formula, int], roots: Sequence[Formula]) -> _Compiled:
     # compile_formulas on the roots' _postorder
     names = tuple(sorted(g.name for g in index if type(g) is Var))
     ops = [
@@ -408,7 +407,7 @@ def render(f: Formula) -> str:
             continue
         tag = _TAGS[type(g)]
         if tag in _BINARY:
-            prec, right, _ = _BINARY[tag]
+            prec, right = _BINARY[tag]
             # the operand on the associative side may hold the same connective bare
             push(g.right, prec + (not right))
             stack.append(_SYMBOLS[tag])
@@ -429,8 +428,12 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 def complexity_ell(f: Formula) -> int:
     """Size measure used by the finite-model bound: number of subformulas,
     which is one op per subformula, plus bottom when f does not contain it."""
-    ops = compile_formulas([f])[0]
-    return len(ops) if ("bot",) in ops else len(ops) + 1
+    return _ell(compile_formulas([f])[0])
+
+
+def _ell(ops: Sequence[tuple]) -> int:
+    # complexity_ell of a compiled formula
+    return len(ops) + (("bot",) not in ops)
 
 
 def variables(f: Formula) -> frozenset[str]:

@@ -334,9 +334,9 @@ def oracle_compile_formulas(
 
 
 def count_compile_walks(monkeypatch) -> list[int]:
-    """Record the number of roots of every op list built from now on, by
-    compile_formulas or by parse; the roots themselves are not kept, so
-    they can die."""
+    """Record the number of roots of every op list that compile_formulas
+    builds from now on by walking nodes (parse walks none: its parser emits
+    the op list); the roots themselves are not kept, so they can die."""
     walks: list[int] = []
     build = syntax._compile
 

@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import json
 import random
@@ -11,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from godelmodal import LogicId, RelationalModel, SearchConfig, decider, model_to_json, parse, render, semantics
+from godelmodal import LogicId, RelationalModel, SearchConfig, decider, model_to_json, parse, render, semantics, syntax
 from godelmodal import cli
 from godelmodal.cli import run
+from godelmodal.syntax import compile_formulas
 from helpers import (
-    count_compile_walks,
     oracle_countermodel,
     oracle_frame_report,
     random_formula_bounded,
@@ -266,13 +267,35 @@ def test_countermodel_golden_shrunk_output(capsys, logic, formula, expected):
     assert (code, out) == (1, expected)
 
 
-def test_countermodel_compiles_its_formula_once(capsys, monkeypatch):
-    # the search and shrinking share one compile
-    walks = count_compile_walks(monkeypatch)
-    monkeypatch.setattr(decider, "_exhaustive", None)  # the random search must hit
-    code, out, err = invoke(capsys, "countermodel", "--logic", "k45", "--seed", "0", "once_q -> [](once_q & once_p)")
-    assert (code, json.loads(out)["verdict"]) == (1, "refuted")
-    assert walks == [1]
+def test_check_countermodel_and_eval_build_no_formula_nodes(capsys, tmp_path, monkeypatch):
+    # They read the parser's op list alone.  The formula's names are fresh,
+    # so a node built for it would be new: count constructions, and the
+    # node table, which would keep a node that outlived the call.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"worlds": ["a", "b"], "pi": {"a": "1", "b": "1/2"},
+                                "valuation": {"a": {"nodeless_p": "1/2"}}}))
+    text = "nodeless_q -> [](nodeless_q & nodeless_p) | ~<>~nodeless_r"
+    made = []
+    new = syntax.Formula.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(syntax.Formula, "__new__", staticmethod(counting))
+    gc.collect()
+    before = len(syntax._NODES)
+    for argv in [
+        ["check", text],
+        ["check", "--mode", "exhaustive", "--max-worlds", "2", "--max-truth", "3", text],  # a swept hit
+        ["countermodel", text],
+        ["countermodel", "--mode", "exhaustive", "--max-worlds", "2", "--max-truth", "3", text],
+        ["eval", "--model", str(path), text],
+    ]:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == ((0 if argv[0] == "eval" else 1), ""), argv
+    gc.collect()
+    assert (made, len(syntax._NODES)) == ([], before)
 
 
 def test_countermodel_builds_one_model_and_evaluates_nothing(capsys, monkeypatch):
@@ -337,7 +360,7 @@ def test_countermodel_matches_the_exact_shrink_oracle():
         code, out, err = run_captured(*argv, render(f))
         assert (code, out, err) == (*oracle_countermodel(f, logic, cfg), ""), argv
         mode = cfg.mode
-        if mode == "hybrid" and decider._random_hit(f, logic, cfg) is None:
+        if mode == "hybrid" and decider._random_hit(compile_formulas([f]), logic, cfg) is None:
             mode = "fallback"
         kinds[mode, code] += 1
     print(sorted(kinds.items()))

@@ -660,8 +660,9 @@ def test_random_search_matches_the_sample_by_sample_oracle():
 
 
 def hit_json(f, logic, cfg):
-    hit = decider._random_hit(f, logic, cfg)
-    return None if hit is None else verdict_to_json(decider._refuted(f, hit))
+    compiled = compile_formulas([f])
+    hit = decider._random_hit(compiled, logic, cfg)
+    return None if hit is None else verdict_to_json(decider._refuted(compiled, hit))
 
 
 def assert_streams_are_the_draws():
@@ -803,7 +804,7 @@ def test_a_hit_mid_batch_on_a_multi_world_sample_is_the_oracle_hit():
             found, drawn = oracle_random_search(f, logic, cfg)
             assert hit_json(f, logic, cfg) == found_json(found), (text, budget)
             assert (found is None) == (budget < at) and drawn == min(at, budget)
-        hit = decider._random_hit(f, logic, cfg)
+        hit = decider._random_hit(compile_formulas([f]), logic, cfg)
         assert at > 64 and len(hit.rows[0]) > 1 and hit.world > 0
         model, world, value = found
         assert hit.table[hit.code] == value and f"w{hit.world + 1}" == world
@@ -938,7 +939,7 @@ def test_many_small_streams_stay_within_the_bound_in_memory():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for seed in range(2500):
-            decider._random_hit(f, LogicId.K45, SearchConfig("random", 1, 1 << 40 | seed))
+            decider._random_hit(compile_formulas([f]), LogicId.K45, SearchConfig("random", 1, 1 << 40 | seed))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -1072,9 +1073,10 @@ def test_hits_decode_as_the_grid_rule_decodes():
     for i in range(300):
         logic = LOGICS[i % 3]
         f = random_formula(rng, ("p", "q")[: i // 3 % 3], depth=rng.randint(1, 3))
+        compiled = compile_formulas([f])
         hits = [
-            decider._random_hit(f, logic, SearchConfig("random", 30, i)),
-            decider._exhaustive(f, logic, SearchConfig("exhaustive", max_worlds=2, max_truth=3)),
+            decider._random_hit(compiled, logic, SearchConfig("random", 30, i)),
+            decider._exhaustive(compiled, logic, SearchConfig("exhaustive", max_worlds=2, max_truth=3)),
         ]
         for hit in hits:
             if not isinstance(hit, decider._Hit):
@@ -1083,8 +1085,8 @@ def test_hits_decode_as_the_grid_rule_decodes():
             if hit.swept:
                 top = len(hit.table) - 1
                 k_grid = len(hit.rows[0]) * (1 + len(hit.names)) + len(hit.truth)
-            for h in (hit, decider._shrunk(f, hit, logic)):
-                got = decider._refuted(f, h)
+            for h in (hit, decider._shrunk(compiled, hit, logic)):
+                got = decider._refuted(compiled, h)
                 # the grid rule reads code rows: pi, then one code per variable
                 rows = list(zip(*h.rows, *h.columns))
                 model = _materialize(h.names, rows, h.truth[1:-1], top, k_grid, h.worlds)

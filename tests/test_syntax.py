@@ -32,7 +32,7 @@ from godelmodal import (
     variables,
 )
 from godelmodal import syntax
-from godelmodal.syntax import _parse_template, compile_formulas
+from godelmodal.syntax import _parse_ops, _parse_template, compile_formulas
 
 from helpers import (
     count_compile_walks,
@@ -152,11 +152,13 @@ def assert_parses_like_oracle(text):
         try:
             expected = oracle_parse(text, allow_meta)
         except ParseError as exc:
-            with pytest.raises(ParseError) as got:
-                ours(text)
-            assert (str(got.value), got.value.position) == (str(exc), exc.position), text
+            for parser in (ours, lambda text: _parse_ops(text, allow_meta)):
+                with pytest.raises(ParseError) as got:
+                    parser(text)
+                assert (str(got.value), got.value.position) == (str(exc), exc.position), text
         else:
             assert ours(text) == expected, text
+            assert _parse_ops(text, allow_meta) == oracle_compile_formulas([expected]), text
 
 
 def test_parser_matches_recursive_oracle():
@@ -380,7 +382,7 @@ def test_dropped_formulas_leave_the_node_table():
 def test_the_compile_memo_dies_with_its_node(monkeypatch):
     walks = count_compile_walks(monkeypatch)
     text = "<>memo_p & ~[](memo_p | memo_q)"
-    f = parse(text)
+    f = oracle_parse(text, False)  # built by the constructors, without a memo
     first = compile_formulas([f])
     assert (complexity_ell(f), bound_for(f), variables(f)) == (12, 28, {"memo_p", "memo_q"})
     assert compile_formulas([f]) == first and len(walks) == 1
@@ -388,7 +390,9 @@ def test_the_compile_memo_dies_with_its_node(monkeypatch):
     del f
     gc.collect()
     assert node() is None
-    # no cache outlives the node: the same text compiles again
+    # no cache outlives the node: the same formula compiles again
+    assert compile_formulas([oracle_parse(text, False)]) == first and len(walks) == 2
+    # parse keeps its parser's op list and walks nothing
     assert compile_formulas([parse(text)]) == first and len(walks) == 2
 
 
@@ -442,23 +446,51 @@ def test_parse_keeps_the_compile_of_its_own_postorder(monkeypatch):
         # the constructors return the node parse returns, and say if it has a memo
         root = oracle_parse(text, meta)
         memo = getattr(root, "_compiled", None)
-        builds = len(walks)
         f = (_parse_template if meta else parse)(text)
-        # parse builds the root's compile once, unless the root has one already
-        assert f is root and walks[builds:] == ([] if memo else [1]), text
-        builds = len(walks)
-        assert compile_formulas([f]) == oracle_compile_formulas([f]), text
-        assert len(walks) == builds  # the compile read what parse kept
+        # parse walks no formula; it keeps its parser's op list, unless the
+        # root has a memo already, which it leaves as it is
+        assert f is root and walks == [], text
+        ops, (at,), names = oracle_compile_formulas([f])
+        assert f._compiled is memo if memo else f._compiled == (tuple(ops), at, names), text
+        assert compile_formulas([f]) == (ops, [at], names) and walks == [], text
         if rng.random() < 0.3:
             kept.append((text, f))
     # a live root without a memo gets parse's
     g = And(Var("built_p"), Box(disj(Var("built_q"), BOT)))
-    builds = len(walks)
-    assert parse("built_p & [](built_q | 0)") is g and len(walks) == builds + 1
-    assert compile_formulas([g]) == oracle_compile_formulas([g]) and len(walks) == builds + 1
+    assert getattr(g, "_compiled", None) is None
+    assert parse("built_p & [](built_q | 0)") is g and g._compiled is not None
+    assert compile_formulas([g]) == oracle_compile_formulas([g]) and walks == []
     del f, g, root, kept
     gc.collect()
     assert len(syntax._NODES) == before
+
+
+def test_the_op_parser_is_the_oracle_compile_of_the_oracle_parse():
+    # _parse_ops emits the op list of the formula parse returns, with the
+    # derived connectives expanded and equal subformulas shared, as
+    # compile_formulas numbers them; parse builds its nodes from it
+    rng = random.Random(3131)
+    seen = set()
+    for _ in range(1500):
+        text = random_compile_text(rng, rng.randint(1, 6))
+        meta = any(c.isupper() for c in text)
+        root = oracle_parse(text, meta)
+        expected = oracle_compile_formulas([root])
+        assert _parse_ops(text, meta) == expected, text
+        f = (_parse_template if meta else parse)(text)
+        ops, (at,), names = expected
+        assert f is root and f._compiled == (tuple(ops), at, names), text
+        seen.update(op[0] for op in ops)
+        seen.add("meta" if meta else "plain")
+    assert seen == {"bot", "var", "and", "imp", "box", "dia", "meta", "plain"}
+    # malformed texts raise the oracle's message at the oracle's position
+    for text in ["p $ q", "é", "(p", "p)", "((p) & q", "X", "p -> Q", "p ->", "p &", "~", "", "   ", " \t\n"]:
+        with pytest.raises(ParseError) as want:
+            oracle_parse(text, False)
+        for parser in (_parse_ops, parse):
+            with pytest.raises(ParseError) as got:
+                parser(text)
+            assert (str(got.value), got.value.position) == (str(want.value), want.value.position), text
 
 
 def test_mutating_a_compile_result_leaves_the_memo_alone():
