@@ -58,10 +58,10 @@ class Formula:
     """An interned node: constructing one whose class and fields equal a live
     node's returns that node, and copies return it too.  Children are
     interned already, so the lookup key is shallow.  A node's fields are set
-    once, when it is made; a node found live is returned as it is.
-    compile_formulas and parse keep a node's own compile on it as _compiled."""
+    once, when it is made; a node found live is returned as it is.  Nodes are
+    slotted: one holds its fields and its weak reference and nothing else."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls.__match_args__):
@@ -87,9 +87,14 @@ class Formula:
 
 
 def _node(cls: type) -> type:
-    """A frozen dataclass node whose generated __init__ becomes _fill, which
-    Formula.__new__ runs on a new node only; a construction then runs
-    object.__init__, which ignores the arguments."""
+    """A slotted frozen dataclass node whose generated __init__ becomes
+    _fill, which Formula.__new__ runs on a new node only; a construction
+    then runs object.__init__, which ignores the arguments.  The class is
+    slotted before dataclass runs, not by its slots=True, whose frozen
+    __setattr__ names the unslotted class and so raises TypeError, not
+    FrozenInstanceError, for a name that is no field."""
+    body = {k: v for k, v in vars(cls).items() if k != "__dict__"}
+    cls = type(cls.__name__, cls.__bases__, {**body, "__slots__": tuple(body.get("__annotations__", ()))})
     cls = dataclass(frozen=True, eq=False)(cls)
     cls._fill = cls.__init__
     del cls.__init__
@@ -159,7 +164,8 @@ class ParseError(ValueError):
 # or any other character, which no kind names.  It is run on text without
 # trailing whitespace, where a search from each position of that whitespace
 # would scan the rest of it, quadratic time in all.
-_TOKEN_RE = re.compile(r"\s*(<->|->|\[\]|<>|[&|~()01]|[A-Za-z][A-Za-z0-9_]*|\S)")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")  # an identifier
+_TOKEN_RE = re.compile(rf"\s*(<->|->|\[\]|<>|[&|~()01]|{_NAME_RE.pattern}|\S)")
 # token text -> kind; an identifier's kind is found by its first letter
 _KINDS = {
     "<->": "iff",
@@ -303,16 +309,12 @@ _CLASSES = {tag: cls for cls, tag in _TAGS.items()}
 
 
 def _formula(ops: list[tuple], roots: list[int], names: tuple[str, ...]) -> Formula:
-    """The formula of a one-root compile, its nodes built in op order.  The
-    root keeps the compile as its memo, unless it has one already."""
+    """The formula of a one-root compile, its nodes built in op order."""
     nodes: list[Formula] = []
     for tag, *args in ops:
         cls = _CLASSES[tag]
         nodes.append(Var(names[args[0]]) if cls is Var else cls(*[nodes[i] for i in args]))
-    f = nodes[roots[0]]
-    if getattr(f, "_compiled", None) is None:
-        object.__setattr__(f, "_compiled", (tuple(ops), roots[0], names))
-    return f
+    return nodes[roots[0]]
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
@@ -349,31 +351,14 @@ def compile_formulas(roots: Sequence[Formula]) -> _Compiled:
     names, ("and", a, b), ("imp", a, b), ("box", a) or ("dia", a), where a
     and b are indices of earlier ops.  Nodes are interned, so equal
     subformulas, also across roots, are one node and share one entry.
-
-    A one-root compile is kept on the root node for as long as the node
-    lives, so every later compile of that node returns it without walking
-    the formula; parse keeps the op list its parser emits.  The kept
-    ops hold only ints and strings, so they never keep the node alive, and
-    a formula parsed again after its node died compiles again.  The memo is
-    stored as tuples and every call returns fresh lists, so a caller cannot
-    change what the next call gets.  Compiles of several roots are not kept.
     """
-    memo = getattr(roots[0], "_compiled", None) if len(roots) == 1 else None
-    if memo is None:
-        return _compile(_postorder(roots), roots)
-    return list(memo[0]), [memo[1]], memo[2]
-
-
-def _compile(index: dict[Formula, int], roots: Sequence[Formula]) -> _Compiled:
-    # compile_formulas on the roots' _postorder
+    index = _postorder(roots)
     names = tuple(sorted(g.name for g in index if type(g) is Var))
     ops = [
         ("var", names.index(g.name)) if type(g) is Var
         else (_TAGS[type(g)], *map(index.__getitem__, _children(g)))
         for g in index
     ]
-    if len(roots) == 1:
-        object.__setattr__(roots[0], "_compiled", (tuple(ops), index[roots[0]], names))
     return ops, [index[r] for r in roots], names
 
 
@@ -381,8 +366,11 @@ _SYMBOLS = {"and": " & ", "imp": " -> ", "box": "[]", "dia": "<>"}
 
 
 def render(f: Formula) -> str:
-    """Print a formula using only primitive connectives; parse(render(f)) == f.
+    """Print a formula using only primitive connectives.
 
+    Every variable name must be an identifier other than top, or render
+    raises ValueError naming it; then parse(render(f)) == f when every name
+    starts lowercase, and _parse_template reads uppercase metavariables back.
     One pass over an explicit stack of pending nodes and text pieces, so
     memory is linear in the output even for deep formulas."""
 
@@ -415,8 +403,12 @@ def render(f: Formula) -> str:
         elif tag in _UNARY:
             out.append(_SYMBOLS[tag])
             push(g.body, _PREC_UNARY)
+        elif tag == "var":
+            if g.name == "top" or not _NAME_RE.fullmatch(g.name):
+                raise ValueError(f"variable {g.name!r} would not print as a variable")
+            out.append(g.name)
         else:
-            out.append(g.name if tag == "var" else "0")
+            out.append("0")
     return "".join(out)
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -317,8 +318,7 @@ def oracle_postorder(roots: Sequence[Formula]) -> list[Formula]:
 def oracle_compile_formulas(
     roots: Sequence[Formula],
 ) -> tuple[list[tuple], list[int], tuple[str, ...]]:
-    """compile_formulas without its memo or the package's walk: every call
-    walks the roots."""
+    """compile_formulas without the package's walk."""
     ops: list[tuple] = []
     index: dict[Formula, int] = {}
     for g in oracle_postorder(roots):
@@ -334,17 +334,19 @@ def oracle_compile_formulas(
 
 
 def count_compile_walks(monkeypatch) -> list[int]:
-    """Record the number of roots of every op list that compile_formulas
-    builds from now on by walking nodes (parse walks none: its parser emits
-    the op list); the roots themselves are not kept, so they can die."""
+    """Record the number of roots of every node walk that compile_formulas
+    makes from now on (parse walks none: its parser emits the op list).
+    The walks of subformulas and instantiate are not counted, and the roots
+    themselves are not kept, so they can die."""
     walks: list[int] = []
-    build = syntax._compile
+    walk = syntax._postorder
 
-    def counting(order, roots):
-        walks.append(len(roots))
-        return build(order, roots)
+    def counting(roots):
+        if sys._getframe(1).f_code is compile_formulas.__code__:
+            walks.append(len(roots))
+        return walk(roots)
 
-    monkeypatch.setattr(syntax, "_compile", counting)
+    monkeypatch.setattr(syntax, "_postorder", counting)
     return walks
 
 

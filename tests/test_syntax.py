@@ -2,9 +2,12 @@ import copy
 import gc
 import pickle
 import random
+import re
 import time
 import tracemalloc
 import weakref
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -12,6 +15,8 @@ from hypothesis import strategies as st
 
 from godelmodal import (
     BOT,
+    ONE,
+    ZERO,
     And,
     Box,
     Dia,
@@ -19,15 +24,28 @@ from godelmodal import (
     LogicId,
     MissingMetavariableError,
     ParseError,
+    PiGFModel,
+    PiGModel,
+    RelationalModel,
+    SearchConfig,
+    TruthSet,
     Var,
     bound_for,
     complexity_ell,
     corpus,
+    decide,
     disj,
+    eval_pig,
+    eval_pigf,
+    eval_rel,
+    evaluate,
+    filtrate,
     iff,
     instantiate,
     parse,
+    random_search,
     render,
+    shrink,
     subformulas,
     variables,
 )
@@ -184,6 +202,19 @@ def test_render_examples():
     assert render(Box(Implies(P, Q))) == "[](p -> q)"
     assert render(Dia(And(P, Q))) == "<>(p & q)"
     assert render(BOT) == "0"
+
+
+@pytest.mark.parametrize("name", ["top", "0", "1", "p->q", "", "p q", "é"])
+def test_render_refuses_a_name_that_would_print_as_another_formula(name):
+    for f in (Box(Var(name)), And(P, Implies(Var(name), Dia(Q)))):
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            render(f)
+
+
+def test_render_prints_identifiers_and_metavariables():
+    f = And(Var("top_1"), Box(Implies(Var("X"), Var("q_2"))))
+    assert render(f) == "top_1 & [](X -> q_2)"
+    assert _parse_template(render(f)) is f
 
 
 @given(formulas())
@@ -376,27 +407,29 @@ def test_dropped_formulas_leave_the_node_table():
     assert len(syntax._NODES) == before
 
 
-# -- the compile memo ---------------------------------------------------------------
+# -- compiling ----------------------------------------------------------------------
 
 
-def test_the_compile_memo_dies_with_its_node(monkeypatch):
+def test_a_compile_keeps_nothing_on_its_node(monkeypatch):
     walks = count_compile_walks(monkeypatch)
-    text = "<>memo_p & ~[](memo_p | memo_q)"
-    f = oracle_parse(text, False)  # built by the constructors, without a memo
+    text = "<>walked_p & ~[](walked_p | walked_q)"
+    f = oracle_parse(text, False)  # built by the constructors
     first = compile_formulas([f])
-    assert (complexity_ell(f), bound_for(f), variables(f)) == (12, 28, {"memo_p", "memo_q"})
-    assert compile_formulas([f]) == first and len(walks) == 1
+    assert (complexity_ell(f), bound_for(f), variables(f)) == (12, 28, {"walked_p", "walked_q"})
+    # every compile walks its formula again
+    assert compile_formulas([f]) == first and walks == [1] * 5
     node = weakref.ref(f)
     del f
     gc.collect()
     assert node() is None
-    # no cache outlives the node: the same formula compiles again
-    assert compile_formulas([oracle_parse(text, False)]) == first and len(walks) == 2
-    # parse keeps its parser's op list and walks nothing
-    assert compile_formulas([parse(text)]) == first and len(walks) == 2
+    assert compile_formulas([oracle_parse(text, False)]) == first and len(walks) == 6
+    # parse walks nothing: its parser emits the op list
+    g = parse(text)
+    assert len(walks) == 6
+    assert compile_formulas([g]) == first and len(walks) == 7
 
 
-def test_the_compile_memo_matches_the_unmemoized_compiler():
+def test_compile_formulas_matches_the_oracle_compiler():
     rng = random.Random(1414)
     pool = [P, BOT]
     for _ in range(300):
@@ -408,9 +441,9 @@ def test_the_compile_memo_matches_the_unmemoized_compiler():
     for f in [*pool, deep]:
         expected = oracle_compile_formulas([f])
         assert compile_formulas([f]) == expected
-        assert compile_formulas((f,)) == expected  # now read from the memo
+        assert compile_formulas((f,)) == expected
         g = rng.choice(pool)
-        # several roots are compiled afresh, also when each has a memo
+        # several roots share the ops of their common subformulas
         assert compile_formulas([f, g]) == oracle_compile_formulas([f, g])
 
 
@@ -430,7 +463,7 @@ def random_compile_text(rng, depth):
     return f"({left}){op}{right}" if rng.random() < 0.5 else left + op + right
 
 
-def test_parse_keeps_the_compile_of_its_own_postorder(monkeypatch):
+def test_parse_returns_the_interned_node_of_its_own_postorder(monkeypatch):
     gc.collect()
     before = len(syntax._NODES)
     rng = random.Random(2424)
@@ -439,27 +472,23 @@ def test_parse_keeps_the_compile_of_its_own_postorder(monkeypatch):
     for _ in range(1500):
         text = random_compile_text(rng, rng.randint(1, 5))
         if kept and rng.random() < 0.3:
-            # the root, or a subformula, is live with its own memo
+            # the root, or a subformula, is live already
             earlier = rng.choice(kept)[0]
             text = rng.choice((earlier, f"({earlier}) | {text}", f"{text} <-> ~({earlier})"))
         meta = any(c.isupper() for c in text)
-        # the constructors return the node parse returns, and say if it has a memo
+        # the constructors return the node parse returns
         root = oracle_parse(text, meta)
-        memo = getattr(root, "_compiled", None)
         f = (_parse_template if meta else parse)(text)
-        # parse walks no formula; it keeps its parser's op list, unless the
-        # root has a memo already, which it leaves as it is
+        # parse walks no formula: it builds the nodes from its parser's op list
         assert f is root and walks == [], text
-        ops, (at,), names = oracle_compile_formulas([f])
-        assert f._compiled is memo if memo else f._compiled == (tuple(ops), at, names), text
-        assert compile_formulas([f]) == (ops, [at], names) and walks == [], text
+        assert compile_formulas([f]) == oracle_compile_formulas([f]) and walks == [1], text
+        walks.clear()
         if rng.random() < 0.3:
             kept.append((text, f))
-    # a live root without a memo gets parse's
+    # a live root built by the constructors is the root parse returns
     g = And(Var("built_p"), Box(disj(Var("built_q"), BOT)))
-    assert getattr(g, "_compiled", None) is None
-    assert parse("built_p & [](built_q | 0)") is g and g._compiled is not None
-    assert compile_formulas([g]) == oracle_compile_formulas([g]) and walks == []
+    assert parse("built_p & [](built_q | 0)") is g and walks == []
+    assert compile_formulas([g]) == oracle_compile_formulas([g])
     del f, g, root, kept
     gc.collect()
     assert len(syntax._NODES) == before
@@ -478,9 +507,8 @@ def test_the_op_parser_is_the_oracle_compile_of_the_oracle_parse():
         expected = oracle_compile_formulas([root])
         assert _parse_ops(text, meta) == expected, text
         f = (_parse_template if meta else parse)(text)
-        ops, (at,), names = expected
-        assert f is root and f._compiled == (tuple(ops), at, names), text
-        seen.update(op[0] for op in ops)
+        assert f is root and compile_formulas([f]) == expected, text
+        seen.update(op[0] for op in expected[0])
         seen.add("meta" if meta else "plain")
     assert seen == {"bot", "var", "and", "imp", "box", "dia", "meta", "plain"}
     # malformed texts raise the oracle's message at the oracle's position
@@ -493,7 +521,7 @@ def test_the_op_parser_is_the_oracle_compile_of_the_oracle_parse():
             assert (str(got.value), got.value.position) == (str(want.value), want.value.position), text
 
 
-def test_mutating_a_compile_result_leaves_the_memo_alone():
+def test_mutating_a_compile_result_changes_no_later_compile():
     f = parse("[](p -> <>q) & ~p")
     expected = oracle_compile_formulas([f])
     for _ in range(2):
@@ -507,15 +535,62 @@ def test_mutating_a_compile_result_leaves_the_memo_alone():
         assert compile_formulas([f]) == expected
 
 
-def test_compiled_formulas_pickle_and_copy_to_the_interned_node(monkeypatch):
+def test_compiled_formulas_pickle_and_copy_to_the_interned_node():
     f = parse("<>[]p -> []compiled_r")
     expected = compile_formulas([f])
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(f, protocol)) is f
     assert copy.deepcopy(f) is f and copy.copy(f) is f
     assert copy.deepcopy([f, compile_formulas([f])]) == [f, expected]
+    assert compile_formulas([f]) == expected
+
+
+def test_each_public_entry_walks_its_formula_once(monkeypatch):
+    f = parse("<>once_p -> [](once_p | once_q)")
+    model = PiGModel(["a", "b"], {"a": ONE, "b": Fraction(1, 2)}, {"a": {"once_p": Fraction(1, 3)}})
+    rounded = PiGFModel(model, TruthSet([ZERO, Fraction(1, 2), ONE]))
+    relational = RelationalModel(["a", "b"], {"a": {"b": Fraction(1, 2)}}, {"b": {"once_p": ONE}})
+    sigma = subformulas(f)
+    found = random_search(f, LogicId.K45, SearchConfig(mode="random", budget=200, seed=1))
+    assert found is not None
+    countermodel, world, _ = found
+    entries = {
+        "decide exhaustive": lambda: decide(f, LogicId.K45, SearchConfig(mode="exhaustive", max_worlds=2, max_truth=3)),
+        "decide hybrid": lambda: decide(f, LogicId.KD45, SearchConfig(budget=50)),
+        "random_search": lambda: random_search(f, LogicId.S5, SearchConfig(mode="random", budget=50)),
+        "shrink": lambda: shrink(countermodel, world, f, LogicId.K45),
+        "bound_for": lambda: bound_for(f),
+        "complexity_ell": lambda: complexity_ell(f),
+        "variables": lambda: variables(f),
+        "evaluate": lambda: evaluate(model, f),
+        "eval_pig": lambda: eval_pig(model, "a", f),
+        "eval_pigf": lambda: eval_pigf(rounded, "b", f),
+        "eval_rel": lambda: eval_rel(relational, "a", f),
+        "filtrate": lambda: filtrate(model, sigma, "a"),
+        "pickle.dumps": lambda: pickle.dumps(f),
+    }
     walks = count_compile_walks(monkeypatch)
-    assert compile_formulas([f]) == expected and walks == []
+    for name, call in entries.items():
+        call()
+        assert len(walks) == 1, name
+        walks.clear()
+    assert parse("[]<>once_q & ~once_p") is And(Box(Dia(Var("once_q"))), Implies(Var("once_p"), BOT))
+    assert walks == []
+
+
+def test_a_node_holds_only_its_fields():
+    nodes = [BOT, P, And(P, Q), Implies(P, BOT), Box(P), Dia(Q)]
+    for node in nodes:
+        assert not hasattr(node, "__dict__"), node
+        assert weakref.ref(node)() is node
+        with pytest.raises(AttributeError):
+            object.__setattr__(node, "x", 1)
+        with pytest.raises(FrozenInstanceError):
+            node.x = 1
+        with pytest.raises(FrozenInstanceError):
+            del node.x
+    with pytest.raises(AttributeError):
+        object.__setattr__(Var("p"), "x", 1)
 
 
 # -- scheme instantiation ---------------------------------------------------------
