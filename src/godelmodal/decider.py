@@ -11,16 +11,18 @@ Rogger (Decidability of order-based modal logics, JCSS 2017) for
 world-independent modal values.  A row is one bit of an integer, so the
 search costs a few integer operations per op and level, none per row.  A
 refutation then comes from a sweep of that one size: the canonical models,
-one per order type and realized on an evenly spaced rational grid, in a
-fixed order, so it is the first countermodel a sweep of all sizes up to
-the bound 2(l + 2) would meet.
+one per order type, in a fixed order, so it is the first countermodel a
+sweep of all sizes up to the bound 2(l + 2) would meet.  They lie on the
+grid of k_grid = |W|(1 + #variables) + |T| steps: a model with j interior
+values uses the codes 0..j, and k_grid for 1.
 
-Random mode samples models instead, and hybrid tries random first.  Samples
-come in batches that double from 1 to 256 models.  A batch is drawn
-straight into packed code columns, the models end to end, and evaluated in
-one pass of the op list, each modal op in one pass over the batch's
-worlds; the draws read the seeded stream exactly as sampling one model at
-a time does, so the first countermodel is the same.
+Random mode samples models instead, and hybrid tries random first.  Both
+searches evaluate their models in batches of 1, 2, 4, ... models, each in
+one pass of the op list, each modal op in one pass over the batch's worlds,
+and one reader, _first_hit, takes the first countermodel of either.  A
+sampled batch is drawn straight into packed code columns, the models end to
+end; the draws read the seeded stream exactly as sampling one model at a
+time does, so the first countermodel is the same.
 The draws never read the formula, so searches that agree on the seed, the
 size caps and the batch cap share one stream, which a process keeps in a
 streams._Streams table; the table decides what is read, drawn and kept,
@@ -46,8 +48,9 @@ from bisect import bisect_left, bisect_right
 from contextlib import closing
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, combinations_with_replacement, product
+from functools import cache, reduce
+from itertools import accumulate, combinations, combinations_with_replacement, islice, product
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import ONE, ZERO, format_rational
@@ -123,12 +126,12 @@ def _bound(ops: list[tuple]) -> int:
 # canonical enumeration
 #
 # A model assigns values to slots: one pi value per world, one valuation
-# value per world and variable, plus the interior members of T.  Values are
-# encoded as integer codes 0, 1..j, j+1 where j is the number of distinct
-# interior values: code 0 is 0, code j+1 is 1, interior code c realizes the
-# grid point c/K, so _grid(j + 1, K) decodes them.  Every interior code must
-# be used by a model slot or claimed by T, which makes each order type appear
-# exactly once.
+# value per world and variable, plus the interior members of T.  A size
+# (|W|, |T|) is coded on the grid of K = |W|(1 + #variables) + |T| steps,
+# _grid(K): a model with j distinct interior values uses the codes 0..j,
+# and K for 1.  Every interior code must be used by a model slot or claimed
+# by T, which makes each order type appear exactly once.  The models come
+# in batch frames, which _first_hit reads as it reads the random search's.
 
 
 @dataclass(frozen=True)
@@ -146,9 +149,10 @@ class _Hit(_Coded):
 
 
 @cache
-def _grid(top: int, k_grid: int) -> tuple[Fraction, ...]:
-    """The table of a grid's codes: 0, 1/k_grid, ..., (top - 1)/k_grid, 1."""
-    return (ZERO, *(Fraction(c, k_grid) for c in range(1, top)), ONE)
+def _grid(k: int) -> tuple[Fraction, ...]:
+    """The table of the grid of k steps: code c stands for c/k, so code k
+    for 1."""
+    return (ZERO, *(Fraction(c, k) for c in range(1, k)), ONE)
 
 
 def _refuted(compiled: _Compiled, hit: _Hit) -> Refuted:
@@ -165,16 +169,11 @@ def _refuted(compiled: _Compiled, hit: _Hit) -> Refuted:
     return Refuted(model, world, value)
 
 
-def _sweep_size(
-    n_worlds: int,
-    n_truth: int,
-    names: tuple[str, ...],
-    logic: LogicId,
-) -> Iterator[tuple[list[list[int]], list[int], int, int]]:
-    """Canonical world-sorted models of exactly these dimensions, as integer
-    code structures (columns, t_codes, top_code, k_grid): columns holds pi,
-    then one per variable; code c stands for c / k_grid, except top_code
-    for 1.
+def _sweep_size(n_worlds: int, n_truth: int, names: tuple[str, ...], logic: LogicId, most: int) -> Iterator[tuple]:
+    """Canonical world-sorted models of exactly these dimensions, by their
+    count j of interior codes, then truth set, then rows, in batches of
+    evaluate_compiled's batch form (columns, (pi, counts, truths)): 1, 2,
+    4, ... up to most models of one truth set.
 
     A model's rows, its worlds' codes, strictly increase in alphabet order.
     Increasing rows identify models that only differ by a renaming of
@@ -188,36 +187,31 @@ def _sweep_size(
     """
     width = 1 + len(names)
     k_grid = n_worlds * width + n_truth
-    for j in range(n_worlds * width + n_truth - 2 + 1):
-        top_code = j + 1
-        space = product(range(top_code + 1), repeat=width)
-        if logic is LogicId.S5:
-            alphabet = [row for row in space if row[0] == top_code]
-        else:
-            alphabet = list(space)
-        masks = []
-        for row in alphabet:
-            mask = 0
-            for c in row:
-                if 0 < c <= j:
-                    mask |= 1 << c
-            if row[0] == top_code:
-                mask |= 1  # normalization marker: some world fully possible
-            masks.append(mask)
-        by_position = [[row[i] for row in alphabet] for i in range(width)]
+    s5 = logic is LogicId.S5  # every pi is 1
+    for j in range(k_grid - 1):
+        codes = (*range(j + 1), k_grid)
+        alphabet = list(product((k_grid,) if s5 else codes, *[codes] * (width - 1)))
+        # bit c for each interior code c a row uses, and bit 0 if its pi is
+        # 1, built one position at a time in the alphabet's order
+        bits = [0, *(1 << c for c in range(1, j + 1)), 0]
+        masks = [1] if s5 else [*bits[:-1], 1]
+        for _ in range(width - 1):
+            masks = [m | b for m in masks for b in bits]
         for t_ranks in combinations(range(1, j + 1), n_truth - 2):
-            need = 1 if logic is not LogicId.K45 else 0
-            in_t = set(t_ranks)
-            for r in range(1, j + 1):
-                if r not in in_t:
-                    need |= 1 << r
-            t_codes = sorted({0, top_code} | in_t)
-            for picks in combinations(range(len(alphabet)), n_worlds):
-                cover = 0
-                for i in picks:
-                    cover |= masks[i]
-                if not need & ~cover:
-                    yield [[codes[i] for i in picks] for codes in by_position], t_codes, top_code, k_grid
+            # each interior code outside T is used, and under KD45 and S5 some
+            # world is fully possible
+            need = sum(1 << r for r in range(1, j + 1) if r not in t_ranks) | (logic is not LogicId.K45)
+            t_codes = [0, *t_ranks, k_grid]
+            models = (
+                picks
+                for picks in combinations(range(len(alphabet)), n_worlds)
+                if not need & ~reduce(or_, map(masks.__getitem__, picks))
+            )
+            size = 1
+            while batch := list(islice(models, size)):
+                pi, *columns = zip(*(alphabet[i] for picks in batch for i in picks))
+                yield columns, (pi, [n_worlds] * len(batch), [t_codes] * len(batch))
+                size = min(2 * size, most)
 
 
 def _first_refutation(
@@ -227,13 +221,38 @@ def _first_refutation(
     t_codes: Sequence[int],
     top: int,
 ) -> tuple[int, int] | None:
-    """The first world whose root code is below top, with that code, in a
-    model given as integer code columns (pi, then one per variable)."""
+    """The first world whose root code is below top, with that code, in one
+    model given as integer code columns (pi, then one per variable): the
+    shrink's evaluator."""
     values = evaluate_compiled(ops, columns[1:], (columns[:1], t_codes), top)[root]
     for idx, code in enumerate(values):
         if code != top:
             return idx, code
     return None
+
+
+def _first_hit(
+    compiled: _Compiled, batches: Iterable[tuple[Sequence, tuple]], top: int, swept: bool = False
+) -> _Hit | None:
+    """The first countermodel, in code form, of batches in evaluate_compiled's
+    batch form on the grid of top steps, or None: the first refuting world
+    of the first batch that holds one, the world a model-by-model search
+    would return.  Only its model is sliced out of the frame, and a batch
+    without a hit costs a count of its root values."""
+    ops, (root,), names = compiled
+    for columns, frame in batches:
+        values = evaluate_compiled(ops, columns, frame, top)[root]
+        if values.count(top) < len(values):
+            break
+    else:
+        return None
+    hit = next(w for w, v in enumerate(values) if v != top)
+    pi, counts, truths = frame
+    ends = list(accumulate(counts))
+    j = bisect_right(ends, hit)  # the model that holds the hit
+    start, end = ends[j] - counts[j], ends[j]
+    sample = [column[start:end] for column in columns]
+    return _Hit(None, names, [pi[start:end]], sample, truths[j], _grid(top), hit - start, values[hit], swept)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +582,12 @@ def _exhaustive(compiled: _Compiled, logic: LogicId, cfg: SearchConfig) -> Valid
             best = (n_worlds, k + 2)
     if best is None:
         return Valid(bound, examined)
-    for columns, t_codes, top_code, k_grid in _sweep_size(*best, names, logic):
-        hit = _first_refutation(ops, root, columns, t_codes, top_code)
-        if hit is not None:
-            return _Hit(None, names, columns[:1], columns[1:], t_codes, _grid(top_code, k_grid), *hit, swept=True)
-    raise RuntimeError(f"world types found a countermodel of size {best}, the sweep none")
+    n_worlds, n_truth = best
+    batches = _sweep_size(n_worlds, n_truth, names, logic, _batch_cap(n_worlds, ops))
+    hit = _first_hit(compiled, batches, n_worlds * (1 + len(names)) + n_truth, swept=True)
+    if hit is None:
+        raise RuntimeError(f"world types found a countermodel of size {best}, the sweep none")
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +604,23 @@ _INNER = tuple((d - 1, (d - 1).bit_length(), _GRID // d) for d in _DENOMS)
 # The number of distinct interior values those draws can give
 _N_INNER = len({i * step for below, _, step in _INNER for i in range(1, below + 1)})
 
-# The most samples in one batch, and the most values one batch's evaluation
-# may hold over the whole op list; see random_search.
+# The most models in one batch of either search, and the most values one
+# batch's evaluation may hold over the whole op list; see _batch_cap.
 _BATCH = 256
 _BATCH_VALUES = 1 << 20
 # the sample streams the random searches of this process share, within
 # _BATCH_VALUES bytes in all; see _random_hit
 _STREAMS = _Streams(_BATCH_VALUES)
+
+
+def _batch_cap(worlds: int, ops: list[tuple]) -> int:
+    """The most models in one batch of models of at most w = worlds worlds:
+    _BATCH, lowered so that b models, b * w values per op, stay within
+    _BATCH_VALUES values over the op list (8 MiB of list slots; CPython
+    shares small ints, and a sample's var op values are its column's bytes)
+    unless one model alone holds more.  A formula of a few dozen ops at the
+    default 5-world cap runs full batches of 256 samples, a few hundred KiB."""
+    return max(1, min(_BATCH, _BATCH_VALUES // (worlds * len(ops))))
 
 
 def _draw(
@@ -718,7 +748,7 @@ def random_pigf_model(
     if n_truth < 2:
         raise ValueError("n_truth must be at least 2")
     columns, (pi, _, (truth,)) = _unpack(_draw(rng, 1, len(var_names), logic, n_worlds, n_truth), 1, len(var_names))
-    return _decode(_Coded(None, tuple(var_names), [pi], columns, truth, _grid(_GRID, _GRID)))
+    return _decode(_Coded(None, tuple(var_names), [pi], columns, truth, _grid(_GRID)))
 
 
 def random_search(
@@ -737,55 +767,21 @@ def random_search(
 def _random_hit(compiled: _Compiled, logic: LogicId, cfg: SearchConfig) -> _Hit | None:
     """random_search's first countermodel, in code form on the 1/120 grid.
 
-    Samples are drawn and evaluated in batches of 1, 2, 4, ... up to _BATCH
-    samples, each batch in one evaluate_compiled call over all its models;
-    a batch without a hit costs one count of its root values.  Batches are
-    drawn in order from one rng, so the first refuting world of the first
-    batch with a hit is the one a sample-by-sample search would return, and
-    only that sample becomes a model.  Doubling from 1 keeps a hit on the
-    first samples as cheap as one sample.  _STREAMS.batches reads, draws
-    and keeps the batches.
-
-    Each batch is evaluated straight from its packed bytes: streams._unpack
-    slices its code columns and its frame, the pi codes, world counts and
-    truth sets, and the hit's world offset, pi codes, columns and truth set
-    are read from that frame.
-
-    Memory: a batch of b samples of at most w worlds holds b * w values per
-    op, b times what one sample holds.  A var op's values are its column's
-    bytes, one byte each.  Other codes are small ints, which CPython shares,
-    so a value costs one 8-byte list slot; the frame adds one count and one
-    truth set slice per sample.  The batch cap is lowered so that b * w *
-    len(ops) stays within _BATCH_VALUES (8 MiB of slots) unless one sample
-    alone holds more; a formula of a few dozen ops at the default 5-world
-    cap runs full 256-sample batches of at most 1280 worlds, a few hundred
-    KiB.
+    Samples are drawn in batches of 1, 2, 4, ... up to _batch_cap samples,
+    in order from one rng, and _first_hit reads the first hit off them;
+    doubling from 1 keeps a hit on the first samples as cheap as one sample.
+    _STREAMS.batches reads, draws and keeps the batches, and streams._unpack
+    slices each straight from its packed bytes.
     """
-    ops, (root,), names = compiled
+    ops, _, names = compiled
     bound = _bound(ops)
     worlds_cap = max(1, min(cfg.max_worlds or 5, bound - 2))
     n_truth = cfg.max_truth or 6
     # the truth set cap of each world count, within the bound
     caps = tuple([max(2, min(n_truth, bound - w)) for w in range(worlds_cap + 1)])
-    most = max(1, min(_BATCH, _BATCH_VALUES // (worlds_cap * len(ops))))
-    key = (cfg.seed, most, len(names), logic, worlds_cap, n_truth, caps)
+    key = (cfg.seed, _batch_cap(worlds_cap, ops), len(names), logic, worlds_cap, n_truth, caps)
     with closing(_STREAMS.batches(key, cfg.budget, _draw)) as batches:
-        for data, count in batches:
-            columns, frame = _unpack(data, count, len(names))
-            values = evaluate_compiled(ops, columns, frame, _GRID)[root]
-            if values.count(_GRID) < len(values):
-                break
-        else:
-            return None
-    hit = next(w for w, v in enumerate(values) if v != _GRID)
-    pi, counts, truths = frame
-    start = 0
-    for j, n in enumerate(counts):
-        if hit < start + n:
-            break
-        start += n
-    sample = [column[start:start + n] for column in columns]
-    return _Hit(None, names, [pi[start:start + n]], sample, truths[j], _grid(_GRID, _GRID), hit - start, values[hit])
+        return _first_hit(compiled, (_unpack(data, count, len(names)) for data, count in batches), _GRID)
 
 
 def _search(compiled: _Compiled, logic: LogicId, cfg: SearchConfig) -> _Hit | Valid | None:

@@ -223,9 +223,10 @@ def evaluate_compiled(
     row's value is broadcast over the worlds.
 
     A batch of possibilistic models is (pi, counts, truths), as
-    streams._unpack slices it: the models' pi codes end to end, as their
-    worlds lie in columns, each model's world count and each model's sorted
-    truth set codes.  A modal op walks all the batch's worlds in one pass,
+    streams._unpack slices a sampled batch and decider._sweep_size yields a
+    swept one: the models' pi codes end to end, as their worlds lie in
+    columns, each model's world count and each model's sorted truth set
+    codes.  A modal op walks all the batch's worlds in one pass,
     counting down each model's worlds, and broadcasts each model's value
     over them.
 

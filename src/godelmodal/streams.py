@@ -59,7 +59,8 @@ def _unpack(
     """The first count models of a packed batch, in evaluate_compiled's
     batch form, sliced straight from data: one code column per variable,
     the models end to end, and the frame (pi, counts, truths) of their pi
-    codes end to end, their world counts and one truth set slice each."""
+    codes end to end, their world counts and one truth set slice each.
+    decider._sweep_size is the other producer of that form."""
     size = _samples(data)
     head = (1 + size) * _UINT
     worlds = memoryview(data)[_UINT:head].cast("I")

@@ -6,6 +6,7 @@ import random
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -606,8 +607,10 @@ def test_deeply_nested_model_file_is_usage_error(capsys, tmp_path):
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
-    # A failing cross-check in the sweep is a bug, never a verdict.
-    monkeypatch.setattr(decider, "_first_refutation", lambda *args: (0, 1))
+    # A failing cross-check in the sweep is a bug, never a verdict.  The
+    # sweep's hit comes from _first_hit, so a wrong code is planted on it.
+    first_hit = decider._first_hit
+    monkeypatch.setattr(decider, "_first_hit", lambda *args, **kw: replace(first_hit(*args, **kw), world=0, code=1))
     code, out, err = invoke(capsys, "check", "--mode", "exhaustive", "[]~~p -> ~~[]p")
     assert (code, out) == (4, "")
     assert "Traceback" in err

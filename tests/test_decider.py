@@ -8,13 +8,15 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, islice, product
 
 import pytest
 
 from godelmodal import (
     ONE,
     ZERO,
+    Box,
+    Dia,
     LogicId,
     PiGFModel,
     PiGModel,
@@ -24,6 +26,7 @@ from godelmodal import (
     TruthSet,
     Unknown,
     Valid,
+    Var,
     bound_for,
     decide,
     embed_pig,
@@ -45,9 +48,10 @@ from godelmodal import decider
 from godelmodal.decider import _grid, _sweep_size
 from godelmodal.semantics import _Coded, _decode as decode_codes, evaluate_compiled
 from godelmodal.streams import _cost, _samples
-from godelmodal.syntax import SCHEMES, _postorder, compile_formulas, corpus
+from godelmodal.syntax import SCHEMES, _parse_template, _postorder, compile_formulas, corpus
 from helpers import (
     _decode,
+    _first_refutation as oracle_first_refutation,
     _materialize,
     oracle_eval,
     oracle_exhaustive,
@@ -90,11 +94,22 @@ def test_bound_examples():
 # -- canonical enumeration ------------------------------------------------------
 
 
+def swept(n_worlds, n_truth, names, logic, most=decider._BATCH):
+    """The models of _sweep_size's batches of exactly these dimensions, one
+    by one, as (pi, columns, truth) codes."""
+    for columns, (pi, counts, truths) in _sweep_size(n_worlds, n_truth, names, logic, most):
+        start = 0
+        for n, truth in zip(counts, truths):
+            yield pi[start:start + n], [column[start:start + n] for column in columns], truth
+            start += n
+
+
 def sweep_models(n_worlds, n_truth, names, logic):
     """The exhaustive sweep's models of exactly these dimensions."""
+    table = _grid(n_worlds * (1 + len(names)) + n_truth)
     return [
-        decode_codes(_Coded(None, names, columns[:1], columns[1:], t_codes, _grid(top_code, k_grid)))
-        for columns, t_codes, top_code, k_grid in _sweep_size(n_worlds, n_truth, names, logic)
+        decode_codes(_Coded(None, names, [pi], columns, truth, table))
+        for pi, columns, truth in swept(n_worlds, n_truth, names, logic)
     ]
 
 
@@ -156,8 +171,16 @@ def test_sweep_size_matches_the_recursive_enumeration():
         for logic in LogicId:
             for n in range(1, 8 // width + 1):
                 for t in range(2, 9 - n * width):
-                    # the package yields code columns, the oracle code rows
-                    got = [(tuple(zip(*columns)), *rest) for columns, *rest in _sweep_size(n, t, names, logic)]
+                    k_grid = n * width + t
+                    got = []
+                    for pi, columns, truth in swept(n, t, names, logic):
+                        # the package yields code columns and codes 1 as
+                        # k_grid; the oracle yields code rows and codes 1 as
+                        # j + 1, j the highest interior code, used or in T
+                        rows = list(zip(pi, *columns))
+                        top_code = 1 + max(c for c in (*chain(*rows), *truth) if c != k_grid)
+                        coded = [[top_code if c == k_grid else c for c in codes] for codes in (*rows, truth)]
+                        got.append((tuple(map(tuple, coded[:-1])), coded[-1], top_code, k_grid))
                     assert got == list(oracle_sweep_size(n, t, names, logic)), (n, t, names, logic)
                     listed += len(got)
     assert listed == 22599
@@ -545,9 +568,175 @@ def test_world_types_without_a_swept_countermodel_raise(monkeypatch):
 def test_exhaustive_cross_check_raises_on_disagreement(monkeypatch):
     # The integer sweep's answer is re-checked on the exact model; a wrong
     # value code must raise (also under python -O), not return a bogus Refuted.
-    monkeypatch.setattr(decider, "_first_refutation", lambda *args: (0, 1))
+    # The sweep's hit comes from _first_hit, so the wrong code is planted on
+    # the hit it returns.
+    first_hit = decider._first_hit
+    monkeypatch.setattr(decider, "_first_hit", lambda *args, **kw: replace(first_hit(*args, **kw), world=0, code=1))
     with pytest.raises(RuntimeError):
         decide(DNEG, LogicId.K45, SearchConfig(mode="exhaustive"))
+
+
+def test_first_hit_on_sweep_batches_is_the_first_countermodel_of_the_sweep():
+    # _first_hit on _sweep_size's batches names the model and world that
+    # evaluating oracle_sweep_size's models one at a time finds first, at
+    # sizes of two or more worlds, hits past the first model of their batch
+    # and past the first truth set included: every other formula is a
+    # classical tautology, which no model of codes 0 and 1 refutes.  A size
+    # whose first countermodel the oracle does not meet in its first 2000
+    # models is skipped, which bounds the cost.
+    rng = random.Random(61)
+    tautologies = [_parse_template(text) for text in ("A | ~A", "~~A -> A", "((A -> B) -> A) -> A")]
+    seen = Counter()
+    for i in range(200):
+        logic = LOGICS[i % 3]
+        names = ("p", "q", "r")[: 2 + (i % 4 == 0)]
+        f = random_formula(rng, names, depth=rng.randint(1, 3))
+        if i % 2:
+            g = random_formula(rng, names, depth=rng.randint(1, 2))
+            f = oracle_instantiate(rng.choice(tautologies), {"A": f, "B": g})
+        compiled = compile_formulas([f])
+        ops, (root,), names = compiled
+        n, t = rng.choice([(2, 2), (2, 3), (3, 2)])
+        k_grid = n * (1 + len(names)) + t
+        truth_sets, last = 0, None  # the truth sets the oracle enters up to its hit
+        for index, (rows, t_codes, top_code, _) in enumerate(islice(oracle_sweep_size(n, t, names, logic), 2000)):
+            truth_sets += (top_code, t_codes) != last
+            last = (top_code, t_codes)
+            found = oracle_first_refutation(ops, root, rows, t_codes, top_code)
+            if found is not None:
+                break
+        else:
+            seen["skipped"] += 1
+            continue
+        read = []  # the model counts of the batches the reader took
+
+        def counted(batches):
+            for batch in batches:
+                read.append(len(batch[1][1]))
+                yield batch
+
+        batches = _sweep_size(n, t, names, logic, decider._batch_cap(n, ops))
+        hit = decider._first_hit(compiled, counted(batches), k_grid, swept=True)
+        # the package codes 1 as k_grid, the oracle as top_code
+        coded = [[top_code if c == k_grid else c for c in codes] for codes in (*zip(*hit.rows, *hit.columns), hit.truth)]
+        assert (tuple(map(tuple, coded[:-1])), coded[-1]) == (rows, t_codes), (f, logic, n, t)
+        assert (hit.world, hit.code) == found  # a refuting code is below 1
+        assert hit.swept and hit.table == _grid(k_grid)
+        position = index - sum(read[:-1])
+        assert 0 <= position < read[-1]
+        seen["hit"] += 1
+        seen["not first in its batch"] += position > 0
+        seen["past the first truth set"] += truth_sets > 1
+    print(dict(seen))
+    assert min(seen.values()) >= 10 and len(seen) == 4, seen
+
+
+def doubling_runs(batches, k_grid, ops):
+    """The batch sizes of each truth set of a sweep's batches, checked to
+    keep each truth set's batches together and within the random search's
+    value cap: at most _BATCH models, and at most _BATCH_VALUES values over
+    the op list unless a batch holds a single model."""
+    runs = {}
+    for columns, (pi, counts, truths) in batches:
+        assert len(counts) <= decider._BATCH
+        assert len(counts) == 1 or len(pi) * len(ops) <= decider._BATCH_VALUES
+        assert len(set(map(tuple, truths))) == 1
+        # a truth set's models share j, the highest code below k_grid of
+        # each model and the truth set
+        j = max(c for c in (*pi, *chain(*columns), *truths[0]) if c != k_grid)
+        key = (j, tuple(truths[0]))
+        assert key not in runs or key == list(runs)[-1], key
+        runs.setdefault(key, []).append(len(counts))
+    return runs
+
+
+def test_sweep_batches_double_within_the_value_cap(monkeypatch):
+    # Each truth set's models come in batches of 1, 2, 4, ... up to the
+    # batch cap, by the rule of the random search's batches.  A formula of
+    # thousands of ops lowers the cap below _BATCH.
+    ops = compile_formulas([parse("~" * 3000 + "p")])[0]
+    capped = 0
+    for n, t in ((2, 3), (3, 2)):
+        most = decider._batch_cap(n, ops)
+        assert most < decider._BATCH
+        runs = doubling_runs(_sweep_size(n, t, ("p",), LogicId.K45, most), 2 * n + t, ops)
+        for sizes in runs.values():
+            want = [min(2**i, most) for i in range(len(sizes))]
+            assert sizes[:-1] == want[:-1] and sizes[-1] <= want[-1], sizes
+            capped += most in sizes
+    assert capped
+    # exhaustive mode sweeps with that cap, for a refutation at (1, 2) of
+    # "two of p0, p1, p2 are equal", padded with 5000 negations of 0
+    compiled = compile_formulas([parse("(p0 <-> p1) | (p0 <-> p2) | (p1 <-> p2) | " + "~" * 5000 + "0")])
+    ops = compiled[0]
+    swept, read = [], []
+    sweep_size = decider._sweep_size
+
+    def recorded(*args):
+        swept.append(args)
+        for batch in sweep_size(*args):
+            read.append(batch)
+            yield batch
+
+    monkeypatch.setattr(decider, "_sweep_size", recorded)
+    hit = decider._exhaustive(compiled, LogicId.K45, SearchConfig("exhaustive"))
+    assert isinstance(hit, decider._Hit) and [args[:2] for args in swept] == [(1, 2)]
+    assert swept[0][-1] == decider._batch_cap(1, ops) < decider._BATCH
+    # j = 0 has 16 rows, of codes 0 and 1 alone; at j = 1 the 4th row that
+    # uses code 1 is the first whose three variables differ
+    assert list(doubling_runs(read, 1 * 4 + 2, ops).values()) == [[1, 2, 4, 8, 1], [1, 2, 4]]
+
+
+def test_exhaustive_evaluates_no_model_alone(monkeypatch):
+    # The sweep's models are evaluated in batches; _first_refutation, the
+    # one-model evaluator, is the shrink's alone.
+    calls = []
+    first_refutation = decider._first_refutation
+    monkeypatch.setattr(decider, "_first_refutation", lambda *args: calls.append(1) or first_refutation(*args))
+    rng = random.Random(5)
+    hits = 0
+    for i in range(60):
+        f = random_formula(rng, ("p", "q"), depth=rng.randint(1, 3))
+        cfg = SearchConfig("exhaustive", max_worlds=2, max_truth=3)
+        hits += isinstance(decider._exhaustive(compile_formulas([f]), LOGICS[i % 3], cfg), decider._Hit)
+    assert not calls and hits >= 20, hits
+
+
+def test_exhaustive_verdicts_are_metamorphic():
+    # Renaming the variables so that their sorted order changes keeps the
+    # exhaustive verdict kind.  Valid at caps (w, t) stays Valid at smaller
+    # caps, and Refuted stays Refuted at larger ones.  models_checked is not
+    # compared under renaming: nothing shows that it is invariant.  Every
+    # other formula is a classical tautology of modal formulas, which most
+    # often needs more than one world or two truth values to refute.
+    rng = random.Random(83)
+    caps = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (None, None)]
+    tautologies = [_parse_template(text) for text in ("A | ~A", "~~A -> A", "((A -> B) -> A) -> A")]
+    seen = Counter()
+    for i in range(90):
+        logic = LOGICS[i % 3]
+        template = random_formula(rng, ("P", "Q"), depth=rng.randint(1, 3))
+        if i % 2:
+            modal = [Box(template), Dia(random_formula(rng, ("P", "Q"), depth=rng.randint(1, 2)))]
+            template = oracle_instantiate(rng.choice(tautologies), dict(zip("AB", rng.sample(modal, 2))))
+        f = oracle_instantiate(template, {"P": Var("p"), "Q": Var("q")})
+        g = oracle_instantiate(template, {"P": Var("q"), "Q": Var("p")})
+        kinds = {}
+        for w, t in caps:
+            cfg = SearchConfig("exhaustive", max_worlds=w, max_truth=t)
+            kinds[w, t] = type(decide(f, logic, cfg))
+            assert type(decide(g, logic, cfg)) is kinds[w, t], (f, logic, w, t)
+        for (w, t), kind in kinds.items():
+            for (w2, t2), kind2 in kinds.items():
+                smaller = (w2 or 99) <= (w or 99) and (t2 or 99) <= (t or 99)
+                if smaller and kind is Valid:
+                    assert kind2 is Valid, (f, logic, (w, t), (w2, t2))
+                if smaller and kind2 is Refuted:
+                    assert kind is Refuted, (f, logic, (w2, t2), (w, t))
+        seen[f"{len(set(kinds.values()))} kinds"] += 1
+        seen["two variables"] += len(variables(f)) == 2
+    print(dict(seen))
+    assert min(seen.values()) >= 10 and len(seen) == 3, seen
 
 
 def test_decide_exhaustive_is_deterministic():
