@@ -20,14 +20,15 @@ Random mode samples models instead, and hybrid tries random first.  Both
 searches evaluate their models in batches of 1, 2, 4, ... models, each in
 one pass of the op list, each modal op in one pass over the batch's worlds,
 and one reader, _first_hit, takes the first countermodel of either.  A
-sampled batch is drawn straight into packed code columns, the models end to
-end; the draws read the seeded stream exactly as sampling one model at a
-time does, so the first countermodel is the same.
-The draws never read the formula, so searches that agree on the seed, the
-size caps and the batch cap share one stream, which a process keeps in a
-streams._Streams table; the table decides what is read, drawn and kept,
-and the search evaluates each batch it yields, kept or drawn, from its
-packed bytes.  So no verdict or output byte depends on what is kept.
+sampled batch is drawn straight into evaluate_compiled's batch form, code
+columns with the models end to end; the draws read the seeded stream
+exactly as sampling one model at a time does, so the first countermodel is
+the same.  The draws never read the formula, so searches that agree on the
+seed, the size caps and the batch cap share one stream, which a process
+keeps in a streams._Streams table, a memo of _draw; the table decides what
+is read, drawn and kept, and hands the search each batch's frame, kept or
+drawn, with the same codes.  So no verdict or output byte depends on what
+is kept.
 One driver, _search, runs the phases of each mode for decide and the
 countermodel path alike.
 
@@ -64,7 +65,7 @@ from .semantics import (
     evaluate_compiled,
     model_to_json,
 )
-from .streams import _pack, _Streams, _unpack
+from .streams import _Streams
 from .syntax import Formula, LogicId, _Compiled, _ell, compile_formulas
 
 MODES = ("exhaustive", "random", "hybrid")
@@ -72,7 +73,8 @@ MODES = ("exhaustive", "random", "hybrid")
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search settings; building one with a bad value raises ValueError."""
+    """Search settings; building one with a field of the wrong type raises
+    TypeError, and with a bad value ValueError.  A cap of None is no cap."""
 
     mode: str = "hybrid"
     budget: int = 10_000
@@ -81,6 +83,10 @@ class SearchConfig:
     max_truth: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("budget", "seed", "max_worlds", "max_truth"):
+            value = getattr(self, name)
+            if not isinstance(value, int) and (value is not None or name in ("budget", "seed")):
+                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         if self.mode not in MODES:
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.budget < 0:
@@ -212,23 +218,6 @@ def _sweep_size(n_worlds: int, n_truth: int, names: tuple[str, ...], logic: Logi
                 pi, *columns = zip(*(alphabet[i] for picks in batch for i in picks))
                 yield columns, (pi, [n_worlds] * len(batch), [t_codes] * len(batch))
                 size = min(2 * size, most)
-
-
-def _first_refutation(
-    ops: list[tuple],
-    root: int,
-    columns: Sequence[Sequence[int]],
-    t_codes: Sequence[int],
-    top: int,
-) -> tuple[int, int] | None:
-    """The first world whose root code is below top, with that code, in one
-    model given as integer code columns (pi, then one per variable): the
-    shrink's evaluator."""
-    values = evaluate_compiled(ops, columns[1:], (columns[:1], t_codes), top)[root]
-    for idx, code in enumerate(values):
-        if code != top:
-            return idx, code
-    return None
 
 
 def _first_hit(
@@ -631,11 +620,12 @@ def _draw(
     n_worlds: int,
     n_truth: int,
     caps: tuple[int, ...] | None = None,
-) -> bytes:
-    """count random rounded models obeying the logic's frame constraint,
-    packed by streams._pack; streams._unpack reads them in
-    evaluate_compiled's form.  Values sometimes coincide with truth set
-    members.
+) -> tuple[list[list[int]], tuple[list[int], list[int], list[list[int]]]]:
+    """count random rounded models obeying the logic's frame constraint, in
+    evaluate_compiled's batch form (columns, (pi, counts, truths)): one code
+    column per variable and the pi codes, the models end to end, each
+    model's world count and its sorted truth set codes.  Values sometimes
+    coincide with truth set members.
 
     With caps None every model has n_worlds worlds and n_truth truth values.
     Otherwise n_worlds is a cap and caps[w] the truth cap of w worlds: each
@@ -662,9 +652,8 @@ def _draw(
     kd45 = logic is LogicId.KD45
     columns: list[list[int]] = [[] for _ in range(n_vars)]
     worlds: list[int] = []
-    sizes: list[int] = []
     pis: list[int] = []
-    truths: list[int] = []
+    truths: list[list[int]] = []
     n, m = n_worlds, n_truth
     k_worlds = n_worlds.bit_length()
     if caps is not None:
@@ -729,10 +718,9 @@ def _draw(
         for v, column in enumerate(columns, n):
             column += codes[v::n_vars]
         worlds.append(n)
-        sizes.append(n_anchors + 2)
         pis += codes[:n]
-        truths += [0, *anchors, _GRID]
-    return _pack(worlds, sizes, pis, columns, truths)
+        truths.append([0, *anchors, _GRID])
+    return columns, (pis, worlds, truths)
 
 
 def random_pigf_model(
@@ -740,24 +728,24 @@ def random_pigf_model(
     n_worlds: int,
     n_truth: int,
     var_names: Sequence[str],
-    logic: LogicId,
+    logic: LogicId | str,
 ) -> PiGFModel:
     """A random rounded model; values sometimes coincide with truth set members."""
     if n_worlds < 1:
         raise ValueError("a model needs at least one world")
     if n_truth < 2:
         raise ValueError("n_truth must be at least 2")
-    columns, (pi, _, (truth,)) = _unpack(_draw(rng, 1, len(var_names), logic, n_worlds, n_truth), 1, len(var_names))
+    columns, (pi, _, (truth,)) = _draw(rng, 1, len(var_names), LogicId(logic), n_worlds, n_truth)
     return _decode(_Coded(None, tuple(var_names), [pi], columns, truth, _grid(_GRID)))
 
 
 def random_search(
-    f: Formula, logic: LogicId, cfg: SearchConfig
+    f: Formula, logic: LogicId | str, cfg: SearchConfig
 ) -> tuple[PiGFModel, str, Fraction] | None:
     """Sample cfg.budget models within the size bound; return the first
     countermodel found, or None.  Deterministic in cfg.seed."""
     compiled = compile_formulas([f])
-    hit = _random_hit(compiled, logic, cfg)
+    hit = _random_hit(compiled, LogicId(logic), cfg)
     if hit is None:
         return None
     found = _refuted(compiled, hit)
@@ -770,8 +758,8 @@ def _random_hit(compiled: _Compiled, logic: LogicId, cfg: SearchConfig) -> _Hit 
     Samples are drawn in batches of 1, 2, 4, ... up to _batch_cap samples,
     in order from one rng, and _first_hit reads the first hit off them;
     doubling from 1 keeps a hit on the first samples as cheap as one sample.
-    _STREAMS.batches reads, draws and keeps the batches, and streams._unpack
-    slices each straight from its packed bytes.
+    _STREAMS.batches reads, draws and keeps the batches, and yields each as
+    a batch frame.
     """
     ops, _, names = compiled
     bound = _bound(ops)
@@ -781,7 +769,7 @@ def _random_hit(compiled: _Compiled, logic: LogicId, cfg: SearchConfig) -> _Hit 
     caps = tuple([max(2, min(n_truth, bound - w)) for w in range(worlds_cap + 1)])
     key = (cfg.seed, _batch_cap(worlds_cap, ops), len(names), logic, worlds_cap, n_truth, caps)
     with closing(_STREAMS.batches(key, cfg.budget, _draw)) as batches:
-        return _first_hit(compiled, (_unpack(data, count, len(names)) for data, count in batches), _GRID)
+        return _first_hit(compiled, batches, _GRID)
 
 
 def _search(compiled: _Compiled, logic: LogicId, cfg: SearchConfig) -> _Hit | Valid | None:
@@ -795,8 +783,9 @@ def _search(compiled: _Compiled, logic: LogicId, cfg: SearchConfig) -> _Hit | Va
     return _exhaustive(compiled, logic, cfg)
 
 
-def decide(f: Formula, logic: LogicId, cfg: SearchConfig = SearchConfig()) -> Verdict:
-    """Search for a countermodel of f over models of the given logic.
+def decide(f: Formula, logic: LogicId | str, cfg: SearchConfig = SearchConfig()) -> Verdict:
+    """Search for a countermodel of f over models of logic, a LogicId or its
+    value string; anything else raises ValueError.
 
     exhaustive: decide by world types whether some model within the
     max_worlds/max_truth caps refutes f; a Valid verdict certifies the whole
@@ -805,7 +794,7 @@ def decide(f: Formula, logic: LogicId, cfg: SearchConfig = SearchConfig()) -> Ve
     models and report Unknown when none refutes.  hybrid: random first,
     then exhaustive.
     """
-    return _decide(compile_formulas([f]), logic, cfg)
+    return _decide(compile_formulas([f]), LogicId(logic), cfg)
 
 
 def _decide(compiled: _Compiled, logic: LogicId, cfg: SearchConfig, minimize=False) -> Verdict:
@@ -880,8 +869,10 @@ def _shrink_codes(
     """
 
     def refuting(worlds: list[int], t_codes: list[int]) -> tuple[int, int] | None:
-        hit = _first_refutation(ops, root, [[column[w] for w in worlds] for column in columns], t_codes, top)
-        return None if hit is None else (worlds[hit[0]], hit[1])
+        # the first kept world whose root code is below top, with that code
+        pi, *kept = [[column[w] for w in worlds] for column in columns]
+        values = evaluate_compiled(ops, kept, ([pi], t_codes), top)[root]
+        return next(((w, c) for w, c in zip(worlds, values) if c != top), None)
 
     def lawful(worlds: list[int]) -> bool:
         if logic is LogicId.KD45:
@@ -947,7 +938,7 @@ def _shrunk(compiled: _Compiled, hit: _Hit, logic: LogicId) -> _Hit:
 
 
 def shrink(
-    model: PiGFModel, world: str, f: Formula, logic: LogicId
+    model: PiGFModel, world: str, f: Formula, logic: LogicId | str
 ) -> tuple[PiGFModel, str]:
     """Greedily minimize a countermodel: drop worlds, coarsen the truth set,
     snap values toward endpoints and truth set members.  The result still
@@ -957,6 +948,7 @@ def shrink(
     semantics._decode.  A model without a truth set raises TypeError."""
     if not isinstance(model, PiGFModel):
         raise TypeError(f"shrink needs a PiGFModel, not {type(model).__name__}")
+    logic = LogicId(logic)
     compiled = compile_formulas([f])
     ops, (root,), names = compiled
     _check_world(model.worlds, world)

@@ -27,8 +27,8 @@ exact model becomes codes, by rank with algebra._rank_codes, an order
 embedding into the integers: evaluate (so the eval_* functions),
 filtrate, frame_report and decider.shrink take their codes from it.
 _decode is the one place codes become an exact model.  The decider's
-random search evaluates each batch of its sampled codes in one call,
-straight from the packed bytes; its world-type search has a bit-set
+random search and sweep evaluate each batch of their codes in one call,
+and its shrink each candidate model; its world-type search has a bit-set
 evaluator of its own.  filtrate picks witness worlds from modal_terms,
 each world's term of a box or diamond value.
 
@@ -223,12 +223,12 @@ def evaluate_compiled(
     row's value is broadcast over the worlds.
 
     A batch of possibilistic models is (pi, counts, truths), as
-    streams._unpack slices a sampled batch and decider._sweep_size yields a
-    swept one: the models' pi codes end to end, as their worlds lie in
-    columns, each model's world count and each model's sorted truth set
-    codes.  A modal op walks all the batch's worlds in one pass,
-    counting down each model's worlds, and broadcasts each model's value
-    over them.
+    decider._draw samples a batch, the stream table hands out a kept one
+    and decider._sweep_size yields a swept one: the models' pi codes end to
+    end, as their worlds lie in columns, each model's world count and each
+    model's sorted truth set codes.  A modal op walks all the batch's
+    worlds in one pass, counting down each model's worlds, and broadcasts
+    each model's value over them.
 
     Box values are rounded down into a truth set and diamond values up.
     Propositional ops run once over all worlds.

@@ -3,11 +3,12 @@
 The random search (decider._random_hit) evaluates samples in batches of 1,
 2, 4, ... up to a batch cap, and its samples depend only on the seed and
 the sampler's arguments, never on the formula.  Searches that agree on
-those read one stream, so a process keeps each stream's batches here,
-packed by _pack.  A stream's batches are all full but perhaps the last,
+those read one stream, so a process keeps each stream's batches here: a
+memo of the sampler's batch frames, packed by _pack in a layout that only
+this module knows.  A stream's batches are all full but perhaps the last,
 which holds as many samples as the search that drew it asked for.
 _Streams.batches owns the policy: it reads, replays, draws, keeps and
-publishes, and the search only evaluates the batches it yields.
+publishes, and the search only evaluates the frames it yields.
 """
 
 from __future__ import annotations
@@ -29,23 +30,20 @@ _ENTRY = 400
 _BATCH_HEAD = 41
 
 
-def _pack(
-    worlds: list[int],
-    sizes: list[int],
-    pis: list[int],
-    columns: list[list[int]],
-    truths: list[int],
-) -> bytes:
-    """A batch of len(worlds) models as _unpack reads it: the model count and
-    each model's world count as unsigned ints (there may be more than 255
-    worlds), then one byte for each model's truth set size and for each
-    code, all below 256: the pi codes, one column per variable and the
-    truth set codes, the models end to end."""
-    codes = sizes + pis
+def _pack(frame: tuple) -> bytes:
+    """A batch frame, as the sampler draws it, packed as _unpack reads it:
+    the model count and each model's world count as unsigned ints (there
+    may be more than 255 worlds), then one byte for each model's truth set
+    size and for each code, all below 256: the pi codes, one column per
+    variable and the truth set codes, the models end to end."""
+    columns, (pi, counts, truths) = frame
+    codes = [len(truth) for truth in truths]
+    codes += pi
     for column in columns:
         codes += column
-    codes += truths
-    return array("I", [len(worlds), *worlds]).tobytes() + bytes(codes)
+    for truth in truths:
+        codes += truth
+    return array("I", [len(counts), *counts]).tobytes() + bytes(codes)
 
 
 def _samples(data: bytes) -> int:
@@ -56,11 +54,9 @@ def _samples(data: bytes) -> int:
 def _unpack(
     data: bytes, count: int, n_vars: int
 ) -> tuple[list[bytes], tuple[bytes, list[int], list[bytes]]]:
-    """The first count models of a packed batch, in evaluate_compiled's
-    batch form, sliced straight from data: one code column per variable,
-    the models end to end, and the frame (pi, counts, truths) of their pi
-    codes end to end, their world counts and one truth set slice each.
-    decider._sweep_size is the other producer of that form."""
+    """The frame of the first count models of a packed batch of n_vars code
+    columns, sliced straight from data: the columns and (pi, counts,
+    truths), the codes and world counts _pack was given for them."""
     size = _samples(data)
     head = (1 + size) * _UINT
     worlds = memoryview(data)[_UINT:head].cast("I")
@@ -91,24 +87,26 @@ class _Streams:
         self.nbytes = 0
         self.lock = threading.Lock()
 
-    def batches(self, key: tuple, budget: int, draw) -> Iterator[tuple[bytes, int]]:
-        """The batches of budget samples of the stream key, as (packed batch,
-        count): count samples of a batch of 1, 2, 4, ... up to key[1] samples.
+    def batches(self, key: tuple, budget: int, draw) -> Iterator[tuple]:
+        """The batches of budget samples of the stream key, as batch frames
+        of count samples of a batch of 1, 2, 4, ... up to key[1] samples.
 
-        The kept batches come first.  From the first batch the table lacks,
-        or holds short of count, the stream is drawn on the generator's own
-        random.Random(key[0]), after replaying the full batches before that
-        batch; draw(rng, count, *key[2:]) returns count samples packed.  A
-        last batch of count < size samples draws just those, the first count
-        samples of the full batch, and is kept as the stream's last: a search
-        of the same budget reads it, and a longer one draws the batch in full
-        and keeps that in its place.  No generator state is kept: its 2.5 KB
-        is many times the codes of a short stream, and only a stream that
-        grows pays the replay.  The drawn batches are kept while the entry's
-        _cost stays within bound, and published when the generator is
-        exhausted or closed.  It holds its own batch list and rng, so a
-        search suspended at any batch and resumed later, whatever other
-        searches publish meanwhile, gets the batches of an uninterrupted one."""
+        The kept batches come first, unpacked.  From the first batch the
+        table lacks, or holds short of count, the stream is drawn on the
+        generator's own random.Random(key[0]), after replaying, and throwing
+        away, the full batches before that batch; draw(rng, count, *key[2:])
+        returns count samples as a frame of key[2] columns, yielded as drawn.
+        A last batch of count < size samples draws just those, the first
+        count samples of the full batch, and is kept as the stream's last: a
+        search of the same budget reads it, and a longer one draws the batch
+        in full and keeps that in its place.  No generator state is kept: its
+        2.5 KB is many times the codes of a short stream, and only a stream
+        that grows pays the replay.  The drawn batches are packed and kept
+        while the entry's _cost stays within bound, and published when the
+        generator is exhausted or closed.  It holds its own batch list and
+        rng, so a search suspended at any batch and resumed later, whatever
+        other searches publish meanwhile, gets the batches of an
+        uninterrupted one."""
         with self.lock:
             batches = list(self.entries.get(key, ()))
             if batches:
@@ -122,19 +120,21 @@ class _Streams:
             while budget > 0:
                 count = min(size, budget)
                 if i < len(batches) and count <= _samples(batches[i]):
-                    data = batches[i]
+                    frame = _unpack(batches[i], count, key[2])
                 else:
                     if rng is None:
                         rng = random.Random(key[0])
                         for j in range(i):
                             draw(rng, min(1 << j, key[1]), *key[2:])
-                    data = draw(rng, count, *key[2:])
-                    keep = keep and _cost(key, (*batches[:i], data)) <= self.bound
+                    frame = draw(rng, count, *key[2:])
                     if keep:
-                        # a kept batch short of size is the stream's last
-                        batches[i:] = [data]
-                        grew = True
-                yield data, count
+                        data = _pack(frame)
+                        keep = _cost(key, (*batches[:i], data)) <= self.bound
+                        if keep:
+                            # a kept batch short of size is the stream's last
+                            batches[i:] = [data]
+                            grew = True
+                yield frame
                 budget -= count
                 size = min(2 * size, key[1])
                 i += 1

@@ -497,9 +497,9 @@ SCHEMES: tuple[NamedScheme, ...] = (
 )
 
 
-def corpus(logic: LogicId) -> list[tuple[str, Formula]]:
+def corpus(logic: LogicId | str) -> list[tuple[str, Formula]]:
     """Named schemes of the given logic instantiated at the atoms p and q."""
-    wanted = {LogicId.K45, logic}
+    wanted = {LogicId.K45, LogicId(logic)}
     subst = {"X": Var("p"), "Y": Var("q")}
     return [
         (s.name, instantiate(s.template, subst))

@@ -71,7 +71,6 @@ from godelmodal.decider import (
     SearchConfig,
     Valid,
     _cover_size,
-    _first_refutation as _first_column_refutation,
     bound_for,
     decide,
     verdict_to_json,
@@ -81,10 +80,12 @@ from godelmodal.syntax import _TAGS, compile_formulas
 
 
 def _first_refutation(ops, root, rows, t_codes, top):
-    """decider._first_refutation of a model given as code rows (pi, then one
-    code per variable), the form the oracles here keep; the package reads
-    code columns."""
-    return _first_column_refutation(ops, root, list(zip(*rows)), t_codes, top)
+    """The first world whose root code is below top, with that code, of one
+    model given as code rows (pi, then one code per variable), the form the
+    oracles here keep; evaluate_compiled reads code columns."""
+    pi, *columns = zip(*rows)
+    values = evaluate_compiled(ops, columns, ([pi], t_codes), top)[root]
+    return next(((w, code) for w, code in enumerate(values) if code != top), None)
 
 
 # --------------------------------------------------------------------------

@@ -324,7 +324,15 @@ def test_countermodel_builds_one_model_and_evaluates_nothing(capsys, monkeypatch
 def test_countermodel_exhaustive_cross_check_raises_on_disagreement(capsys, monkeypatch):
     # The shrunk sweep hit is checked against exact evaluation; a wrong
     # value code is an internal error (also under python -O), not a bogus model.
-    monkeypatch.setattr(decider, "_first_refutation", lambda *args: (0, 1))
+    # Every one-model evaluation, the shrink's, reads world 0 as refuting at
+    # code 1.
+    evaluate = decider.evaluate_compiled
+
+    def wrong(ops, columns, frame, top):
+        values = evaluate(ops, columns, frame, top)
+        return [[1, *v[1:]] for v in values] if len(frame) == 2 else values
+
+    monkeypatch.setattr(decider, "evaluate_compiled", wrong)
     code, out, err = invoke(capsys, "countermodel", "--mode", "exhaustive", "[]~~p -> ~~[]p")
     assert (code, out) == (4, "")
     assert "integer sweep and exact evaluation disagree" in err

@@ -47,7 +47,7 @@ from godelmodal import (
 from godelmodal import decider
 from godelmodal.decider import _grid, _sweep_size
 from godelmodal.semantics import _Coded, _decode as decode_codes, evaluate_compiled
-from godelmodal.streams import _cost, _samples
+from godelmodal.streams import _cost, _pack, _samples, _unpack
 from godelmodal.syntax import SCHEMES, _parse_template, _postorder, compile_formulas, corpus
 from helpers import (
     _decode,
@@ -687,12 +687,25 @@ def test_sweep_batches_double_within_the_value_cap(monkeypatch):
     assert list(doubling_runs(read, 1 * 4 + 2, ops).values()) == [[1, 2, 4, 8, 1], [1, 2, 4]]
 
 
-def test_exhaustive_evaluates_no_model_alone(monkeypatch):
-    # The sweep's models are evaluated in batches; _first_refutation, the
-    # one-model evaluator, is the shrink's alone.
+def one_model_evaluations(monkeypatch):
+    # the decider's calls of evaluate_compiled on a one-model frame, the
+    # shrink's candidates, each appended to the list returned
     calls = []
-    first_refutation = decider._first_refutation
-    monkeypatch.setattr(decider, "_first_refutation", lambda *args: calls.append(1) or first_refutation(*args))
+    evaluate = decider.evaluate_compiled
+
+    def counting(ops, columns, frame, top):
+        if len(frame) == 2:
+            calls.append(1)
+        return evaluate(ops, columns, frame, top)
+
+    monkeypatch.setattr(decider, "evaluate_compiled", counting)
+    return calls
+
+
+def test_exhaustive_evaluates_no_model_alone(monkeypatch):
+    # The sweep's models are evaluated in batches; evaluation of one model
+    # on its own is the shrink's alone.
+    calls = one_model_evaluations(monkeypatch)
     rng = random.Random(5)
     hits = 0
     for i in range(60):
@@ -756,6 +769,61 @@ def test_decide_rejects_bad_config():
         # a bad config is refused when it is built, before any search
         with pytest.raises(ValueError, match=f"^{message}$"):
             SearchConfig(**fields)
+    # a count that is no int is refused when it is built too; before, these
+    # failed inside the search, or, for max_truth, decided
+    for fields, name, kind in [
+        ({"max_worlds": 1.5}, "max_worlds", "float"),
+        ({"mode": "random", "budget": 2.5}, "budget", "float"),
+        ({"mode": "exhaustive", "max_truth": 3.5}, "max_truth", "float"),
+        ({"seed": "1"}, "seed", "str"),
+        ({"budget": None}, "budget", "NoneType"),
+    ]:
+        with pytest.raises(TypeError, match=f"^{name} must be an int, not {kind}$"):
+            SearchConfig(**fields)
+    assert SearchConfig(max_worlds=None, max_truth=None) == SearchConfig()
+
+
+def test_public_entries_read_a_logic_or_its_value_string():
+    # decide, random_search, shrink, random_pigf_model and corpus read
+    # their logic as LogicId(logic): the value string gives what the member
+    # gives, and anything else raises ValueError.  Before, a string fell
+    # through every "logic is LogicId.X" test and was read as K45, so "s5"
+    # refuted []p -> p and drew pi = 1/3.
+    formulas = [parse(text) for text in ("[]p -> p", "<>1", "<>p -> []p", "[](p -> q) -> []p -> []q")]
+    configs = [SearchConfig("exhaustive"), SearchConfig("random", 50), SearchConfig("hybrid", 3, 1, 2, 3)]
+    lawful = {
+        LogicId.K45: PiGModel(["a", "b"], {"a": "1", "b": "1/2"}, {"a": {"p": "1"}, "b": {"p": "0"}}),
+        LogicId.KD45: PiGModel(["a", "b"], {"a": "1", "b": "1/2"}, {"a": {"p": "1"}, "b": {"p": "0"}}),
+        LogicId.S5: PiGModel(["a", "b"], {"a": "1", "b": "1"}, {"a": {"p": "1"}, "b": {"p": "0"}}),
+    }
+    half = PiGFModel(lawful[LogicId.K45], TruthSet([0, HALF, 1]))
+    for logic in LOGICS:
+        for f, cfg in product(formulas, configs):
+            assert verdict_to_json(decide(f, logic.value, cfg)) == verdict_to_json(decide(f, logic, cfg))
+            if cfg.mode == "random":
+                assert found_json(random_search(f, logic.value, cfg)) == found_json(random_search(f, logic, cfg))
+        model = PiGFModel(lawful[logic], TruthSet([0, HALF, 1]))
+        got, want = (shrink(model, "b", parse("<>p -> []p"), x) for x in (logic.value, logic))
+        assert (model_to_json(got[0]), got[1]) == (model_to_json(want[0]), want[1])
+        for seed in range(20):
+            drawn = [random_pigf_model(random.Random(seed), 3, 4, ["p", "q"], x) for x in (logic, logic.value)]
+            assert model_to_json(drawn[0]) == model_to_json(drawn[1])
+        assert corpus(logic.value) == corpus(logic)
+    # a two-world model with pi(b) = 1/2 is no S5 model under either name
+    for logic in (LogicId.S5, "s5"):
+        with pytest.raises(ValueError, match="frame constraint"):
+            shrink(half, "b", parse("<>p -> []p"), logic)
+    assert verdict_to_json(decide(parse("[]p -> p"), "s5", SearchConfig("exhaustive")))["verdict"] == "valid"
+    assert len(corpus("s5")) == 24
+    for call in (
+        lambda: decide(formulas[0], "x", configs[0]),
+        lambda: random_search(formulas[0], "x", configs[1]),
+        lambda: shrink(half, "b", parse("<>p -> []p"), "x"),
+        lambda: random_pigf_model(random.Random(0), 2, 3, ["p"], "x"),
+        lambda: corpus("x"),
+    ):
+        with pytest.raises(ValueError, match="'x' is not a valid LogicId"):
+            call()
 
 
 # -- randomized search -----------------------------------------------------------------
@@ -812,6 +880,55 @@ def found_json(found):
     return None if found is None else verdict_to_json(Refuted(*found))
 
 
+def test_the_sampler_never_contradicts_a_capped_valid():
+    # Containment (ROADMAP items 3 and 10): at caps (w, t) every sample has
+    # at most w worlds and t truth values, and the exhaustive search decides
+    # every model within those caps, so when it returns Valid the random
+    # search at the same caps finds nothing.  Plain random formulas are
+    # mostly refuted, so a third instantiate a scheme, valid in its logic
+    # (K45 also meets the D and T schemes of KD45 and S5), and a third are
+    # classical tautologies of modal formulas, which are often refuted only
+    # at the full caps: valid at one world or one truth value fewer.  A
+    # false Valid there would meet the sampler's hits.  A hit is a
+    # countermodel within the caps.
+    rng = random.Random(61)
+    caps = [(1, 3), (2, 3), (2, 4), (3, 3)]
+    tautologies = [_parse_template(text) for text in ("A | ~A", "~~A -> A", "((A -> B) -> A) -> A", "(A -> B) | (B -> A)")]
+    seen = Counter()
+    for i in range(252):
+        logic = LOGICS[i % 3]
+        max_worlds, max_truth = caps[i // 3 % 4]
+        names = ("p", "q", "r", "s")[: 3 + (i % 5 == 0)]
+        f = random_formula(rng, names, depth=rng.randint(1, 4))
+        kind = i // 12 % 3
+        if kind == 1:
+            scheme = SCHEMES[rng.randrange(len(SCHEMES))]
+            f = oracle_instantiate(scheme.template, {"X": f, "Y": random_formula(rng, names, depth=rng.randint(0, 2))})
+        elif kind == 2:
+            modal = [Box(f), Dia(random_formula(rng, names, depth=rng.randint(1, 2)))]
+            f = oracle_instantiate(rng.choice(tautologies), dict(zip("AB", rng.sample(modal, 2))))
+        verdict = decide(f, logic, SearchConfig("exhaustive", max_worlds=max_worlds, max_truth=max_truth))
+        found = random_search(f, logic, SearchConfig("random", 200, i, max_worlds, max_truth))
+        if isinstance(verdict, Valid):
+            assert found is None, (f, logic, max_worlds, max_truth)
+            seen["valid"] += 1
+            continue
+        assert isinstance(verdict, Refuted)
+        seen["refuted"] += 1
+        if found is not None:
+            model, world, value = found
+            assert len(model.worlds) <= max_worlds and len(model.truth_set.values) <= max_truth
+            assert eval_pigf(model, world, f) == value < ONE
+            smaller = [(max_worlds - 1, max_truth), (max_worlds, max_truth - 1)]
+            seen["sampled hit, valid at smaller caps"] += any(
+                isinstance(decide(f, logic, SearchConfig("exhaustive", max_worlds=w, max_truth=t)), Valid)
+                for w, t in smaller
+                if w >= 1 and t >= 2
+            )
+    print(dict(seen))
+    assert min(seen["valid"], seen["refuted"]) >= 50 and seen["sampled hit, valid at smaller caps"] >= 20, seen
+
+
 def test_random_search_matches_the_sample_by_sample_oracle():
     # Batches double from one sample to decider._BATCH = 256, so a batch
     # ends after sample 1, 3, 7, ..., 255 or 511, and later batches hold 256
@@ -855,14 +972,14 @@ def hit_json(f, logic, cfg):
 
 
 def assert_streams_are_the_draws():
-    # every kept batch is what a fresh generator draws for it, and every
+    # every kept batch packs what a fresh generator draws for it, and every
     # batch but a stream's last is full
     for (seed, most, *args), batches in decider._STREAMS.entries.items():
         rng = random.Random(seed)
         sizes = [_samples(data) for data in batches]
         assert sizes[:-1] == [min(1 << i, most) for i in range(len(batches) - 1)]
         assert 0 < sizes[-1] <= min(1 << (len(batches) - 1), most)
-        assert list(batches) == [decider._draw(rng, k, *args) for k in sizes]
+        assert list(batches) == [_pack(decider._draw(rng, k, *args)) for k in sizes]
 
 
 def test_shared_streams_give_what_a_cleared_table_and_the_oracle_give():
@@ -950,10 +1067,10 @@ def test_unpacked_frames_evaluate_each_sample_as_the_oracle_does_alone():
     for logic, size in product(LOGICS, (1, 6, 64)):
         args = (len(names), logic, 5, 6, (2, 6, 6, 6, 6, 6))
         state = rng.getstate()
-        data = decider._draw(rng, size, *args)
+        data = _pack(decider._draw(rng, size, *args))
         for count in {1, size // 2 + 1, size}:
             rng.setstate(state)
-            columns, frame = decider._unpack(data, count, len(names))
+            columns, frame = _unpack(data, count, len(names))
             assert (columns, frame) == oracle_batch(rng, count, *args)
             values = evaluate_compiled(ops, columns, frame, 120)
             start = 0
@@ -1024,9 +1141,9 @@ def test_a_search_draws_its_budget_once(monkeypatch):
         state = rng.getstate()
         for k in (1, (_samples(data) + 1) // 2, _samples(data)):
             rng.setstate(state)
-            fresh = decider._unpack(draw(rng, k, *args), k, 2)
+            fresh = _pack(draw(rng, k, *args))
             rng.setstate(state)
-            assert decider._unpack(data, k, 2) == fresh == oracle_batch(rng, k, *args)
+            assert _pack(_unpack(data, k, 2)) == fresh == _pack(oracle_batch(rng, k, *args))
         rng.setstate(state)
         draw(rng, _samples(data), *args)
     # a search that hits still keeps what it drew: at seed 9 the first
@@ -1065,12 +1182,13 @@ def test_a_suspended_search_resumes_to_the_batches_of_an_uninterrupted_one(monke
         def batches(key, budget, draw):
             keys.append(key)
             with closing(real(key, budget, draw)) as stream:
-                for i, (data, count) in enumerate(stream):
+                for i, frame in enumerate(stream):
                     if i == at:
                         for _ in real(key, 2 * budget + 1, draw):
                             pass
-                    read.append(decider._unpack(data, count, key[2]))
-                    yield data, count
+                    # a kept batch's frame holds bytes, a drawn one lists
+                    read.append(_pack(frame))
+                    yield frame
 
         monkeypatch.setattr(table, "batches", batches)
         found = hit_json(f, logic, cfg)
@@ -1098,7 +1216,7 @@ def test_a_suspended_search_resumes_to_the_batches_of_an_uninterrupted_one(monke
         left, size = cfg.budget, 1
         while left > 0:
             count = min(size, left)
-            fresh.append(decider._unpack(decider._draw(rng, count, n_vars, *args), count, n_vars))
+            fresh.append(_pack(decider._draw(rng, count, n_vars, *args)))
             left -= count
             size = min(2 * size, most)
         assert uninterrupted == fresh[:len(uninterrupted)]
@@ -1612,11 +1730,7 @@ def test_shrink_evaluates_unread_snaps_at_most_once(monkeypatch):
     # test_shrink_snaps_an_unread_variable_and_moves_the_anchor nothing else
     # is accepted, so a pass marked as changed by the snaps alone would
     # cost a second pass.  The result stays the exact shrink's.
-    calls = []
-    first_refutation = decider._first_refutation
-    monkeypatch.setattr(
-        decider, "_first_refutation", lambda *args: calls.append(1) or first_refutation(*args)
-    )
+    calls = one_model_evaluations(monkeypatch)
     third = Fraction(1, 3)
     cases = [
         (
