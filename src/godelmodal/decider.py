@@ -812,7 +812,7 @@ def _decide(compiled: _Compiled, logic: LogicId, cfg: SearchConfig, minimize=Fal
 # ---------------------------------------------------------------------------
 # countermodel minimization
 #
-# _shrunk shrinks a countermodel in code form, a _Hit, with _shrink_codes.
+# _shrunk shrinks a countermodel in code form, a _Hit.
 # The countermodel path hands it a search's hit as found, on the 1/120 grid
 # or a sweep's grid; shrink hands it an exact model's rank codes from
 # semantics._encode, with a column for every variable of the valuation, the
@@ -832,29 +832,18 @@ def _snap_key(code: int, truth: Sequence[int], top: int) -> tuple[int, int]:
     return (rank, code)
 
 
-def _shrink_codes(
-    ops: list[tuple],
-    root: int,
-    columns: list[list[int]],
-    truth: list[int],
-    top: int,
-    logic: LogicId,
-    anchor: int,
-    code: int,
-) -> tuple[list[int], list[int], int, int]:
-    """Greedily minimize a countermodel given as code columns: drop
-    worlds, coarsen the truth set, snap values toward endpoints and truth
-    set members.  columns holds pi, then one column per variable, the
-    formula's first in compiled order; each live world's codes are snapped
-    in place, column by column.  truth holds the sorted truth
-    set codes, 0 and top among them, and anchor is a refuting world whose
-    value code is code.  A pi column that breaks the logic's constraint
-    raises ValueError.
+def _shrunk(compiled: _Compiled, hit: _Hit, logic: LogicId) -> _Hit:
+    """Greedily minimize a countermodel in code form: drop worlds, coarsen
+    the truth set, snap values toward endpoints and truth set members.  The
+    model is copied into code columns, pi, then one column per variable,
+    the formula's first in compiled order; each live world's codes are
+    snapped in place, column by column.  A pi column that breaks the
+    logic's constraint raises ValueError.
 
-    Returns the kept worlds' indices in order, the kept truth codes, the
-    refuting world and its value code.  Both come from the last accepted
-    evaluation, whose model the result is, since a rejected candidate
-    changes nothing; with none accepted they are anchor and code.  A snap
+    Returns hit at the kept worlds, which keep their names, with the kept
+    truth codes, and the refuting world and its value code from the last
+    accepted evaluation, whose model the result is, since a rejected
+    candidate changes nothing; with none accepted they are hit's.  A snap
     where no var op reads is kept unevaluated, and one evaluation at the
     end stands in for all such snaps; it marks no pass as changed.
 
@@ -867,6 +856,9 @@ def _shrink_codes(
     tests membership, ties included.  So every decision is the same, and
     every kept code is the coding of the exact shrink's value.
     """
+    ops, (root,), _ = compiled
+    columns = [list(column) for column in (*hit.rows, *hit.columns)]
+    truth, anchor, code, top = list(hit.truth), hit.world, hit.code, len(hit.table) - 1
 
     def refuting(worlds: list[int], t_codes: list[int]) -> tuple[int, int] | None:
         # the first kept world whose root code is below top, with that code
@@ -893,14 +885,14 @@ def _shrink_codes(
             if len(live) == 1:
                 break
             kept = [v for v in live if v != w]
-            hit = refuting(kept, truth) if lawful(kept) else None
-            if hit is not None:
-                live, (anchor, code), changed = kept, hit, True
+            found = refuting(kept, truth) if lawful(kept) else None
+            if found is not None:
+                live, (anchor, code), changed = kept, found, True
         for t in truth[1:-1]:
             coarser = [c for c in truth if c != t]
-            hit = refuting(live, coarser)
-            if hit is not None:
-                truth, (anchor, code), changed = coarser, hit, True
+            found = refuting(live, coarser)
+            if found is not None:
+                truth, (anchor, code), changed = coarser, found, True
         for w in live:
             for i, column in enumerate(columns):
                 old = column[w]
@@ -913,27 +905,17 @@ def _shrink_codes(
                     if i in unread:
                         snapped = True
                         break
-                    hit = refuting(live, truth) if lawful(live) else None
-                    if hit is not None:
-                        (anchor, code), changed = hit, True
+                    found = refuting(live, truth) if lawful(live) else None
+                    if found is not None:
+                        (anchor, code), changed = found, True
                         break
                     column[w] = old
     if snapped:
         anchor, code = refuting(live, truth)
-    return live, truth, anchor, code
-
-
-def _shrunk(compiled: _Compiled, hit: _Hit, logic: LogicId) -> _Hit:
-    """hit shrunk by _shrink_codes; the kept worlds keep their names."""
-    ops, (root,), _ = compiled
-    columns = [list(column) for column in (*hit.rows, *hit.columns)]
-    live, truth, anchor, code = _shrink_codes(
-        ops, root, columns, list(hit.truth), len(hit.table) - 1, logic, hit.world, hit.code
-    )
-    pi, *columns = [[column[i] for i in live] for column in columns]
+    pi, *small = [[column[i] for i in live] for column in columns]
     worlds = [hit.worlds[i] if hit.worlds else f"w{i + 1}" for i in live]
     return replace(
-        hit, worlds=worlds, rows=[pi], columns=columns, truth=truth, world=live.index(anchor), code=code
+        hit, worlds=worlds, rows=[pi], columns=small, truth=truth, world=live.index(anchor), code=code
     )
 
 

@@ -15,11 +15,15 @@ compiled once by syntax.compile_formulas into a postorder op list.  The
 worlds' values lie in per-variable columns, and one frame per call gives
 the accessibility and the truth sets.  In the possibilistic semantics
 R(w, w') = pi(w'), so box and diamond values do not depend on the world: a
-possibilistic model has one shared accessibility row (pi), a relational
-one a row per world.  A frame is one model's rows and truth set, or a
-batch of possibilistic models laid end to end: their pi codes, world
-counts and truth sets.  Propositional ops run once over all worlds; a
-modal op of a batch walks its worlds in one pass and rounds once per model.
+possibilistic model is the relational one whose rows all equal pi, and
+has one shared accessibility row where a relational one has a row per
+world.  A frame is one model's rows and truth set, or a batch of
+possibilistic models laid end to end: their pi codes, world counts and
+truth sets.  Propositional ops run once over all worlds.  A modal op reads
+every frame as groups of terms, one per model of a batch or per row of a
+model: one box loop and one diamond loop walk all the groups in one pass,
+round each group's extremum once into its truth set and spread it over
+the worlds the group stands for.
 
 The evaluator only ever reads the order of values, so it runs on integer
 codes.  A model in code form is one _Coded.  _encode is the one place an
@@ -218,28 +222,39 @@ def evaluate_compiled(
 
     One model is (rows, truth), as a _Coded holds them: rows is one shared
     pi row or one R(w, .) row per world, and truth its sorted truth set
-    codes, or None when modal values are exact.  A modal value, the least
-    or greatest of a row's modal_terms, is computed once per row; a shared
-    row's value is broadcast over the worlds.
+    codes, or None when modal values are exact.
 
     A batch of possibilistic models is (pi, counts, truths), as
     decider._draw samples a batch, the stream table hands out a kept one
     and decider._sweep_size yields a swept one: the models' pi codes end to
     end, as their worlds lie in columns, each model's world count and each
-    model's sorted truth set codes.  A modal op walks all the batch's
-    worlds in one pass, counting down each model's worlds, and broadcasts
-    each model's value over them.
+    model's sorted truth set codes.
 
-    Box values are rounded down into a truth set and diamond values up.
+    Every frame is read as groups of modal_terms, each with its truth set.
+    A batch has one group per model, whose value holds at each of its
+    worlds; one shared row is a batch of one model; a row per world is
+    one group per world, whose value holds there, each reading its row
+    against the whole body.  A modal op walks the terms of all groups in
+    one pass, counting down each group's terms, and rounds each group's
+    least (box) or greatest (diamond) term once: box values down into the
+    truth set and diamond values up, none when the truth set is None.
     Propositional ops run once over all worlds.
     """
-    batch = len(frame) == 3
-    if batch:
-        pi, counts, truths = frame
-        n = len(pi)
+    # group g has sizes[g] terms, its value holds at spans[g] worlds, and
+    # truths[g] is its truth set codes, None for exact
+    if len(frame) == 3:
+        row, sizes, truths = frame
+        rows, n, spans = (row,), len(row), sizes
     else:
         rows, truth = frame
         n = len(rows[0])
+        if len(rows) < n:
+            # one shared row: a batch of one model
+            sizes = spans = (n,)
+        else:
+            # a row per world: one group per world, valued at that world
+            sizes, spans = (n,) * n, (1,) * n
+        truths = (truth,) * len(rows)
     vals = [None] * len(ops)
     for i, op in enumerate(ops):
         tag = op[0]
@@ -251,62 +266,46 @@ def evaluate_compiled(
             out = columns[op[1]]
         elif tag == "bot":
             out = [0] * n
-        elif batch:
-            # the least (greatest) of each model's modal_terms, found in one
-            # pass without building them; k counts the worlds of the model
+        else:
+            # every row against the whole body, the groups end to end
+            body = vals[op[1]]
+            if len(rows) == 1:
+                terms = zip(rows[0], body)
+            else:
+                terms = zip(chain.from_iterable(rows), chain.from_iterable(repeat(body, n)))
+            # the least (greatest) of each group's modal_terms, found in one
+            # pass without building them; k counts the terms of the group
             # at hand still to read
-            per_model = []
-            sizes = iter(counts)
+            out = []
+            groups = iter(sizes)
             bounds = iter(truths)
-            k = next(sizes)
+            k = next(groups)
             if tag == "box":
                 c = top
-                for p, x in zip(pi, vals[op[1]]):
+                for p, x in terms:
                     if p > x and x < c:
                         c = x
                     k -= 1
                     if not k:
                         t = next(bounds)
-                        per_model.append(t[bisect_right(t, c) - 1])
+                        out.append(c if t is None else t[bisect_right(t, c) - 1])
                         c = top
-                        k = next(sizes, 0)
+                        k = next(groups, 0)
             else:
                 c = 0
-                for p, x in zip(pi, vals[op[1]]):
+                for p, x in terms:
                     v = p if p < x else x
                     if v > c:
                         c = v
                     k -= 1
                     if not k:
                         t = next(bounds)
-                        per_model.append(t[bisect_left(t, c)])
+                        out.append(c if t is None else t[bisect_left(t, c)])
                         c = 0
-                        k = next(sizes, 0)
-            out = list(chain.from_iterable(map(repeat, per_model, counts)))
-        else:
-            body = vals[op[1]]
-            box = tag == "box"
-            out = []
-            # the least (greatest) of each row's modal_terms, found in one
-            # pass without building them, which is cheaper on small models
-            for row in rows:
-                if box:
-                    c = top
-                    for p, x in zip(row, body):
-                        if p > x and x < c:
-                            c = x
-                    c = c if truth is None else truth[bisect_right(truth, c) - 1]
-                else:
-                    c = 0
-                    for p, x in zip(row, body):
-                        v = p if p < x else x
-                        if v > c:
-                            c = v
-                    c = c if truth is None else truth[bisect_left(truth, c)]
-                out.append(c)
-            if len(rows) < n:
-                # a shared row's value holds at every world
-                out *= n
+                        k = next(groups, 0)
+            if len(out) < n:
+                # a group's value holds at each of its worlds
+                out = out * n if len(out) == 1 else list(chain.from_iterable(map(repeat, out, spans)))
         vals[i] = out
     return vals
 
@@ -480,8 +479,11 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
     value is below 1 (a world keeping the infimum below the next truth value)
     and per diamond formula whose value is above 0 (a world keeping the
     supremum above the previous one).  Witnesses are the first qualifying
-    worlds in the model's stored order.
+    worlds in the model's stored order.  Any other model class raises
+    TypeError.
     """
+    if not isinstance(model, PiGModel):
+        raise TypeError(f"filtrate needs a PiGModel, not {type(model).__name__}")
     _check_world(model.worlds, x)
     if BOT not in sigma:
         raise ValueError("fragment must contain bottom")
@@ -518,10 +520,13 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
 
 def transport(model: PiGFModel, h: OrderEmbedding) -> PiGFModel:
     """Push pi and the valuation through an order embedding that fixes the
-    truth set pointwise; raises ValueError if h moves a truth set member.
+    truth set pointwise; raises ValueError if h moves a truth set member,
+    and TypeError for a model without a truth set.
 
     h is prepared once for the whole model, so each segment's line is put
     in integers once and each distinct value is interpolated once."""
+    if not isinstance(model, PiGFModel):
+        raise TypeError(f"transport needs a PiGFModel, not {type(model).__name__}")
     image = _embedding(h)
     moved = [t for t in model.truth_set if image(t) != t]
     if moved:

@@ -1228,8 +1228,9 @@ def oracle_shrink(
     return PiGFModel(small, TruthSet(table[c] for c in truth)), anchor
 
 
-# _shrink_codes as it was before a snap of a position that no var op reads
-# was kept without an evaluation, copied verbatim (with _oracle_snap_key for
+# The code loop of decider._shrunk, then a function _shrink_codes of its
+# own, as it was before a snap of a position that no var op reads was kept
+# without an evaluation, copied verbatim (with _oracle_snap_key for
 # the package's equal _snap_key): every such snap is evaluated, accepted, and
 # marks the pass as changed.
 

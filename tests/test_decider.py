@@ -1681,43 +1681,53 @@ def test_shrink_snaps_an_unread_variable_and_moves_the_anchor():
 def test_shrink_codes_match_the_shrink_that_evaluated_unread_snaps():
     # A snap of a column that no var op reads is kept without an evaluation,
     # and one evaluation at the end names the first refuting world.  The
-    # result and every row must be what the shrink that evaluated each such
-    # snap gave.  Each model has 1-3 unread columns and starts from a
-    # refuting world that is not the first, which only an accepted
-    # evaluation moves; random models almost never leave that to the final
-    # evaluation alone, which test_shrink_snaps_an_unread_variable_and_moves_the_anchor
-    # pins.
+    # shrunk _Hit, every kept world's codes included, must be what the
+    # shrink that evaluated each such snap gave.  Each model has 1-3 unread
+    # columns and starts from a refuting world that is not the first, which
+    # only an accepted evaluation moves; random models almost never leave
+    # that to the final evaluation alone, which
+    # test_shrink_snaps_an_unread_variable_and_moves_the_anchor pins.
     rng = random.Random(2121)
     kinds = Counter()
     while kinds["models"] < 400:
         logic = rng.choice(list(LogicId))
         f = random_formula_bounded(rng, max_ell=8)
-        ops, (root,), names = compile_formulas([f])
+        compiled = compile_formulas([f])
+        ops, (root,), names = compiled
         top = rng.randint(2, 6)
         width = 1 + len(names) + rng.randint(1, 3)
         rows = [[rng.randint(0, top) for _ in range(width)] for _ in range(rng.randint(2, 4))]
         for row in rows if logic is LogicId.S5 else rng.sample(rows, logic is LogicId.KD45):
             row[0] = top
         truth = sorted({0, top, *rng.sample(range(1, top), rng.randint(0, top - 1))})
-        columns = [[row[1 + i] for row in rows] for i in range(len(names))]
-        values = evaluate_compiled(ops, columns, ([[row[0] for row in rows]], truth), top)[root]
+        pi, *columns = [list(column) for column in zip(*rows)]
+        values = evaluate_compiled(ops, columns, ([pi], truth), top)[root]
         refuting = [w for w, v in enumerate(values) if v < top]
         if len(refuting) < 2:
             continue
         anchor = rng.choice(refuting[1:])
-        # the package snaps code columns in place, the oracle code rows
-        got_columns, want_rows = [list(column) for column in zip(*rows)], [list(row) for row in rows]
-        args = (list(truth), top, logic, anchor, values[anchor])
-        got = decider._shrink_codes(ops, root, got_columns, *args)
-        want = oracle_shrink_codes(ops, root, want_rows, *args)
-        got_rows = [list(row) for row in zip(*got_columns)]
-        assert (got, got_rows) == (want, want_rows), (f, logic, rows, truth, anchor)
+        # the package shrinks a _Hit, the oracle snaps code rows in place
+        unread = [f"u{i}" for i in range(width - 1 - len(names))]
+        hit = decider._Hit(None, (*names, *unread), [pi], columns, truth, _grid(top), anchor, values[anchor])
+        got = decider._shrunk(compiled, hit, logic)
+        want_rows = [list(row) for row in rows]
+        live, want_truth, want_anchor, want_code = oracle_shrink_codes(
+            ops, root, want_rows, list(truth), top, logic, anchor, values[anchor]
+        )
+        kept = [list(column) for column in zip(*(want_rows[w] for w in live))]
+        want = replace(
+            hit, worlds=[f"w{w + 1}" for w in live], rows=kept[:1], columns=kept[1:],
+            truth=want_truth, world=live.index(want_anchor), code=want_code,
+        )
+        assert got == want, (f, logic, rows, truth, anchor)
         kinds["models"] += 1
         kinds["unread snapped"] += any(
-            row[i] != got_rows[w][i] for w, row in enumerate(rows) for i in range(1 + len(names), width)
+            rows[w][i] != column[j]
+            for i, column in enumerate(got.columns[len(names):], 1 + len(names))
+            for j, w in enumerate(live)
         )
-        kinds["anchor moved"] += got[2] != anchor
-        kinds["anchor kept"] += got[2] == anchor
+        kinds["anchor moved"] += want_anchor != anchor
+        kinds["anchor kept"] += want_anchor == anchor
     print(dict(kinds))
     assert min(kinds.values()) >= 20, kinds
 

@@ -332,7 +332,10 @@ def test_blocks_evaluate_as_their_models_do_one_by_one():
     # laid end to end in the columns, and one model alone, possibilistic
     # (one shared row) or relational (one row per world), rounded or exact;
     # each gives every model the values the recursive oracle gives it
-    # alone, code c read as c/9
+    # alone, code c read as c/9.  Models have 1 to 7 worlds, so a row per
+    # world makes groups of up to 7 terms, batches mix one-world models
+    # with larger ones, and relational frames are rounded too, which no
+    # package caller builds
     rng = random.Random(6)
     f = parse("[](p -> <>q) & (<>p | ~[]q) -> <>[]p")
     ops, (root,), names = compile_formulas([f])
@@ -348,7 +351,7 @@ def test_blocks_evaluate_as_their_models_do_one_by_one():
     for _ in range(300):
         columns, pis, counts, truths, alone = [[], []], [], [], [], []
         for _ in range(rng.randint(1, 5)):
-            k = rng.randint(1, 4)
+            k = rng.randint(1, 7)
             pi = [rng.randint(0, 9) for _ in range(k)]
             truth = rng.choice([[0, 9], sorted({0, 9, rng.randint(1, 8), rng.randint(1, 8)})])
             own = [[rng.randint(0, 9) for _ in range(k)] for _ in names]
@@ -472,6 +475,29 @@ def test_filtrate_validation():
         filtrate(m, frozenset({parse("[]p"), BOT}), "a")  # not closed: p missing
     with pytest.raises(ValueError):
         filtrate(m, frozenset({parse("p")}), "a")  # bottom missing
+
+
+def test_filtrate_rejects_a_rounded_model():
+    rounded = PiGFModel(two_world(), TruthSet([ZERO, ONE]))
+    with pytest.raises(TypeError, match="^filtrate needs a PiGModel, not PiGFModel$"):
+        filtrate(rounded, subformulas(parse("[]p")), "a")
+
+
+def test_filtrate_rejects_a_relational_model():
+    with pytest.raises(TypeError, match="^filtrate needs a PiGModel, not RelationalModel$"):
+        filtrate(embed_pig(two_world()), subformulas(parse("[]p")), "a")
+
+
+def test_transport_rejects_an_unrounded_model():
+    h = OrderEmbedding([(ZERO, ZERO), (ONE, ONE)])
+    with pytest.raises(TypeError, match="^transport needs a PiGFModel, not PiGModel$"):
+        transport(two_world(), h)
+
+
+def test_transport_rejects_a_relational_model():
+    h = OrderEmbedding([(ZERO, ZERO), (ONE, ONE)])
+    with pytest.raises(TypeError, match="^transport needs a PiGFModel, not RelationalModel$"):
+        transport(embed_pig(two_world()), h)
 
 
 def test_filtrate_bottom_only_fragment_is_the_known_bound_exception():
