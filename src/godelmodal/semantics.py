@@ -32,9 +32,9 @@ embedding into the integers: evaluate (so the eval_* functions),
 filtrate, frame_report and decider.shrink take their codes from it.
 _decode is the one place codes become an exact model.  The decider's
 random search and sweep evaluate each batch of their codes in one call,
-and its shrink each candidate model; its world-type search has a bit-set
-evaluator of its own.  filtrate picks witness worlds from modal_terms,
-each world's term of a box or diamond value.
+and its shrink each candidate model; the world-type search (worldtypes)
+has a bit-set evaluator of its own.  filtrate picks witness worlds from
+modal_terms, each world's term of a box or diamond value.
 
 frame_report reads a possibilistic model's frame properties off pi in
 closed form, and checks a relational model's on the codes of its
@@ -189,6 +189,13 @@ class RelationalModel:
 
     def value(self, world: str, variable: str) -> Fraction:
         return self.valuation.get(world, {}).get(variable, ZERO)
+
+
+def _check_class(model, who: str, *classes: type) -> None:
+    """Raise TypeError, naming model's class, unless it is one of classes."""
+    if not isinstance(model, classes):
+        wanted = " or ".join(c.__name__ for c in classes)
+        raise TypeError(f"{who} needs a {wanted}, not {type(model).__name__}")
 
 
 def _check_world(worlds: tuple[str, ...], world: str) -> None:
@@ -405,7 +412,9 @@ def eval_rel(model: RelationalModel, world: str, formula: Formula) -> Fraction:
 
 
 def embed_pig(model: PiGModel) -> RelationalModel:
-    """The relational rendering of a possibilistic model: R(w, w') = pi(w')."""
+    """The relational rendering of a possibilistic model: R(w, w') = pi(w').
+    Any other model class raises TypeError."""
+    _check_class(model, "embed_pig", PiGModel)
     rel = {w: dict(model.pi) for w in model.worlds}
     return RelationalModel(model.worlds, rel, model.valuation)
 
@@ -466,7 +475,9 @@ def frame_report(model: PiGModel | PiGFModel | RelationalModel) -> FrameReport:
 
 
 def is_normalized(model: PiGModel) -> bool:
-    """True when some world has possibility degree exactly 1."""
+    """True when some world has possibility degree exactly 1; a relational
+    model raises TypeError."""
+    _check_class(model, "is_normalized", PiGModel, PiGFModel)
     return any(model.pi[w] == ONE for w in model.worlds)
 
 
@@ -482,8 +493,7 @@ def filtrate(model: PiGModel, sigma: frozenset[Formula], x: str) -> PiGFModel:
     worlds in the model's stored order.  Any other model class raises
     TypeError.
     """
-    if not isinstance(model, PiGModel):
-        raise TypeError(f"filtrate needs a PiGModel, not {type(model).__name__}")
+    _check_class(model, "filtrate", PiGModel)
     _check_world(model.worlds, x)
     if BOT not in sigma:
         raise ValueError("fragment must contain bottom")
@@ -525,8 +535,7 @@ def transport(model: PiGFModel, h: OrderEmbedding) -> PiGFModel:
 
     h is prepared once for the whole model, so each segment's line is put
     in integers once and each distinct value is interpolated once."""
-    if not isinstance(model, PiGFModel):
-        raise TypeError(f"transport needs a PiGFModel, not {type(model).__name__}")
+    _check_class(model, "transport", PiGFModel)
     image = _embedding(h)
     moved = [t for t in model.truth_set if image(t) != t]
     if moved:

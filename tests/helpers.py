@@ -8,10 +8,10 @@ evaluator internals) so that tests compare the package against genuinely
 independent reference behaviour.  oracle_world_types is the world-type
 search as it was before it skipped work its answer never reads and before
 rows became bits; it reads the list-form table _world_rows, kept here,
-evaluates its modal-free spans with _span_values, and reuses the decider's
-cover test.  The decoding oracle (_decode, _materialize) is the decider's
-grid decoding as it was before a countermodel in code form carried its
-table.  The model boundary oracles keep the model file reader and transport
+evaluates its modal-free spans with _span_values, and keeps its own copy
+of the search's cover test, _cover_size.  The decoding oracle (_decode,
+_materialize) is the decider's grid decoding as it was before a
+countermodel in code form carried its table.  The model boundary oracles keep the model file reader and transport
 that the package had before each literal and value was read once; they
 build the package's own model classes.  oracle_compile_formulas is the
 compiler as it was before a one-root compile was kept on its root node.
@@ -65,12 +65,9 @@ from godelmodal import syntax
 from godelmodal.decider import (
     _DENOMS,
     _GRID,
-    _NORMAL,
-    _REFUTED,
     Refuted,
     SearchConfig,
     Valid,
-    _cover_size,
     bound_for,
     decide,
     verdict_to_json,
@@ -877,12 +874,12 @@ def oracle_exhaustive(f: Formula, logic, cfg):
 # --------------------------------------------------------------------------
 # decider's world-type table as it was before rows became bits: one list
 # per column, one code per row.  oracle_world_types reads it, and
-# decider._world_table must give its thresholds, row for row.
+# worldtypes._world_table must give its thresholds, row for row.
 
 
 def _weak_orders_by_blocks(n: int) -> dict[int, list[tuple[int, ...]]]:
     """Every weak order of n items, as onto tuples of block ranks, by block
-    count, in decider._ranked_orders' order: with b blocks, for each block
+    count, in worldtypes._ranked_orders' order: with b blocks, for each block
     k, the orders of n - 1 items with b blocks where the last item joins
     block k, then those with b - 1 blocks where it opens block k."""
     by_blocks: dict[int, list[tuple[int, ...]]] = {0: [()]}
@@ -935,7 +932,25 @@ def _world_rows(k_levels: int, width: int, logic: LogicId) -> list[list[int]]:
     return columns
 
 
-# decider._world_types as it was before complete order types were cover-tested
+_REFUTED = 1  # requirement bits: some world refutes the formula,
+_NORMAL = 2  # some world has pi = 1 (KD45), and bit 2 + d for modal op d
+
+
+def _cover_size(masks: set[int], need: int, limit: int) -> int | None:
+    """The fewest masks whose union holds need, if that is at most limit."""
+    masks = {x & need for x in masks}
+    reach = {0}
+    for size in range(limit + 1):
+        if need in reach:
+            return size
+        grown = {r | x for r in reach for x in masks}
+        if grown == reach:
+            return None
+        reach = grown
+    return None
+
+
+# worldtypes._world_types as it was before complete order types were cover-tested
 # before evaluation, children copied only live columns and popped prefixes
 # were tested again only after limit fell.  It must return the same
 # (best, examined) on every input.

@@ -397,6 +397,18 @@ def test_corpus_runs_are_deterministic(capsys):
     assert len(a[1].splitlines()) == 22
 
 
+def test_corpus_samples_a_scheme_that_world_types_do_not_certify(capsys, monkeypatch):
+    # corpus certifies each scheme by world types at the sampler's caps and
+    # samples only the others: a non-theorem patched in prints the sampler's
+    # refutation, byte for byte as when every scheme was sampled
+    schemes = syntax.corpus("k45")
+    patched = schemes[:3] + [("T", parse("[]p -> p")), ("D", parse("[]p -> <>p"))] + schemes[3:5]
+    monkeypatch.setattr(cli, "corpus", lambda logic: patched)
+    code, out, err = invoke(capsys, "corpus", "--logic", "k45", "--budget", "300", "--seed", "3")
+    assert (code, err) == (1, "checked 7 schemes, 2 refuted\n")
+    assert out == "K_□\tok\nK_◇\tok\nF_□\tok\nT\trefuted\tw1\t4/5\nD\trefuted\tw1\t3/4\nP\tok\nFS2\tok\n"
+
+
 # -- frame ------------------------------------------------------------------------------
 
 

@@ -44,7 +44,7 @@ from godelmodal import (
     variables,
     verdict_to_json,
 )
-from godelmodal import decider
+from godelmodal import decider, worldtypes
 from godelmodal.decider import _grid, _sweep_size
 from godelmodal.semantics import _Coded, _decode as decode_codes, evaluate_compiled
 from godelmodal.streams import _cost, _pack, _samples, _unpack
@@ -397,12 +397,12 @@ def test_world_types_match_the_search_that_read_everything():
 
 
 def world_types(ops, root, n_vars, logic, k_levels, limit, k_top=None):
-    # decider._world_types on the table of k_levels levels, as a table
+    # worldtypes._world_types on the table of k_levels levels, as a table
     # built for up to k_top levels yields it
-    tables = decider._world_table(k_levels if k_top is None else k_top, 1 + n_vars, logic)
+    tables = worldtypes._world_table(k_levels if k_top is None else k_top, 1 + n_vars, logic)
     for _ in range(k_levels):
         next(tables)
-    return decider._world_types(ops, root, next(tables), logic, limit)
+    return worldtypes._world_types(ops, root, next(tables), logic, limit)
 
 
 def thresholds(columns: list[list[int]], top: int) -> list[list[int]]:
@@ -418,7 +418,7 @@ def test_world_table_holds_the_thresholds_of_the_row_lists():
         for k_top in range(4):
             for width in range(1, 5):
                 first = None
-                for k_levels, table in enumerate(decider._world_table(k_top, width, logic)):
+                for k_levels, table in enumerate(worldtypes._world_table(k_top, width, logic)):
                     want = thresholds(_world_rows(k_levels, width, logic), (k_levels + 1) * (width + 1))
                     assert table == want, (logic, k_top, width, k_levels)
                     first = first or table
@@ -490,7 +490,7 @@ def test_exhaustive_builds_one_table_and_its_searches_read_it(monkeypatch):
     # that table's own column lists, grown to the level's codes, and no
     # level past the last search is built
     built, read = [], []
-    world_table, world_types = decider._world_table, decider._world_types
+    world_table, world_types = worldtypes._world_table, worldtypes._world_types
 
     def counting(*args):
         built.append((args, []))
@@ -502,8 +502,8 @@ def test_exhaustive_builds_one_table_and_its_searches_read_it(monkeypatch):
         read.append((table, [list(column) for column in table]))
         return world_types(ops, root, table, logic, limit)
 
-    monkeypatch.setattr(decider, "_world_table", counting)
-    monkeypatch.setattr(decider, "_world_types", reading)
+    monkeypatch.setattr(worldtypes, "_world_table", counting)
+    monkeypatch.setattr(worldtypes, "_world_types", reading)
     cases = [
         ("<>(p | q) -> (<>p | <>q)", LogicId.K45, None, None, Valid),
         ("([]p -> <>q) | []((p -> q) -> q)", LogicId.KD45, 1, 5, Valid),
@@ -530,13 +530,13 @@ def test_world_types_skip_complete_types_that_cannot_cover(monkeypatch):
     # A complete order type whose worlds cannot meet the existential
     # requirements within the limit is counted, but never evaluated
     calls = []
-    evaluate = decider._span_values
+    evaluate = worldtypes._span_values
 
     def counting(*args, **kwargs):
         calls.append(1)
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(decider, "_span_values", counting)
+    monkeypatch.setattr(worldtypes, "_span_values", counting)
     f = parse("([]p -> <>q) | []((p -> q) -> q)")
     verdict = decide(f, LogicId.KD45, SearchConfig("exhaustive", max_worlds=1, max_truth=5))
     assert verdict.models_checked == 51
@@ -890,14 +890,15 @@ def test_the_sampler_never_contradicts_a_capped_valid():
     # classical tautologies of modal formulas, which are often refuted only
     # at the full caps: valid at one world or one truth value fewer.  A
     # false Valid there would meet the sampler's hits.  A hit is a
-    # countermodel within the caps.
+    # countermodel within the caps.  (5, 6) are the caps at which CLI corpus
+    # certifies a scheme before it samples (decider._sample_caps).
     rng = random.Random(61)
-    caps = [(1, 3), (2, 3), (2, 4), (3, 3)]
+    caps = [(1, 3), (2, 3), (2, 4), (3, 3), (5, 6)]
     tautologies = [_parse_template(text) for text in ("A | ~A", "~~A -> A", "((A -> B) -> A) -> A", "(A -> B) | (B -> A)")]
     seen = Counter()
-    for i in range(252):
+    for i in range(315):
         logic = LOGICS[i % 3]
-        max_worlds, max_truth = caps[i // 3 % 4]
+        max_worlds, max_truth = caps[i // 3 % 5]
         names = ("p", "q", "r", "s")[: 3 + (i % 5 == 0)]
         f = random_formula(rng, names, depth=rng.randint(1, 4))
         kind = i // 12 % 3

@@ -500,6 +500,24 @@ def test_transport_rejects_a_relational_model():
         transport(embed_pig(two_world()), h)
 
 
+def test_embed_pig_rejects_a_rounded_model():
+    rounded = PiGFModel(two_world(), TruthSet([ZERO, ONE]))
+    with pytest.raises(TypeError, match="^embed_pig needs a PiGModel, not PiGFModel$"):
+        embed_pig(rounded)
+
+
+def test_embed_pig_rejects_a_relational_model():
+    with pytest.raises(TypeError, match="^embed_pig needs a PiGModel, not RelationalModel$"):
+        embed_pig(embed_pig(two_world()))
+
+
+def test_is_normalized_rejects_a_relational_model():
+    # a rounded model is read by its base, as frame_report reads it
+    assert is_normalized(PiGFModel(two_world(), TruthSet([ZERO, ONE]))) == is_normalized(two_world())
+    with pytest.raises(TypeError, match="^is_normalized needs a PiGModel or PiGFModel, not RelationalModel$"):
+        is_normalized(embed_pig(two_world()))
+
+
 def test_filtrate_bottom_only_fragment_is_the_known_bound_exception():
     # The degenerate fragment {bottom} forces |W|+|T| = 1 + 2 = 3 > 2*1;
     # every fragment of a formula other than bare bottom satisfies the bound
